@@ -6,7 +6,10 @@ translation invariant on the ring, the unitary factorizes over the L
 momentum blocks, so steps are computed by batched q x q eigendecompositions
 in the Bloch basis; this is bit-for-bit the same midpoint unitary as dense
 real-space exponentiation (a dense reference path is kept for
-cross-checking).
+cross-checking).  A Bloch builder is called as builder(params, k, t) and
+carries its time-batched form builder.batch(params, k, ts), which `evolve`
+calls once per sample chunk; `model.bloch_blocks` and
+`effective.effective_bloch_blocks` are the two builders.
 
 The step cap is dt_max = 0.5/max_t ||H(t)||_2, 37,757 steps per cycle at
 paper parameters.  ||H|| is set by V0, but the midpoint rule's truncation
@@ -154,6 +157,41 @@ def _resolve_initial(params: ModelParams, initial) -> np.ndarray:
     return vec
 
 
+def _step_grid(t_start: float, t_end: float, dt: float, samples: int) -> tuple:
+    """(n_steps, dt, stride): whole steps no longer than dt spanning
+    [t_start, t_end], with a state sample every `stride` steps."""
+    span = t_end - t_start
+    if span <= 0:
+        raise ValueError("t_end must exceed t_start")
+    n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
+    return n_steps, span / n_steps, max(1, round(n_steps / samples))
+
+
+def _trajectory(params: ModelParams, times, states, dt: float, norm_drift: float,
+                protocol: Protocol | None) -> PumpTrajectory:
+    """Density, cell shift and width of sampled states; raises IntegratorError
+    on norm drift beyond 1e-8."""
+    if norm_drift > 1e-8:
+        raise IntegratorError(f"norm drift {norm_drift:.3e} exceeds 1e-8")
+    states = np.asarray(states)
+    density = np.abs(states) ** 2
+    j = np.arange(1, params.n_sites + 1)
+    mean_x = density @ j
+    d_w = np.sqrt(np.maximum(density @ (j * j) - mean_x**2, 0.0))
+    return PumpTrajectory(
+        times=np.asarray(times),
+        states=states,
+        density=density,
+        delta_p=(mean_x - mean_x[0]) / params.q,
+        d_w=d_w,
+        protocol=protocol,
+        params=params,
+        dt=dt,
+        norm_drift=norm_drift,
+        seam_density_max=float(np.max(density[:, [0, -1]])),
+    )
+
+
 def evolve(
     params: ModelParams,
     initial,
@@ -182,12 +220,7 @@ def evolve(
         dt = cap
     elif dt > cap * (1 + 1e-12):
         raise ValueError(f"dt={dt} exceeds dt_max={cap:.6e}")
-    span = t_end - t_start
-    if span <= 0:
-        raise ValueError("t_end must exceed t_start")
-    n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
-    dt = span / n_steps
-    stride = max(1, round(n_steps / samples))
+    n_steps, dt, stride = _step_grid(t_start, t_end, dt, samples)
 
     psi0 = _resolve_initial(params, initial)
     frame = _bloch_frame(params)
@@ -197,7 +230,6 @@ def evolve(
     sample_states = [psi0]
     sample_times = [t_start]
     norm_drift = 0.0
-    batch_builder = getattr(builder, "batch", None)
     jump_times = np.asarray(jump_times, dtype=float)
     step = 0
     while step < n_steps:
@@ -210,13 +242,7 @@ def evolve(
             # a step across a jump of H is split there, so it stays second order
             edges = np.union1d(t_start + (step + np.arange(chunk + 1)) * dt, cuts)
             mids, dts = 0.5 * (edges[1:] + edges[:-1]), np.diff(edges)
-        if batch_builder is not None:
-            blocks = batch_builder(params, ks, mids)
-        else:
-            blocks = np.empty((len(mids), params.L, params.q, params.q), dtype=complex)
-            for i, tm in enumerate(mids):
-                blocks[i] = builder(params, ks, tm)
-        evals, vecs = np.linalg.eigh(blocks)
+        evals, vecs = np.linalg.eigh(builder.batch(params, ks, mids))
         phases = np.exp(-1j * evals * dts[:, None, None])
         u_steps = (vecs * phases[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
         u_chunk = _chain_product(u_steps)
@@ -227,33 +253,14 @@ def evolve(
         sample_times.append(t_start + step * dt)
         norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
 
-    if norm_drift > 1e-8:
-        raise IntegratorError(f"norm drift {norm_drift:.3e} exceeds 1e-8")
-
-    states = np.asarray(sample_states)
-    density = np.abs(states) ** 2
-    seam = float(np.max(density[:, [0, -1]]))
+    traj = _trajectory(params, sample_times, sample_states, dt, norm_drift, protocol)
+    seam = traj.seam_density_max
     if seam_threshold is not None and seam > seam_threshold:
         raise SeamDensityError(
             f"density at the ring seam reached {seam:.3e} (> {seam_threshold:.1e}); "
             "enlarge L or recenter the initial state"
         )
-    j = np.arange(1, params.n_sites + 1)
-    mean_x = density @ j
-    d_w = np.sqrt(np.maximum(density @ (j * j) - mean_x**2, 0.0))
-    delta_p = (mean_x - mean_x[0]) / params.q
-    return PumpTrajectory(
-        times=np.asarray(sample_times),
-        states=states,
-        density=density,
-        delta_p=delta_p,
-        d_w=d_w,
-        protocol=protocol,
-        params=params,
-        dt=dt,
-        norm_drift=norm_drift,
-        seam_density_max=seam,
-    )
+    return traj
 
 
 def evolve_dense(
@@ -273,10 +280,7 @@ def evolve_dense(
     from .model import real_space_hamiltonian
 
     builder = hamiltonian or real_space_hamiltonian
-    span = t_end - t_start
-    n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
-    dt = span / n_steps
-    stride = max(1, round(n_steps / samples))
+    n_steps, dt, stride = _step_grid(t_start, t_end, dt, samples)
     psi = _resolve_initial(params, initial)
     sample_states = [psi.copy()]
     sample_times = [t_start]
@@ -289,25 +293,7 @@ def evolve_dense(
             sample_states.append(psi.copy())
             sample_times.append(t_start + (step + 1) * dt)
             norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
-    if norm_drift > 1e-8:
-        raise IntegratorError(f"norm drift {norm_drift:.3e} exceeds 1e-8")
-    states = np.asarray(sample_states)
-    density = np.abs(states) ** 2
-    j = np.arange(1, params.n_sites + 1)
-    mean_x = density @ j
-    d_w = np.sqrt(np.maximum(density @ (j * j) - mean_x**2, 0.0))
-    return PumpTrajectory(
-        times=np.asarray(sample_times),
-        states=states,
-        density=density,
-        delta_p=(mean_x - mean_x[0]) / params.q,
-        d_w=d_w,
-        protocol=None,
-        params=params,
-        dt=dt,
-        norm_drift=norm_drift,
-        seam_density_max=float(np.max(density[:, [0, -1]])),
-    )
+    return _trajectory(params, sample_times, sample_states, dt, norm_drift, None)
 
 
 def _concat_segments(segments: list[PumpTrajectory], protocol: Protocol,
@@ -317,24 +303,8 @@ def _concat_segments(segments: list[PumpTrajectory], protocol: Protocol,
     for seg in segments[1:]:
         times.append(seg.times[1:])
         states.append(seg.states[1:])
-    times = np.concatenate(times)
-    states = np.concatenate(states)
-    density = np.abs(states) ** 2
-    j = np.arange(1, params.n_sites + 1)
-    mean_x = density @ j
-    d_w = np.sqrt(np.maximum(density @ (j * j) - mean_x**2, 0.0))
-    return PumpTrajectory(
-        times=times,
-        states=states,
-        density=density,
-        delta_p=(mean_x - mean_x[0]) / params.q,
-        d_w=d_w,
-        protocol=protocol,
-        params=params,
-        dt=segments[0].dt,
-        norm_drift=max(s.norm_drift for s in segments),
-        seam_density_max=max(s.seam_density_max for s in segments),
-    )
+    return _trajectory(params, np.concatenate(times), np.concatenate(states),
+                       segments[0].dt, max(s.norm_drift for s in segments), protocol)
 
 
 def run_protocol(

@@ -12,8 +12,11 @@ Two independent routes are implemented: `sw_generic` evaluates the literal
 second- and third-order matrix-element sums for an arbitrary diagonal H0
 plus perturbation, and `effective_params` evaluates the closed-form
 coefficients; they must agree to rounding, which is the module's
-self-consistency oracle.  `effective_cycle_hamiltonian` assembles the
-piecewise cycle generator from the closed forms.
+self-consistency oracle.  The closed forms are evaluated on a time array,
+one mask per region, and written into one per-region bond list as a
+`model.HoppingTable`; `effective_cycle_hamiltonian` and
+`effective_bloch_blocks` are that table assembled as a dense ring matrix and
+as Bloch blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ModelParams, TunnelingMode, tunneling
+from .model import (HoppingTable, ModelParams, bloch_from_table, onsite_energy,
+                    ring_from_table, tunneling)
 
 
 class Region(Enum):
@@ -55,17 +59,18 @@ class EffectiveParams:
     bare: tuple
 
 
+def _region_index(phi) -> np.ndarray:
+    """Index into tuple(Region) of each phase: the count of boundaries
+    pi/6 + n*pi/3 below the reduced phase, modulo 3."""
+    edges = np.arange(1, 12, 2) * (np.pi / 6.0)
+    return np.searchsorted(edges, np.mod(phi, 2.0 * np.pi), side="right") % 3
+
+
 def region_of_phase(phi: float) -> Region:
     """Region of the reduced modulation phase, by the cycle partition
     I: [0,pi/6) u [5pi/6,7pi/6) u [11pi/6,2pi]; II: [pi/6,pi/2) u
     [7pi/6,3pi/2); III: [pi/2,5pi/6) u [3pi/2,11pi/6)."""
-    phi = float(np.mod(phi, 2.0 * np.pi))
-    sixth = np.pi / 6.0
-    if phi < sixth or 5 * sixth <= phi < 7 * sixth or phi >= 11 * sixth:
-        return Region.I
-    if sixth <= phi < 3 * sixth or 7 * sixth <= phi < 9 * sixth:
-        return Region.II
-    return Region.III
+    return tuple(Region)[_region_index(float(phi))]
 
 
 def sw_generic(
@@ -129,19 +134,6 @@ def sw_generic(
     return h_eff
 
 
-def _bare_bonds(params: ModelParams, t: float) -> tuple:
-    """(J_1, J_2, J_3): bonds A-B and B-C within a cell, C-A across cells."""
-    if params.q != 3:
-        raise ValueError("effective Hamiltonians are derived for q = 3")
-    return tuple(float(tunneling(params, j, t)) for j in (1, 2, 3))
-
-
-def _sublattice_energies(params: ModelParams, t: float) -> tuple:
-    from .model import onsite_energy
-
-    return tuple(float(onsite_energy(params, s, t)) for s in (1, 2, 3))
-
-
 def region_boundaries(params: ModelParams, t_start: float, t_end: float) -> np.ndarray:
     """Sorted times in [t_start, t_end] at which phi(t) crosses a region
     boundary pi/6 + n*pi/3, where the cycle generator H_T jumps."""
@@ -149,6 +141,65 @@ def region_boundaries(params: ModelParams, t_start: float, t_end: float) -> np.n
     lo, hi = sorted(params.phase([t_start, t_end]))
     n = np.arange(np.ceil((lo - sixth) / (2 * sixth)), np.floor((hi - sixth) / (2 * sixth)) + 1)
     return np.sort((sixth + 2 * sixth * n - params.phi0) / params.omega)
+
+
+# closed forms of each region: renormalized (V_A, V_B, V_C) and effective
+# (J_1, J_2, J_3) from the bare energies, bonds and biases
+def _region_i(va, vb, vc, j1, j2, j3, d1, d2, d3):
+    return (va + j3**2 / d3, vb + j2**2 / d2, vc - j2**2 / d2 - j3**2 / d3,
+            j1 - j1 * (j2**2 + j3**2) / (2 * d2 * d3),
+            0.5 * j2 * j3 * (1 / d2 + 1 / d3),
+            j1 * j2 * j3 / (2 * d2 * d3))
+
+
+def _region_ii(va, vb, vc, j1, j2, j3, d1, d2, d3):
+    return (va + j1**2 / d1 + j3**2 / d3, vb - j1**2 / d1, vc - j3**2 / d3,
+            j2 - j2 * (j1**2 + j3**2) / (2 * d1 * d3),
+            -0.5 * j1 * j3 * (1 / d1 + 1 / d3),
+            j1 * j2 * j3 / (2 * d1 * d3))
+
+
+def _region_iii(va, vb, vc, j1, j2, j3, d1, d2, d3):
+    # region III chains pass through the extremal B sublattice, so both
+    # third-order denominators are (E - E_B) products and the correction
+    # enters with the opposite sign to regions I and II (the generic sums
+    # confirm this; the sign follows from Delta_1*Delta_2 < 0 here)
+    return (va + j1**2 / d1, vb - j1**2 / d1 + j2**2 / d2, vc - j2**2 / d2,
+            j3 + j3 * (j1**2 + j2**2) / (2 * d1 * d2),
+            0.5 * j1 * j2 * (1 / d1 - 1 / d2),
+            -j1 * j2 * j3 / (2 * d1 * d2))
+
+
+def _closed_forms(params: ModelParams, ts: np.ndarray) -> tuple:
+    """Closed-form couplings on a time array, evaluated with one mask per region.
+
+    Returns (region index (T,), values (12, T)): the rows are the renormalized
+    (V_A, V_B, V_C), the effective (J_1, J_2, J_3), the biases
+    (Delta_1, Delta_2, Delta_3) = (V_A-V_B, V_B-V_C, V_A-V_C) and the bare
+    bonds (J_1, J_2, J_3).  Region r leaves Delta_{r+1} out of its
+    denominators; the others must exceed gap_floor = 0.1*V0.
+    """
+    if params.q != 3:
+        raise ValueError("effective Hamiltonians are derived for q = 3")
+    ts = np.asarray(ts, dtype=float)
+    s = np.arange(1, 4)
+    va, vb, vc = onsite_energy(params, s, ts[:, None]).T
+    j1, j2, j3 = tunneling(params, s, ts[:, None]).T
+    inputs = np.stack([va, vb, vc, j1, j2, j3, va - vb, vb - vc, va - vc])
+    region = _region_index(params.phase(ts))
+    gap_floor = 0.1 * abs(params.V0)
+    forms = np.empty((6, len(ts)))
+    for r, form in enumerate((_region_i, _region_ii, _region_iii)):
+        x = inputs[:, region == r]
+        relevant = np.delete(x[6:], r, axis=0)
+        if relevant.size and np.min(np.abs(relevant)) <= gap_floor:
+            worst = relevant[:, np.argmin(np.min(np.abs(relevant), axis=0))]
+            raise DivergentDenominatorError(
+                f"region {tuple(Region)[r].value} denominators {tuple(worst.tolist())} "
+                f"within gap_floor {gap_floor:.3e}"
+            )
+        forms[:, region == r] = form(*x)
+    return region, np.concatenate([forms, inputs[6:9], inputs[3:6]])
 
 
 def effective_params(params: ModelParams, t: float, region: Region | None = None) -> EffectiveParams:
@@ -160,53 +211,41 @@ def effective_params(params: ModelParams, t: float, region: Region | None = None
     """
     phi = float(np.mod(params.phase(t), 2.0 * np.pi))
     own = region_of_phase(phi)
-    if region is None:
-        region = own
-    elif region is not own:
+    if region is not None and region is not own:
         raise ValueError(f"phi(t) = {phi:.4f} lies in region {own.value}, not {region.value}")
-
-    va, vb, vc = _sublattice_energies(params, t)
-    j1, j2, j3 = _bare_bonds(params, t)
-    d1, d2, d3 = va - vb, vb - vc, va - vc
-    gap_floor = 0.1 * abs(params.V0)
-    relevant = {
-        Region.I: (d2, d3),
-        Region.II: (d1, d3),
-        Region.III: (d1, d2),
-    }[region]
-    if min(abs(d) for d in relevant) <= gap_floor:
-        raise DivergentDenominatorError(
-            f"region {region.value} denominators {relevant} within gap_floor {gap_floor:.3e}"
-        )
-
-    if region is Region.I:
-        onsite = (va + j3**2 / d3, vb + j2**2 / d2, vc - j2**2 / d2 - j3**2 / d3)
-        eff1 = j1 - j1 * (j2**2 + j3**2) / (2 * d2 * d3)
-        eff2 = 0.5 * j2 * j3 * (1 / d2 + 1 / d3)
-        eff3 = j1 * j2 * j3 / (2 * d2 * d3)
-    elif region is Region.II:
-        onsite = (va + j1**2 / d1 + j3**2 / d3, vb - j1**2 / d1, vc - j3**2 / d3)
-        eff1 = j2 - j2 * (j1**2 + j3**2) / (2 * d1 * d3)
-        eff2 = -0.5 * j1 * j3 * (1 / d1 + 1 / d3)
-        eff3 = j1 * j2 * j3 / (2 * d1 * d3)
-    else:
-        # region III chains pass through the extremal B sublattice, so both
-        # third-order denominators are (E - E_B) products and the correction
-        # enters with the opposite sign to regions I and II (the generic sums
-        # confirm this; the sign follows from Delta_1*Delta_2 < 0 here)
-        onsite = (va + j1**2 / d1, vb - j1**2 / d1 + j2**2 / d2, vc - j2**2 / d2)
-        eff1 = j3 + j3 * (j1**2 + j2**2) / (2 * d1 * d2)
-        eff2 = 0.5 * j1 * j2 * (1 / d1 - 1 / d2)
-        eff3 = -j1 * j2 * j3 / (2 * d1 * d2)
+    _, v = _closed_forms(params, np.array([t]))
+    v = v[:, 0].tolist()
     return EffectiveParams(
-        region=region, onsite=onsite, j1=eff1, j2=eff2, j3=eff3,
-        biases=(d1, d2, d3), bare=(j1, j2, j3),
+        region=own, onsite=tuple(v[0:3]), j1=v[3], j2=v[4], j3=v[5],
+        biases=tuple(v[6:9]), bare=tuple(v[9:12]),
     )
 
 
-def _add_bond(h: np.ndarray, row: int, col: int, val: complex) -> None:
-    h[row, col] += val
-    h[col, row] += np.conj(val)
+# H_T bonds per region as (s_to, s_from, a, order, factor): the hopping
+# c^dag_{l+a,s_to} c_{l,s_from} with amplitude factor * J_order.  The first-
+# and second-order bonds join the resonant pair within a cell and across a
+# cell boundary; the third-order bonds are same-sublattice hops to the next
+# cell, -J_3 on the resonant pair and 2*J_3 on the third sublattice.
+_BONDS = {
+    Region.I: ((0, 1, 0, 1, 1), (0, 1, 1, 2, 1),  # A_l <- B_l, A_l <- B_{l-1}
+               (0, 0, 1, 3, -1), (1, 1, 1, 3, -1), (2, 2, 1, 3, 2)),
+    Region.II: ((1, 2, 0, 1, 1), (1, 2, 1, 2, 1),  # B_l <- C_l, B_{l+1} <- C_l
+                (0, 0, 1, 3, 2), (1, 1, 1, 3, -1), (2, 2, 1, 3, -1)),
+    Region.III: ((0, 2, 1, 1, 1), (0, 2, 0, 2, 1),  # A_{l+1} <- C_l, A_l <- C_l
+                 (0, 0, 1, 3, -1), (1, 1, 1, 3, 2), (2, 2, 1, 3, -1)),
+}
+
+
+def _effective_table(params: ModelParams, ts: np.ndarray) -> HoppingTable:
+    """H_T on a time batch: each region's bonds carry its couplings at the
+    times that region owns and zero elsewhere."""
+    region, v = _closed_forms(params, ts)
+    bonds = tuple(
+        (s_to, s_from, a, np.where(region == r, factor * v[2 + order], 0.0))
+        for r, reg in enumerate(Region)
+        for s_to, s_from, a, order, factor in _BONDS[reg]
+    )
+    return HoppingTable(v[:3].T, bonds)
 
 
 def effective_cycle_hamiltonian(params: ModelParams, t: float) -> np.ndarray:
@@ -216,79 +255,17 @@ def effective_cycle_hamiltonian(params: ModelParams, t: float) -> np.ndarray:
     couplings; continuous within each region and discontinuous at region
     boundaries by construction.
     """
-    ep = effective_params(params, t)
-    L, q, n = params.L, params.q, params.n_sites
-    h = np.zeros((n, n), dtype=complex)
-    sites = np.arange(n)
-    h[sites, sites] = np.tile(ep.onsite, L)
-
-    a = lambda l: q * (l % L)  # 0-based site of sublattice A in cell l (0-based)
-    b = lambda l: q * (l % L) + 1
-    c = lambda l: q * (l % L) + 2
-    for l in range(L):
-        if ep.region is Region.I:
-            _add_bond(h, a(l), b(l), ep.j1)
-            _add_bond(h, a(l), b(l - 1), ep.j2)
-            _add_bond(h, a(l), a(l + 1), -ep.j3)
-            _add_bond(h, b(l), b(l + 1), -ep.j3)
-            _add_bond(h, c(l), c(l + 1), 2 * ep.j3)
-        elif ep.region is Region.II:
-            _add_bond(h, b(l), c(l), ep.j1)
-            _add_bond(h, b(l + 1), c(l), ep.j2)
-            _add_bond(h, a(l), a(l + 1), 2 * ep.j3)
-            _add_bond(h, b(l), b(l + 1), -ep.j3)
-            _add_bond(h, c(l), c(l + 1), -ep.j3)
-        else:
-            _add_bond(h, a(l + 1), c(l), ep.j1)
-            _add_bond(h, a(l), c(l), ep.j2)
-            _add_bond(h, a(l), a(l + 1), -ep.j3)
-            _add_bond(h, b(l), b(l + 1), 2 * ep.j3)
-            _add_bond(h, c(l), c(l + 1), -ep.j3)
-    return h
+    return ring_from_table(_effective_table(params, np.array([t])), params.L)[0]
 
 
 def effective_bloch_blocks(params: ModelParams, k: np.ndarray, t: float) -> np.ndarray:
-    """Cell-gauge Bloch blocks of H_T(t), shape (len(k), q, q).
-
-    In the cell gauge a hopping c^dag_{l+a,s'} c_{l,s} with amplitude A
-    contributes A*exp(-ikq*a) to block element (s', s): intra-cell terms are
-    plain, inter-cell terms carry whole-cell phases (matching
-    `model.bloch_blocks`).
-    """
-    ep = effective_params(params, t)
-    k = np.asarray(k, dtype=float)
-    q = params.q
-    h = np.zeros((len(k), q, q), dtype=complex)
-    for s in range(q):
-        h[:, s, s] = ep.onsite[s]
-
-    def add(sp, s, a, amp):
-        ph = amp * np.exp(-1j * k * q * a)
-        h[:, sp, s] += ph
-        h[:, s, sp] += np.conj(ph)
-
-    if ep.region is Region.I:
-        add(0, 1, 0, ep.j1)  # A_l <- B_l
-        add(0, 1, 1, ep.j2)  # A_l <- B_{l-1}
-        third = (-ep.j3, -ep.j3, 2 * ep.j3)
-    elif ep.region is Region.II:
-        add(1, 2, 0, ep.j1)  # B_l <- C_l
-        add(1, 2, 1, ep.j2)  # B_{l+1} <- C_l
-        third = (2 * ep.j3, -ep.j3, -ep.j3)
-    else:
-        add(0, 2, 1, ep.j1)  # A_{l+1} <- C_l
-        add(0, 2, 0, ep.j2)  # A_l <- C_l
-        third = (-ep.j3, 2 * ep.j3, -ep.j3)
-    for s, amp in enumerate(third):
-        h[:, s, s] += 2 * amp * np.cos(k * q)
-    return h
+    """Cell-gauge Bloch blocks of H_T(t), shape (len(k), q, q), matching
+    `model.bloch_blocks`."""
+    return bloch_from_table(_effective_table(params, np.array([t])), k)[0]
 
 
 def effective_bloch_blocks_batch(params: ModelParams, k: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    out = np.empty((len(ts), len(k), params.q, params.q), dtype=complex)
-    for i, t in enumerate(ts):
-        out[i] = effective_bloch_blocks(params, k, t)
-    return out
+    return bloch_from_table(_effective_table(params, ts), k)
 
 
 effective_bloch_blocks.batch = effective_bloch_blocks_batch

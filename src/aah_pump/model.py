@@ -7,6 +7,15 @@ either a constant -J or the bond-modulated -J*sin(2*pi*beta*j + phi(t)).
 Sublattices are labeled by s = ((j-1) mod q) + 1, so for q = 3 the sites
 (3l-2, 3l-1, 3l) of cell l carry sublattice labels (1, 2, 3) = (A, B, C).
 
+Every translation-invariant Hamiltonian of the package is a `HoppingTable`:
+on-site energies per sublattice and bonds (s_to, s_from, a, amplitude), each
+the hopping c^dag_{l+a,s_to} c_{l,s_from} plus its Hermitian conjugate, on a
+batch of times.  `hopping_table` gives the chain's table from
+`onsite_energy` and `tunneling` at s = 1..q; `effective` writes the cycle
+generator H_T the same way.  `bloch_from_table` and `ring_from_table` turn a
+table into Bloch blocks and dense ring matrices.  `real_space_hamiltonian`
+stays site-indexed as the independent dense reference.
+
 Bloch reduction: with psi_j = e^{ikj} u_{s(j)} / sqrt(L) and u strictly
 q-periodic, each quasi-momentum k of the ring gives a q x q Hermitian block.
 `bloch_hamiltonian` returns the cell-gauge matrix (plain intra-cell bonds,
@@ -18,8 +27,9 @@ machinery (see `spectrum.solve_bands`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,7 +123,7 @@ def tunneling(params: ModelParams, j: int, t: float) -> float:
     if np.any(j < 1) or np.any(j > params.n_sites):
         raise IndexError(f"bond index must lie in 1..{params.n_sites}")
     if params.tunneling_mode is TunnelingMode.UNIFORM:
-        val = -params.J * np.ones_like(np.asarray(j, dtype=float))
+        val = np.full(np.broadcast_shapes(j.shape, np.shape(t)), -params.J)
     else:
         angle = 2.0 * np.pi * params.beta * j + params.phase(t)
         val = -params.J * np.sin(angle)
@@ -135,6 +145,61 @@ def real_space_hamiltonian(params: ModelParams, t: float) -> np.ndarray:
     cols = j % n  # bond j couples sites j and j+1 with wrap N -> 1
     h[rows, cols] += hop
     h[cols, rows] += np.conj(hop)
+    return h
+
+
+class HoppingTable(NamedTuple):
+    """A translation-invariant Hamiltonian on a batch of T times.
+
+    onsite : (T, q) sublattice energies
+    bonds : tuples (s_to, s_from, a, amp) with 0-based sublattices, cell
+        offset a and amplitude amp of shape (T,): the hopping
+        amp * c^dag_{l+a,s_to} c_{l,s_from} plus its Hermitian conjugate
+    """
+
+    onsite: np.ndarray
+    bonds: tuple
+
+
+def hopping_table(params: ModelParams, ts: np.ndarray) -> HoppingTable:
+    """The chain on a time batch: bond s joins sublattice s to s+1 in the same
+    cell, and bond q joins sublattice q to sublattice 1 of the next cell."""
+    q = params.q
+    ts = np.asarray(ts, dtype=float)[:, None]
+    s = np.arange(1, q + 1)
+    hop = tunneling(params, s, ts)  # (T, q)
+    bonds = [(b - 1, b, 0, hop[:, b - 1]) for b in range(1, q)]
+    bonds.append((q - 1, 0, -1, hop[:, q - 1]))
+    return HoppingTable(onsite_energy(params, s, ts), tuple(bonds))
+
+
+def bloch_from_table(table: HoppingTable, k: np.ndarray) -> np.ndarray:
+    """Cell-gauge Bloch blocks, shape (T, len(k), q, q): each bond adds
+    amp*exp(-ikqa) at (s_to, s_from) and its conjugate at (s_from, s_to)."""
+    n_t, q = table.onsite.shape
+    k = np.asarray(k, dtype=float)
+    h = np.zeros((n_t, len(k), q, q), dtype=complex)
+    s = np.arange(q)
+    h[..., s, s] = table.onsite[:, None, :]
+    for s_to, s_from, a, amp in table.bonds:
+        term = amp[:, None] * np.exp(-1j * k * q * a)
+        h[..., s_to, s_from] += term
+        h[..., s_from, s_to] += np.conj(term)
+    return h
+
+
+def ring_from_table(table: HoppingTable, L: int) -> np.ndarray:
+    """Dense matrices on the ring of L cells, shape (T, q*L, q*L), with
+    0-based site index q*l + s for sublattice s of cell l."""
+    n_t, q = table.onsite.shape
+    cells = np.arange(L)
+    sites = np.arange(q * L)
+    h = np.zeros((n_t, q * L, q * L), dtype=complex)
+    h[:, sites, sites] = np.tile(table.onsite, L)
+    for s_to, s_from, a, amp in table.bonds:
+        rows, cols = q * ((cells + a) % L) + s_to, q * cells + s_from
+        h[:, rows, cols] += amp[:, None]
+        h[:, cols, rows] += np.conj(amp)[:, None]
     return h
 
 
@@ -173,25 +238,7 @@ def bloch_blocks(params: ModelParams, k: np.ndarray, t: float) -> np.ndarray:
 
 def bloch_blocks_batch(params: ModelParams, k: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Cell-gauge Bloch matrices on a time batch, shape (len(ts), len(k), q, q)."""
-    q = params.q
-    k = np.asarray(k, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    s = np.arange(1, q + 1)
-    angle = 2.0 * np.pi * params.beta * s + params.phase(ts)[:, None]  # (T, q)
-    v = params.sign.value * params.V0 * np.cos(angle)
-    if params.tunneling_mode is TunnelingMode.UNIFORM:
-        hop = np.full_like(angle, -params.sign.value * params.J)
-    else:
-        hop = -params.sign.value * params.J * np.sin(angle)
-    h = np.zeros((len(ts), len(k), q, q), dtype=complex)
-    h[..., s - 1, s - 1] = v[:, None, :]
-    for si in range(1, q):  # intra-cell bonds
-        h[..., si - 1, si] += hop[:, None, si - 1]
-        h[..., si, si - 1] += np.conj(hop[:, None, si - 1])
-    wrap = hop[:, None, q - 1] * np.exp(1j * k * q)[None, :]  # boundary bond (q, 1)
-    h[..., q - 1, 0] += wrap
-    h[..., 0, q - 1] += np.conj(wrap)
-    return h
+    return bloch_from_table(hopping_table(params, ts), k)
 
 
 # builders expose their time-batched form through a `batch` attribute

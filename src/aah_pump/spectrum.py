@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, bloch_blocks, bz_wrap_phases, cell_to_site_gauge, k_grid
+from .model import ModelParams, bloch_blocks_batch, bz_wrap_phases, cell_to_site_gauge, k_grid
 
 
 class BandTouchingError(RuntimeError):
@@ -84,10 +84,8 @@ def solve_bands(
         gap_tolerance = 1e-6 * abs(params.V0)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     ks = k_grid(params)
-    blocks = np.empty((len(t_grid), len(ks), params.q, params.q), dtype=complex)
-    for i, t in enumerate(t_grid):
-        blocks[i] = bloch_blocks(params, ks, t)
-    energies, vecs = np.linalg.eigh(blocks)  # vecs[..., :, m] is band m
+    # vecs[..., :, m] is band m
+    energies, vecs = np.linalg.eigh(bloch_blocks_batch(params, ks, t_grid))
 
     u = cell_to_site_gauge(params, ks[None, :, None], np.transpose(vecs, (0, 1, 3, 2)))
     # fix the free phase: largest-|.| component made real positive

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from aah_pump import dynamics, effective, observables, spectrum, wannier
+from aah_pump import dynamics, effective, model, observables, spectrum, wannier
 from aah_pump.model import ModelParams, TunnelingMode, site_index
 
 from test_effective import engine_couplings
@@ -133,7 +133,7 @@ def test_criterion_07_sw_engine_equivalence():
         v0 = rng.uniform(5.0, 100.0)
         p = ModelParams(J=rng.uniform(0.01, 0.1) * v0, V0=v0,
                         phi0=rng.uniform(lo, hi), tunneling_mode=modes[draws % 2])
-        if min(abs(b) for b in effective._bare_bonds(p, 0.0)) < 1e-6 * p.J:
+        if np.min(np.abs(model.tunneling(p, np.arange(1, 4), 0.0))) < 1e-6 * p.J:
             continue
         ep = effective.effective_params(p, 0.0, region)
         got = engine_couplings(p, 0.0, region)

@@ -165,8 +165,8 @@ def test_engine_matches_closed_forms_random_draws():
         v0 = rng.uniform(5.0, 100.0)
         j = rng.uniform(0.01, 0.1) * v0
         p = ModelParams(J=j, V0=v0, phi0=phi, tunneling_mode=modes[draw % 2])
-        if p.tunneling_mode is TunnelingMode.SINE_MODULATED and min(
-                abs(b) for b in effective._bare_bonds(p, 0.0)) < 1e-6:
+        if p.tunneling_mode is TunnelingMode.SINE_MODULATED and np.min(
+                np.abs(model.tunneling(p, np.arange(1, 4), 0.0))) < 1e-6:
             continue  # resonance times handled by the dedicated test below
         ep = effective.effective_params(p, 0.0)
         assert ep.region is region
@@ -230,6 +230,15 @@ def test_effective_blocks_match_dense(paper_params):
                                       samples=2,
                                       hamiltonian=effective.effective_cycle_hamiltonian)
         np.testing.assert_allclose(fast.states, dense.states, atol=1e-12)
+    # the batch builder masks each region's bonds; on times straddling all six
+    # boundaries it must equal the blocks built one time at a time
+    bounds = effective.region_boundaries(paper_params, 0.0, paper_params.period)
+    assert len(bounds) == 6
+    ts = np.sort(np.concatenate([bounds - 1e-3, bounds, bounds + 1e-3]))
+    assert {effective.region_of_phase(paper_params.phase(t)) for t in ts} == set(Region)
+    batch = effective.effective_bloch_blocks_batch(paper_params, ks, ts)
+    per_time = np.stack([effective.effective_bloch_blocks(paper_params, ks, t) for t in ts])
+    np.testing.assert_allclose(batch, per_time, rtol=0, atol=1e-13)
 
 
 def test_region_boundaries_are_the_jumps_of_h_t():

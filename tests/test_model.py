@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aah_pump import model
 from aah_pump.model import ModelParams, Sign, TunnelingMode
@@ -44,6 +46,13 @@ def test_tunneling_uniform_constant():
     for j in (1, 7, 45):
         for t in (0.0, 3.3, 400.0):
             assert model.tunneling(p, j, t) == pytest.approx(-1.0)
+    # bonds broadcast against times in both modes, as on-site energies do
+    ts = np.array([0.0, 3.3, 400.0, 512.0])[:, None]
+    for mode in TunnelingMode:
+        pm = dataclasses.replace(p, tunneling_mode=mode)
+        assert model.tunneling(pm, np.arange(1, 4), ts).shape == (4, 3)
+    assert model.onsite_energy(p, np.arange(1, 4), ts).shape == (4, 3)
+    np.testing.assert_array_equal(model.tunneling(p, np.arange(1, 4), ts), -1.0)
 
 
 def test_tunneling_sine_resonance_values():
@@ -103,6 +112,24 @@ def test_spectrum_equivalence(mode):
         dense = np.sort(np.linalg.eigvalsh(model.real_space_hamiltonian(p, t)))
         union = np.sort(np.linalg.eigvalsh(model.bloch_blocks(p, ks, t)).ravel())
         np.testing.assert_allclose(dense, union, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), q=st.integers(2, 6), phi0=st.floats(-np.pi, np.pi),
+       ratio=st.floats(0.01, 2.0), mode=st.sampled_from(TunnelingMode),
+       sign=st.sampled_from(Sign), t=st.floats(0.0, 700.0))
+def test_spectrum_equivalence_random_models(data, q, phi0, ratio, mode, sign, t):
+    p_num = data.draw(st.integers(1, q - 1).filter(lambda n: math.gcd(n, q) == 1))
+    p = ModelParams(J=ratio * 10.0, V0=10.0, p=p_num, q=q, phi0=phi0, L=5,
+                    tunneling_mode=mode, sign=sign)
+    h = model.real_space_hamiltonian(p, t)
+    dense = np.sort(np.linalg.eigvalsh(h))
+    union = np.sort(np.linalg.eigvalsh(model.bloch_blocks(p, model.k_grid(p), t)).ravel())
+    np.testing.assert_allclose(dense, union, rtol=0, atol=1e-10)
+    # the table evaluates its formulas at s = 1..q, the reference at j = 1..N,
+    # so the two rings agree to rounding of the phase, not bit for bit
+    ring = model.ring_from_table(model.hopping_table(p, [t]), p.L)[0]
+    np.testing.assert_allclose(ring, h, rtol=0, atol=1e-12)
 
 
 def test_bloch_dimension_and_grid_rejection():
