@@ -4,13 +4,14 @@ A Wannier state of band m at cell R (1-based) is the discrete transform
 
     W_j = (1/L) * sum_k e^{ik(j - q(R-1))} e^{i theta(k)} u_{m,s(j)}(k),
 
-over the L-point momentum grid.  The gauge theta(k) minimizing the spread
-Omega = <X^2> - <X>^2 is found by parallel transport: re-phase so every link
-overlap <u(k_n)|u(k_{n+1})> is real positive, then spread the residual loop
-phase uniformly, which makes the discrete Berry connection k-uniform.  The
-spread splits into a gauge-invariant part Omega_I (inter-band matrix
-elements of X) and a gauge-dependent part Omega_D (intra-band, off-home-cell
-elements); Omega_D vanishes for the maximally localized state.
+over the L-point momentum grid; the states of all L cells of a band are one
+DFT over k, a single matrix product.  The gauge theta(k) minimizing the
+spread Omega = <X^2> - <X>^2 is found by parallel transport: re-phase so
+every link overlap <u(k_n)|u(k_{n+1})> is real positive, then spread the
+residual loop phase uniformly, which makes the discrete Berry connection
+k-uniform.  The spread splits into a gauge-invariant part Omega_I (inter-band
+matrix elements of X) and a gauge-dependent part Omega_D (intra-band,
+off-home-cell elements); Omega_D vanishes for the maximally localized state.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, bz_wrap_phases
+from .observables import bloch_states_real_space
 from .spectrum import BandSolution
 
 
@@ -42,6 +44,16 @@ class SpreadReport:
         return float(np.sqrt(max(self.omega, 0.0)))
 
 
+def _band_wannier_states(bands: BandSolution, m: int, theta, t_index: int) -> np.ndarray:
+    """All L Wannier states of band m in gauge theta, shape (L, N), row R-1 for
+    cell R: e^{i theta(k) - ikq(R-1)}/sqrt(L) times the site-space Bloch states."""
+    p = bands.params
+    if np.shape(theta) != (p.L,):
+        raise ValueError(f"theta must have one phase per momentum, shape ({p.L},)")
+    dft = np.exp(1j * (theta - np.outer(p.q * np.arange(p.L), bands.k_grid))) / np.sqrt(p.L)
+    return dft @ bloch_states_real_space(bands, t_index)[m]
+
+
 def wannier_from_bloch(
     bands: BandSolution,
     m: int,
@@ -50,17 +62,8 @@ def wannier_from_bloch(
     t_index: int = 0,
 ) -> WannierState:
     """Discrete Bloch-to-Wannier transform with gauge phases e^{i theta(k)}."""
-    p = bands.params
-    u = bands.states[m, :, t_index, :]  # (L, q)
-    if theta is None:
-        theta = np.zeros(p.L)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (p.L,):
-        raise ValueError(f"theta must have one phase per momentum, shape ({p.L},)")
-    j = np.arange(1, p.n_sites + 1)
-    sub = (j - 1) % p.q
-    phases = np.exp(1j * (bands.k_grid[:, None] * (j - p.q * (cell - 1)) + theta[:, None]))
-    amps = np.sum(phases * u[:, sub], axis=0) / p.L
+    theta = np.zeros(bands.params.L) if theta is None else theta
+    amps = _band_wannier_states(bands, m, theta, t_index)[cell - 1].copy()
     return WannierState(amplitudes=amps, band=m, cell=cell)
 
 
@@ -110,9 +113,7 @@ def mlws_gauge(bands: BandSolution, m: int, t_index: int = 0) -> np.ndarray:
     state = wannier_from_bloch(bands, m, anchor, theta, t_index)
     center = float(np.arange(1, p.n_sites + 1) @ (np.abs(state.amplitudes) ** 2))
     shift = int(np.rint((p.q * (anchor - 1) + (p.q + 1) / 2.0 - center) / p.q))
-    if shift:
-        theta = theta - shift * bands.k_grid * p.q
-    return theta
+    return theta - shift * bands.k_grid * p.q
 
 
 def maximally_localize(
@@ -125,16 +126,17 @@ def maximally_localize(
 
     Returns (state, spread report, theta).  The post-conditions Omega_D ~ 0
     and a k-uniform Berry connection hold by construction of the transport
-    gauge.
+    gauge; the spread audit over the full basis runs on every call.
     """
     p = bands.params
     if cell is None:
         cell = p.L // 2 + 1
-    theta = mlws_gauge(bands, m, t_index)
-    state = wannier_from_bloch(bands, m, cell, theta, t_index)
-    basis = wannier_basis(bands, t_index)
+    thetas = np.array([mlws_gauge(bands, b, t_index) for b in range(p.q)])
+    basis = wannier_basis(bands, t_index, thetas)
+    # a copy, so the state does not keep the whole basis alive
+    state = WannierState(amplitudes=basis[m, cell - 1].copy(), band=m, cell=cell)
     report = spread_decomposition(state, basis)
-    return state, report, theta
+    return state, report, thetas[m]
 
 
 def wannier_basis(
@@ -147,13 +149,10 @@ def wannier_basis(
     By default every band carries its recentered transport gauge; `thetas`
     (shape (q, L)) overrides the gauge per band.
     """
-    p = bands.params
-    basis = np.empty((p.q, p.L, p.n_sites), dtype=complex)
-    for m in range(p.q):
-        theta = mlws_gauge(bands, m, t_index) if thetas is None else thetas[m]
-        for r in range(p.L):
-            basis[m, r] = wannier_from_bloch(bands, m, r + 1, theta, t_index).amplitudes
-    return basis
+    q = bands.params.q
+    if thetas is None:
+        thetas = [mlws_gauge(bands, m, t_index) for m in range(q)]
+    return np.stack([_band_wannier_states(bands, m, thetas[m], t_index) for m in range(q)])
 
 
 def spread_decomposition(state: WannierState, basis: np.ndarray) -> SpreadReport:

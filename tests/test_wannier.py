@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aah_pump import spectrum, wannier
-from aah_pump.model import ModelParams
+from aah_pump.model import ModelParams, Sign, TunnelingMode
 
 
 def test_wannier_normalized_and_orthogonal(bands_t0):
@@ -132,6 +135,39 @@ def test_basis_orthonormal(bands_t0):
     basis = wannier.wannier_basis(bands_t0)
     flat = basis.reshape(45, 45)
     np.testing.assert_allclose(flat @ flat.conj().T, np.eye(45), atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), q=st.integers(2, 6), phi0=st.floats(-np.pi, np.pi),
+       ratio=st.floats(0.01, 2.0), mode=st.sampled_from(TunnelingMode),
+       sign=st.sampled_from(Sign), t=st.floats(0.0, 700.0), L=st.integers(3, 20))
+def test_wannier_basis_random_models(data, q, phi0, ratio, mode, sign, t, L):
+    p_num = data.draw(st.integers(1, q - 1).filter(lambda n: math.gcd(n, q) == 1))
+    p = ModelParams(J=ratio * 10.0, V0=10.0, p=p_num, q=q, phi0=phi0, L=L,
+                    tunneling_mode=mode, sign=sign)
+    try:
+        bands = spectrum.solve_bands(p, np.array([t]))
+    except spectrum.BandTouchingError:
+        assume(False)
+    basis = wannier.wannier_basis(bands)
+    flat = basis.reshape(p.n_sites, p.n_sites)
+    np.testing.assert_allclose(flat @ flat.conj().T, np.eye(p.n_sites), rtol=0, atol=1e-10)
+    # the literal per-cell sum of the module docstring
+    j = np.arange(1, p.n_sites + 1)
+    for m in range(q):
+        theta = wannier.mlws_gauge(bands, m)
+        u = bands.states[m, :, 0, :]
+        for cell in (1, L):
+            literal = sum(
+                np.exp(1j * k * (j - q * (cell - 1))) * np.exp(1j * theta[n]) * u[n, (j - 1) % q]
+                for n, k in enumerate(bands.k_grid)
+            ) / L
+            np.testing.assert_allclose(basis[m, cell - 1], literal, rtol=0, atol=1e-12)
+    m = data.draw(st.integers(0, q - 1))
+    cell = data.draw(st.integers(1, L))
+    state, _, theta = wannier.maximally_localize(bands, m, cell)
+    rebuilt = wannier.wannier_from_bloch(bands, m, cell, theta)
+    np.testing.assert_allclose(state.amplitudes, rebuilt.amplitudes, rtol=0, atol=1e-12)
 
 
 def test_spread_rejects_foreign_state(bands_t0):
