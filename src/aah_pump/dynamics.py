@@ -36,6 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams, Sign, TunnelingMode, bloch_blocks, k_grid
+from .observables import position_moments
 from .spectrum import BandSolution, chern_number
 from .wannier import WannierState
 
@@ -174,10 +175,7 @@ def _trajectory(params: ModelParams, times, states, dt: float, norm_drift: float
     if norm_drift > 1e-8:
         raise IntegratorError(f"norm drift {norm_drift:.3e} exceeds 1e-8")
     states = np.asarray(states)
-    density = np.abs(states) ** 2
-    j = np.arange(1, params.n_sites + 1)
-    mean_x = density @ j
-    d_w = np.sqrt(np.maximum(density @ (j * j) - mean_x**2, 0.0))
+    density, mean_x, d_w = position_moments(states)
     return PumpTrajectory(
         times=np.asarray(times),
         states=states,

@@ -39,20 +39,25 @@ def measure(
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"state is not normalized: ||state|| = {norm!r}")
-    density = np.abs(state) ** 2
-    j = np.arange(1, len(state) + 1)
-    mean_x = float(j @ density)
-    var = float((j * j) @ density) - mean_x**2
-    d_w = float(np.sqrt(max(var, 0.0)))
+    density, mean_x, d_w = position_moments(state)
     projections = {}
     if references:
         projections = {
             label: float(np.abs(np.vdot(ref, state)) ** 2)
             for label, ref in references.items()
         }
-    delta_p = 0.0 if mean_x0 is None else (mean_x - mean_x0) / q
-    return ObservableSample(t=t, density=density, mean_x=mean_x,
-                            delta_p=delta_p, d_w=d_w, projections=projections)
+    delta_p = 0.0 if mean_x0 is None else float(mean_x - mean_x0) / q
+    return ObservableSample(t=t, density=density, mean_x=float(mean_x),
+                            delta_p=delta_p, d_w=float(d_w), projections=projections)
+
+
+def position_moments(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Density, mean position <X> and width sqrt(<X^2> - <X>^2) over the last axis."""
+    density = np.abs(states) ** 2
+    j = np.arange(1, states.shape[-1] + 1)
+    mean_x = density @ j
+    d_w = np.sqrt(np.maximum(density @ (j * j) - mean_x**2, 0.0))
+    return density, mean_x, d_w
 
 
 def bloch_states_real_space(bands: BandSolution, t_index: int) -> np.ndarray:

@@ -164,10 +164,9 @@ def flatness(bands: BandSolution) -> FlatnessReport:
     e = bands.energies  # (q, L, M)
     gaps = np.min(e[1:] - e[:-1], axis=1)  # (q-1, M)
     widths = np.max(e, axis=1) - np.min(e, axis=1)  # (q, M)
-    q = bands.n_bands
     ratios = np.empty_like(widths)
-    for m in range(q):
-        adjacent = gaps[max(m - 1, 0):m + 1] if q > 1 else np.ones((1, e.shape[2]))
+    for m in range(bands.n_bands):
+        adjacent = gaps[max(m - 1, 0):m + 1]
         ratios[m] = widths[m] / np.min(adjacent, axis=0)
     return FlatnessReport(
         t_grid=bands.t_grid,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, bz_wrap_phases
-from .observables import bloch_states_real_space
+from .observables import bloch_states_real_space, position_moments
 from .spectrum import BandSolution
 
 
@@ -111,7 +111,7 @@ def mlws_gauge(bands: BandSolution, m: int, t_index: int = 0) -> np.ndarray:
     anchor = p.L // 2 + 1
     theta = parallel_transport_gauge(p, bands.states[m, :, t_index, :])
     state = wannier_from_bloch(bands, m, anchor, theta, t_index)
-    center = float(np.arange(1, p.n_sites + 1) @ (np.abs(state.amplitudes) ** 2))
+    center = position_moments(state.amplitudes)[1]
     shift = int(np.rint((p.q * (anchor - 1) + (p.q + 1) / 2.0 - center) / p.q))
     return theta - shift * bands.k_grid * p.q
 
