@@ -11,15 +11,16 @@ carries its time-batched form builder.batch(params, k, ts), which `evolve`
 calls once per sample chunk; `model.bloch_blocks` and
 `effective.effective_bloch_blocks` are the two builders.
 
-The step cap is dt_max = 0.5/max_t ||H(t)||_2, 37,757 steps per cycle at
-paper parameters.  ||H|| is set by V0, but the midpoint rule's truncation
+The step cap is dt_max = 0.5/max_t ||H(t)||_2; a run is `samples` chunks of
+equal whole steps within it, 400 chunks of 95 steps (38,000 steps) per cycle
+at paper parameters.  ||H|| is set by V0, but the midpoint rule's truncation
 error is set by the drive speed omega, and each step is exactly unitary, so
 the norm drifts only by round-off, which grows linearly in the step count
 (about 1.35e-16 per step).  A ten times smaller cap adds round-off and no
 accuracy: there the two-cycle norm drift is 1.02e-10 and the dt-halving
 change 1.54e-10.  At this cap a paper cycle has two-cycle norm drift
-1.02e-11, dt-halving change 1.6e-11 and infidelity against cap/4 of 5.2e-11;
-at omega=0.1 that infidelity is 3.6e-9.
+1.03e-11, dt-halving change 1.6e-11 and infidelity against cap/4 of 5.2e-11;
+at omega=0.1 that infidelity is 2.8e-9.
 
 Protocols: TRADITIONAL evolves under H(t) for every cycle; ECHO flips the
 sign of the Hamiltonian on every second cycle, cancelling dynamical phases;
@@ -159,13 +160,13 @@ def _resolve_initial(params: ModelParams, initial) -> np.ndarray:
 
 
 def _step_grid(t_start: float, t_end: float, dt: float, samples: int) -> tuple:
-    """(n_steps, dt, stride): whole steps no longer than dt spanning
-    [t_start, t_end], with a state sample every `stride` steps."""
+    """(n_steps, dt, stride): `samples` chunks of `stride` whole steps no longer
+    than dt over [t_start, t_end]; sample i falls at t_start + i*span/samples."""
     span = t_end - t_start
-    if span <= 0:
-        raise ValueError("t_end must exceed t_start")
-    n_steps = max(1, int(np.ceil(span / dt - 1e-12)))
-    return n_steps, span / n_steps, max(1, round(n_steps / samples))
+    if span <= 0 or samples < 1:
+        raise ValueError("need t_end > t_start and at least one sample")
+    stride = max(1, int(np.ceil(span / (dt * samples) - 1e-12)))
+    return stride * samples, span / (stride * samples), stride
 
 
 def _trajectory(params: ModelParams, times, states, dt: float, norm_drift: float,
@@ -204,7 +205,7 @@ def evolve(
 ) -> PumpTrajectory:
     """Propagate with the exponential midpoint rule over [t_start, t_end].
 
-    Records ~`samples` evenly strided state samples (endpoints included).
+    Records the state at t_start + i*(t_end - t_start)/samples, i = 0..samples.
     `jump_times` lists the times at which the Hamiltonian is discontinuous;
     a step that straddles one is split into two midpoint steps there, since
     a single step across a jump has an error of first order in dt.
@@ -229,26 +230,23 @@ def evolve(
     sample_times = [t_start]
     norm_drift = 0.0
     jump_times = np.asarray(jump_times, dtype=float)
-    step = 0
-    while step < n_steps:
-        chunk = min(stride, n_steps - step)
-        mids = t_start + (step + 0.5 + np.arange(chunk)) * dt
-        dts = np.full(chunk, dt)
-        t_lo, t_hi = t_start + step * dt, t_start + (step + chunk) * dt
+    for step in range(0, n_steps, stride):
+        mids = t_start + (step + 0.5 + np.arange(stride)) * dt
+        dts = np.full(stride, dt)
+        t_lo, t_hi = t_start + step * dt, t_start + (step + stride) * dt
         cuts = jump_times[(jump_times > t_lo) & (jump_times < t_hi)]
         if cuts.size:
             # a step across a jump of H is split there, so it stays second order
-            edges = np.union1d(t_start + (step + np.arange(chunk + 1)) * dt, cuts)
+            edges = np.union1d(t_start + (step + np.arange(stride + 1)) * dt, cuts)
             mids, dts = 0.5 * (edges[1:] + edges[:-1]), np.diff(edges)
         evals, vecs = np.linalg.eigh(builder.batch(params, ks, mids))
         phases = np.exp(-1j * evals * dts[:, None, None])
         u_steps = (vecs * phases[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
         u_chunk = _chain_product(u_steps)
         c = np.einsum("nij,nj->ni", u_chunk, c)
-        step += chunk
         psi = np.einsum("jns,ns->j", frame, c)
         sample_states.append(psi)
-        sample_times.append(t_start + step * dt)
+        sample_times.append(t_hi)
         norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
 
     traj = _trajectory(params, sample_times, sample_states, dt, norm_drift, protocol)
@@ -287,7 +285,7 @@ def evolve_dense(
         h = builder(params, t_start + (step + 0.5) * dt)
         evals, vecs = np.linalg.eigh(h)
         psi = vecs @ (np.exp(-1j * evals * dt) * (np.conj(vecs.T) @ psi))
-        if (step + 1) % stride == 0 or step + 1 == n_steps:
+        if (step + 1) % stride == 0:
             sample_states.append(psi.copy())
             sample_times.append(t_start + (step + 1) * dt)
             norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))

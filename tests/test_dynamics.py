@@ -31,6 +31,21 @@ def test_fast_path_matches_dense_reference(paper_params):
     np.testing.assert_allclose(fast.states, dense.states, atol=1e-12)
 
 
+def test_samples_at_exact_fractions_of_the_span(paper_params):
+    # sample times must not depend on the step, so runs at different dt (and
+    # the full and effective paths of compare_effective) sample the same times
+    t0 = 3.0
+    t1, samples = t0 + paper_params.period / 20, 9
+    cap = dynamics.dt_max(paper_params)
+    expected = np.linspace(t0, t1, samples + 1)
+    for dt in (cap, cap / 3):
+        traj = dynamics.evolve(paper_params, 27, t0, t1, dt=dt, samples=samples)
+        assert traj.dt <= dt
+        np.testing.assert_allclose(traj.times, expected, rtol=0, atol=1e-9 * (t1 - t0))
+    dense = dynamics.evolve_dense(paper_params, 27, t0, t0 + 1.5, dt=cap, samples=4)
+    np.testing.assert_allclose(dense.times, np.linspace(t0, t0 + 1.5, 5), rtol=0, atol=1.5e-9)
+
+
 def test_dt_cap_enforced(paper_params):
     cap = dynamics.dt_max(paper_params)
     with pytest.raises(ValueError):
