@@ -131,7 +131,7 @@ def maximally_localize(
     p = bands.params
     if cell is None:
         cell = p.L // 2 + 1
-    thetas = np.array([mlws_gauge(bands, b, t_index) for b in range(p.q)])
+    thetas = [mlws_gauge(bands, b, t_index) for b in range(p.q)]
     basis = wannier_basis(bands, t_index, thetas)
     # a copy, so the state does not keep the whole basis alive
     state = WannierState(amplitudes=basis[m, cell - 1].copy(), band=m, cell=cell)

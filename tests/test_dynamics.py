@@ -32,8 +32,8 @@ def test_fast_path_matches_dense_reference(paper_params):
 
 
 def test_samples_at_exact_fractions_of_the_span(paper_params):
-    # sample times must not depend on the step, so runs at different dt (and
-    # the full and effective paths of compare_effective) sample the same times
+    # sample times must not depend on the step, so that a maximum over samples
+    # (criterion 08's max|dP diff|) does not move when dt is refined
     t0 = 3.0
     t1, samples = t0 + paper_params.period / 20, 9
     cap = dynamics.dt_max(paper_params)
