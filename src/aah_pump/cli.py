@@ -192,16 +192,24 @@ def _trajectory_outputs(outdir: Path, params: ModelParams, traj, refs: dict) -> 
         "projections_final": final.projections,
         "invariant_checks": checks,
         "integrator": {"dt": traj.dt, "samples": len(traj.times),
-                       "rule": "exponential midpoint (exact unitary per step)"},
+                       "rule": "exponential midpoint (exact unitary per step); the "
+                               "chunk propagators of one period serve every period, "
+                               "conjugated at -k on echo-reversed periods"},
     }
 
 
 def _mlws_references(params: ModelParams) -> dict:
+    """The highest band's MLWS of every cell, each audited against the one
+    basis it is taken from, as `wannier.maximally_localize` does per call."""
     bands0 = spectrum.solve_bands(params, np.array([0.0]))
+    band = params.q - 1
+    basis = wannier.wannier_basis(bands0)
     refs = {}
     for cell in range(1, params.L + 1):
-        st, _, _ = wannier.maximally_localize(bands0, params.q - 1, cell)
-        refs[f"mlws_cell{cell}"] = st.amplitudes
+        state = wannier.WannierState(amplitudes=basis[band, cell - 1].copy(),
+                                     band=band, cell=cell)
+        wannier.spread_decomposition(state, basis)
+        refs[f"mlws_cell{cell}"] = state.amplitudes
     return refs
 
 

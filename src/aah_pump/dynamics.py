@@ -8,7 +8,7 @@ in the Bloch basis; this is bit-for-bit the same midpoint unitary as dense
 real-space exponentiation (a dense reference path is kept for
 cross-checking).  A Bloch builder is called as builder(params, k, t) and
 carries its time-batched form builder.batch(params, k, ts), which `evolve`
-calls once per sample chunk; `model.bloch_blocks` and
+calls once per sample chunk it solves; `model.bloch_blocks` and
 `effective.effective_bloch_blocks` are the two builders.
 
 The step cap is dt_max = 0.5/max_t ||H(t)||_2; a run is `samples` chunks of
@@ -21,6 +21,17 @@ accuracy: there the two-cycle norm drift is 1.02e-10 and the dt-halving
 change 1.54e-10.  At this cap a paper cycle has two-cycle norm drift
 1.03e-11, dt-halving change 1.6e-11 and infidelity against cap/4 of 5.2e-11;
 at omega=0.1 that infidelity is 2.8e-9.
+
+Cost model: a run pays for one period of eigensolves, however many periods
+it spans.  H(t + T) = H(t), so the chunk propagators of the first period
+serve every later one; and the cell-gauge blocks satisfy H(k)* = H(-k), so
+a sign-reversed period applies conj(U_chunk(-k)) of the forward one.  A
+paper cycle is 570,000 3 x 3 eigensolves (38,000 steps x 15 momenta), and a
+two-cycle run costs the same.  Against solving every period afresh, two-cycle
+paper runs differ by at most 6.7e-13 in the state (echo; 3.6e-13
+traditional), 2.6e-13 in delta_p and 9.3e-12 in D_W.  Spans that are not a
+whole number n >= 2 of periods, or whose sample count is not a multiple of
+n, solve every step.
 
 Protocols: TRADITIONAL evolves under H(t) for every cycle; ECHO flips the
 sign of the Hamiltonian on every second cycle, cancelling dynamical phases;
@@ -36,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ModelParams, Sign, TunnelingMode, bloch_blocks, k_grid
+from .model import ModelParams, TunnelingMode, bloch_blocks, k_grid
 from .observables import position_moments
 from .spectrum import BandSolution, chern_number
 from .wannier import WannierState
@@ -191,6 +202,54 @@ def _trajectory(params: ModelParams, times, states, dt: float, norm_drift: float
     )
 
 
+def _whole_periods(params: ModelParams, t_start: float, t_end: float, samples: int) -> int:
+    """n if [t_start, t_end] is n >= 2 whole periods, to rounding, and
+    `samples` is a multiple of n; otherwise 1."""
+    span = t_end - t_start
+    n = int(np.rint(span / params.period))
+    if n >= 2 and abs(span - n * params.period) <= 1e-12 * span and samples % n == 0:
+        return n
+    return 1
+
+
+def _check_periodic_jumps(jump_times: np.ndarray, t_start: float, t_end: float,
+                          n_periods: int, tol: float) -> None:
+    """Raise ValueError unless each of the n_periods equal periods of
+    [t_start, t_end] holds the jumps of the first one shifted by whole periods,
+    within tol.  Jumps on period edges fall between chunks and do not count."""
+    period = (t_end - t_start) / n_periods
+    offsets = np.sort(jump_times[(jump_times > t_start) & (jump_times < t_end)] - t_start)
+    inner = offsets[np.abs(offsets - period * np.rint(offsets / period)) > tol]
+    expected = (inner[inner < period] + period * np.arange(n_periods)[:, None]).ravel()
+    if inner.shape != expected.shape or np.max(np.abs(inner - expected), initial=0.0) > tol:
+        raise ValueError("jump_times do not repeat with the period, so one period's "
+                         "propagators cannot serve the others")
+
+
+def _reversed_k(params: ModelParams) -> np.ndarray:
+    """Index of -k on the momentum grid, modulo 2*pi/q."""
+    w = np.rint(k_grid(params) * params.q * params.L / (2.0 * np.pi)).astype(int)
+    return (-w - w[0]) % params.L
+
+
+def _chunk_propagator(params: ModelParams, builder, ks: np.ndarray, t_start: float,
+                      step: int, stride: int, dt: float, jump_times: np.ndarray) -> np.ndarray:
+    """Product of the midpoint unitaries of steps step..step+stride-1 per
+    momentum, shape (L, q, q)."""
+    mids = t_start + (step + 0.5 + np.arange(stride)) * dt
+    dts = np.full(stride, dt)
+    t_lo, t_hi = t_start + step * dt, t_start + (step + stride) * dt
+    cuts = jump_times[(jump_times > t_lo) & (jump_times < t_hi)]
+    if cuts.size:
+        # a step across a jump of H is split there, so it stays second order
+        edges = np.union1d(t_start + (step + np.arange(stride + 1)) * dt, cuts)
+        mids, dts = 0.5 * (edges[1:] + edges[:-1]), np.diff(edges)
+    evals, vecs = np.linalg.eigh(builder.batch(params, ks, mids))
+    phases = np.exp(-1j * evals * dts[:, None, None])
+    u_steps = (vecs * phases[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    return _chain_product(u_steps)
+
+
 def evolve(
     params: ModelParams,
     initial,
@@ -209,6 +268,13 @@ def evolve(
     `jump_times` lists the times at which the Hamiltonian is discontinuous;
     a step that straddles one is split into two midpoint steps there, since
     a single step across a jump has an error of first order in dt.
+
+    A span of n >= 2 whole periods with `samples` a multiple of n solves the
+    chunk propagators of its first period only and applies them to every
+    period, so its jumps must repeat with the period (ValueError otherwise).
+    Under `protocol` ECHO the sign of the Hamiltonian is reversed on every
+    second period counted from t_start, which needs such a span with n even
+    (ValueError otherwise); the other protocols only label the trajectory.
     Raises IntegratorError on norm drift beyond 1e-8 and SeamDensityError if
     any sampled density at the ring seam (sites 1 or N) exceeds
     `seam_threshold` (pass None to disable the seam check).
@@ -219,34 +285,46 @@ def evolve(
         dt = cap
     elif dt > cap * (1 + 1e-12):
         raise ValueError(f"dt={dt} exceeds dt_max={cap:.6e}")
-    n_steps, dt, stride = _step_grid(t_start, t_end, dt, samples)
+    _, dt, stride = _step_grid(t_start, t_end, dt, samples)
+    n_periods = _whole_periods(params, t_start, t_end, samples)
+    echo = protocol is Protocol.ECHO
+    if echo and n_periods % 2:
+        raise ValueError("the echo protocol needs an even number of whole periods, "
+                         "each with the same number of samples")
+    jump_times = np.asarray(jump_times, dtype=float)
+    _check_periodic_jumps(jump_times, t_start, t_end, n_periods, 1e-9 * dt)
 
     psi0 = _resolve_initial(params, initial)
     frame = _bloch_frame(params)
     ks = k_grid(params)
+    reversed_k = _reversed_k(params)
     c = np.einsum("jns,j->ns", np.conj(frame), psi0)
 
+    per_period = samples // n_periods
+    # the first period's chunk propagators, kept only when later periods reuse them
+    first_period = (np.empty((per_period, params.L, params.q, params.q), dtype=complex)
+                    if n_periods > 1 else None)
     sample_states = [psi0]
     sample_times = [t_start]
     norm_drift = 0.0
-    jump_times = np.asarray(jump_times, dtype=float)
-    for step in range(0, n_steps, stride):
-        mids = t_start + (step + 0.5 + np.arange(stride)) * dt
-        dts = np.full(stride, dt)
-        t_lo, t_hi = t_start + step * dt, t_start + (step + stride) * dt
-        cuts = jump_times[(jump_times > t_lo) & (jump_times < t_hi)]
-        if cuts.size:
-            # a step across a jump of H is split there, so it stays second order
-            edges = np.union1d(t_start + (step + np.arange(stride + 1)) * dt, cuts)
-            mids, dts = 0.5 * (edges[1:] + edges[:-1]), np.diff(edges)
-        evals, vecs = np.linalg.eigh(builder.batch(params, ks, mids))
-        phases = np.exp(-1j * evals * dts[:, None, None])
-        u_steps = (vecs * phases[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
-        u_chunk = _chain_product(u_steps)
+    for chunk in range(samples):
+        period, i = divmod(chunk, per_period)
+        step = chunk * stride
+        if period == 0:
+            u_chunk = _chunk_propagator(params, builder, ks, t_start, step, stride, dt,
+                                        jump_times)
+            if first_period is not None:
+                first_period[i] = u_chunk
+        elif echo and period % 2:
+            # H(k)* = H(-k), so the reversed step exp(+iH(k)dt) is the
+            # conjugate of the forward step at -k
+            u_chunk = np.conj(first_period[i, reversed_k])
+        else:
+            u_chunk = first_period[i]
         c = np.einsum("nij,nj->ni", u_chunk, c)
         psi = np.einsum("jns,ns->j", frame, c)
         sample_states.append(psi)
-        sample_times.append(t_hi)
+        sample_times.append(t_start + (step + stride) * dt)
         norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
 
     traj = _trajectory(params, sample_times, sample_states, dt, norm_drift, protocol)
@@ -271,7 +349,12 @@ def evolve_dense(
     """Reference midpoint-rule propagator using dense N x N eigensolves.
 
     Mathematically identical to `evolve`; kept for cross-validation and for
-    Hamiltonian builders without a Bloch-block form.
+    Hamiltonian builders without a Bloch-block form.  It skips two checks of
+    `evolve` on purpose: the dt cap, because `dt_max` probes the Bloch
+    builder and a dense `hamiltonian` may have no Bloch form to probe; and
+    the seam check, because it is a reference for arbitrary states, whose
+    density may sit at the seam.  Every step is solved; nothing is reused
+    across periods.
     """
     from .model import real_space_hamiltonian
 
@@ -292,17 +375,6 @@ def evolve_dense(
     return _trajectory(params, sample_times, sample_states, dt, norm_drift, None)
 
 
-def _concat_segments(segments: list[PumpTrajectory], protocol: Protocol,
-                     params: ModelParams) -> PumpTrajectory:
-    times = [segments[0].times]
-    states = [segments[0].states]
-    for seg in segments[1:]:
-        times.append(seg.times[1:])
-        states.append(seg.states[1:])
-    return _trajectory(params, np.concatenate(times), np.concatenate(states),
-                       segments[0].dt, max(s.norm_drift for s in segments), protocol)
-
-
 def run_protocol(
     params: ModelParams,
     protocol: Protocol,
@@ -319,6 +391,7 @@ def run_protocol(
     `initial` is a 1-based site index, a WannierState, or a normalized
     N-vector.  ECHO requires an even n_cycles and reverses the Hamiltonian
     sign on every second cycle; SUPPRESSED forces sine-modulated tunneling.
+    The run is one `evolve` call over [0, n_cycles*T].
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be positive")
@@ -326,23 +399,11 @@ def run_protocol(
         raise ValueError("the echo protocol needs an even number of cycles")
     if protocol is Protocol.SUPPRESSED:
         params = dataclasses.replace(params, tunneling_mode=TunnelingMode.SINE_MODULATED)
-
-    period = params.period
-    flipped = dataclasses.replace(
-        params, sign=Sign.MINUS if params.sign is Sign.PLUS else Sign.PLUS
+    return evolve(
+        params, initial, 0.0, n_cycles * params.period, dt=dt,
+        samples=n_cycles * samples_per_cycle, bloch_builder=bloch_builder,
+        seam_threshold=seam_threshold, protocol=protocol, jump_times=jump_times,
     )
-    state = _resolve_initial(params, initial)
-    segments = []
-    for c in range(n_cycles):
-        p_c = flipped if (protocol is Protocol.ECHO and c % 2 == 1) else params
-        seg = evolve(
-            p_c, state, c * period, (c + 1) * period, dt=dt,
-            samples=samples_per_cycle, bloch_builder=bloch_builder,
-            seam_threshold=seam_threshold, protocol=protocol, jump_times=jump_times,
-        )
-        segments.append(seg)
-        state = seg.final_state
-    return _concat_segments(segments, protocol, params)
 
 
 def _wrapped_increments(values: np.ndarray, periodic_offset_free: bool) -> np.ndarray:

@@ -1,11 +1,13 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from aah_pump import dynamics, model, observables, spectrum
+from aah_pump import dynamics, effective, model, observables, spectrum
 from aah_pump.dynamics import Protocol
-from aah_pump.model import ModelParams, TunnelingMode
+from aah_pump.model import ModelParams, Sign, TunnelingMode
 
 
 def test_frozen_hamiltonian_preserves_eigenstate_density():
@@ -63,6 +65,120 @@ def test_initial_state_validation(paper_params):
 def test_echo_needs_even_cycles(paper_params):
     with pytest.raises(ValueError):
         dynamics.run_protocol(paper_params, Protocol.ECHO, 3, 27)
+    # evolve reverses the sign per whole period, so it needs an even number of
+    # them, each with the same samples: odd, fractional, samples not divisible
+    period = paper_params.period
+    for t_end, samples in ((3 * period, 30), (1.5 * period, 10), (2 * period, 11)):
+        with pytest.raises(ValueError, match="echo"):
+            dynamics.evolve(paper_params, 27, 0.0, t_end, samples=samples,
+                            protocol=Protocol.ECHO)
+
+
+def test_reuse_rejects_jumps_that_do_not_repeat(paper_params):
+    period = paper_params.period
+    with pytest.raises(ValueError, match="jump_times"):
+        dynamics.evolve(paper_params, 27, 0.0, 2 * period, samples=2,
+                        jump_times=[0.3 * period])
+
+
+def _minus_k_index(params):
+    """Grid index of -k for each grid momentum k, modulo 2*pi/q."""
+    ks = model.k_grid(params)
+    zone = 2 * np.pi / params.q
+    total = np.mod(ks[:, None] + ks[None, :] + zone / 2, zone) - zone / 2
+    return np.argmin(np.abs(total), axis=1)
+
+
+def _assert_reuse_symmetries(params, batch, ts, periodic_rtol):
+    """The premises of the period reuse: conj(H(k)) = H(-k) and H(t + T) = H(t)."""
+    neg = _minus_k_index(params)
+    assert np.array_equal(dynamics._reversed_k(params), neg)
+    ks = model.k_grid(params)
+    h = batch(params, ks, ts)
+    scale = np.max(np.abs(h))
+    np.testing.assert_allclose(np.conj(h[:, neg]), h, rtol=0, atol=1e-14 * scale)
+    np.testing.assert_allclose(batch(params, ks, ts + params.period), h,
+                               rtol=0, atol=periodic_rtol * scale)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), q=st.integers(2, 6), L=st.integers(3, 8),
+       phi0=st.floats(-np.pi, np.pi), ratio=st.floats(0.01, 2.0),
+       mode=st.sampled_from(TunnelingMode), sign=st.sampled_from(Sign),
+       t=st.floats(0.0, 700.0))
+def test_bloch_blocks_reversal_and_periodicity(data, q, L, phi0, ratio, mode, sign, t):
+    p_num = data.draw(st.integers(1, q - 1).filter(lambda n: math.gcd(n, q) == 1))
+    p = ModelParams(J=ratio * 10.0, V0=10.0, p=p_num, q=q, phi0=phi0, L=L,
+                    tunneling_mode=mode, sign=sign)
+    _assert_reuse_symmetries(p, model.bloch_blocks_batch, np.array([t, t + 55.5]), 1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(L=st.integers(3, 8), phi0=st.floats(-np.pi, np.pi), ratio=st.floats(0.01, 0.1),
+       mode=st.sampled_from(TunnelingMode), sign=st.sampled_from(Sign),
+       t=st.floats(0.0, 700.0))
+def test_effective_blocks_reversal_and_periodicity(L, phi0, ratio, mode, sign, t):
+    p = ModelParams(J=ratio * 30.0, phi0=phi0, L=L, tunneling_mode=mode, sign=sign)
+    ts = np.array([t, t + 55.5])
+    # H_T jumps at region boundaries, where H(t + T) = H(t) holds only off the jump
+    boundary = np.pi / 6 + np.pi / 3 * np.rint((p.phase(ts) - np.pi / 6) / (np.pi / 3))
+    assume(np.min(np.abs(p.phase(ts) - boundary)) > 1e-9)
+    _assert_reuse_symmetries(p, effective.effective_bloch_blocks_batch, ts, 1e-12)
+
+
+FAST = ModelParams(V0=10.0, omega=0.2)
+
+
+def _per_period_chain(params, protocol, n_cycles, initial, samples, builder=None,
+                      jump_times=()):
+    """Reference for the reuse: one `evolve` per period, which solves every
+    step, with sign-flipped params on the odd cycles of an echo."""
+    flipped = dataclasses.replace(
+        params, sign=Sign.MINUS if params.sign is Sign.PLUS else Sign.PLUS)
+    segments, state = [], initial
+    for c in range(n_cycles):
+        p_c = flipped if protocol is Protocol.ECHO and c % 2 else params
+        segments.append(dynamics.evolve(
+            p_c, state, c * params.period, (c + 1) * params.period, samples=samples,
+            bloch_builder=builder, seam_threshold=None, jump_times=jump_times))
+        state = segments[-1].final_state
+    times = np.concatenate([segments[0].times[:1]] + [seg.times[1:] for seg in segments])
+    states = np.concatenate([segments[0].states[:1]] + [seg.states[1:] for seg in segments])
+    return times, states
+
+
+@pytest.mark.parametrize("protocol", [Protocol.TRADITIONAL, Protocol.ECHO])
+@pytest.mark.parametrize("case", ["chain", "effective", "q4_even_L"])
+def test_period_reuse_matches_per_period_chain(case, protocol):
+    params, builder, jumps, initial = FAST, None, (), 27
+    if case == "effective":
+        builder = effective.effective_bloch_blocks
+        jumps = effective.region_boundaries(params, 0.0, 2 * params.period)
+    elif case == "q4_even_L":
+        params, initial = ModelParams(V0=10.0, p=1, q=4, L=6, omega=0.2), 13
+    traj = dynamics.run_protocol(params, protocol, 2, initial, samples_per_cycle=10,
+                                 bloch_builder=builder, seam_threshold=None,
+                                 jump_times=jumps)
+    times, states = _per_period_chain(params, protocol, 2, initial, 10, builder, jumps)
+    span = 2 * params.period
+    np.testing.assert_allclose(traj.times, times, rtol=0, atol=1e-9 * span)
+    np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("protocol", [Protocol.TRADITIONAL, Protocol.ECHO])
+def test_two_cycle_run_solves_one_period(monkeypatch, protocol):
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        solved.append(math.prod(np.shape(a)[:-2]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    traj = dynamics.run_protocol(FAST, protocol, 2, 27, samples_per_cycle=10,
+                                 seam_threshold=None)
+    steps = round((traj.times[-1] - traj.times[0]) / traj.dt)
+    assert sum(solved) == steps // 2 * FAST.L
 
 
 def test_suppressed_forces_sine(traj_suppressed_1c):
