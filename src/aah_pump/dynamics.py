@@ -1,37 +1,47 @@
 """Adiabatic time evolution and the three pumping protocols.
 
-The integrator is the exponential midpoint rule: each step applies the exact
-unitary exp(-i*H(t + dt/2)*dt).  Because every Hamiltonian here is
+The integrator is the fourth-order Magnus step (Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470, 151 (2009)): a step of width h applies the exact unitary
+exp(-i*h*G) of one Hermitian generator
+
+    G = H + (h^2/24) H'' + i (h^2/12) [H, H'],
+
+with H, H' and H'' at the step's midpoint.  H is built there; H' and H''
+come from the quadratic through that midpoint and its two neighbours in the
+same sample chunk, central inside the chunk and one-sided at its ends, so a
+step costs one Hamiltonian and one eigensolve, as a midpoint step does.  A
+stencil never reaches across a jump of H (`jump_times`), and a smooth piece
+of fewer than three steps keeps G = H.  Because every Hamiltonian here is
 translation invariant on the ring, the unitary factorizes over the L
 momentum blocks, so steps are computed by batched q x q eigendecompositions
-in the Bloch basis; this is bit-for-bit the same midpoint unitary as dense
-real-space exponentiation (a dense reference path is kept for
-cross-checking).  A Bloch builder is called as builder(params, k, t) and
-carries its time-batched form builder.batch(params, k, ts), which `evolve`
-calls once per sample chunk it solves; `model.bloch_blocks` and
+in the Bloch basis; this is the same unitary as the dense real-space path
+`evolve_dense`, which builds G from N x N matrices with the same stencils.
+A Bloch builder is called as builder(params, k, t) and carries its
+time-batched form builder.batch(params, k, ts), which `evolve` calls once
+per sample chunk it solves; `model.bloch_blocks` and
 `effective.effective_bloch_blocks` are the two builders.
 
-The step cap is dt_max = 0.5/max_t ||H(t)||_2; a run is `samples` chunks of
-equal whole steps within it, 400 chunks of 95 steps (38,000 steps) per cycle
-at paper parameters.  ||H|| is set by V0, but the midpoint rule's truncation
-error is set by the drive speed omega, and each step is exactly unitary, so
-the norm drifts only by round-off, which grows linearly in the step count
-(about 1.35e-16 per step).  A ten times smaller cap adds round-off and no
-accuracy: there the two-cycle norm drift is 1.02e-10 and the dt-halving
-change 1.54e-10.  At this cap a paper cycle has two-cycle norm drift
-1.03e-11, dt-halving change 1.6e-11 and infidelity against cap/4 of 5.2e-11;
-at omega=0.1 that infidelity is 2.8e-9.
+The step cap is dt_max = 2/max_t ||H(t)||_2; a run is `samples` chunks of
+at least three equal whole steps within it, 400 chunks of 24 steps (9,600
+steps) per cycle at paper parameters.  Each step is exactly unitary, so the
+norm drifts only by round-off, linear in the step count: 3.1e-13 over two
+paper cycles.  Measured against a run at cap/8, the final state of one paper
+cycle from site 27 is off by 1.5e-6 (uniform tunneling) and 2.0e-6 (sine),
+5.9e-6 at omega=0.05; the exponential midpoint rule at its cap of
+0.5/max||H||, four times as many steps, was off by 1.8e-5, 1.8e-5 and 8.0e-5.
+The error falls about 16x per halving of dt.  dP(2T) and D_W(2T) of the paper
+runs and criterion 08's values agree with the midpoint rule's to 2e-6.
 
 Cost model: a run pays for one period of eigensolves, however many periods
 it spans.  H(t + T) = H(t), so the chunk propagators of the first period
 serve every later one; and the cell-gauge blocks satisfy H(k)* = H(-k), so
-a sign-reversed period applies conj(U_chunk(-k)) of the forward one.  A
-paper cycle is 570,000 3 x 3 eigensolves (38,000 steps x 15 momenta), and a
-two-cycle run costs the same.  Against solving every period afresh, two-cycle
-paper runs differ by at most 6.7e-13 in the state (echo; 3.6e-13
-traditional), 2.6e-13 in delta_p and 9.3e-12 in D_W.  Spans that are not a
-whole number n >= 2 of periods, or whose sample count is not a multiple of
-n, solve every step.
+a sign-reversed period applies conj(U_chunk(-k)) of the forward one, since
+G[-H](k) = -conj(G[H](-k)).  A paper cycle is 144,000 3 x 3 eigensolves
+(9,600 steps x 15 momenta), and a two-cycle run costs the same.  Against
+solving every period afresh, two-cycle paper runs differ by at most 6.5e-13
+in the state (echo; 3.6e-13 traditional), 3.7e-13 in delta_p and 1.3e-11 in
+D_W.  Spans that are not a whole number n >= 2 of periods, or whose sample
+count is not a multiple of n, solve every step.
 
 Protocols: TRADITIONAL evolves under H(t) for every cycle; ECHO flips the
 sign of the Hamiltonian on every second cycle, cancelling dynamical phases;
@@ -109,12 +119,14 @@ class PhaseRecord:
 
 
 def dt_max(params: ModelParams, bloch_builder=None, n_probe: int = 32) -> float:
-    """Step cap 0.5 / max_t ||H(t)||_2, probed over one period.
+    """Step cap 2 / max_t ||H(t)||_2, probed over one period.
 
-    The factor is sized by accuracy, not by V0: truncation error scales with
-    omega, while round-off drift grows linearly in the step count, so a
-    smaller factor adds round-off for no gain at paper parameters.  The
-    measured accuracy is in the module docstring.
+    The Magnus series of a step converges while h*||H|| < pi (Blanes et al.,
+    Phys. Rep. 470, 151 (2009)), and the cap keeps h*||H|| <= 2 inside that
+    bound.  Measured on one paper cycle, the state error is 1.5e-6 at the cap
+    and stays fourth order up to h*||H|| = 3 (9.5e-6); at h*||H|| = 4, past
+    the bound, it jumps to 1.4e-3.  The rest of the measured accuracy is in
+    the module docstring.
     """
     builder = bloch_builder or bloch_blocks
     ks = k_grid(params)
@@ -123,7 +135,7 @@ def dt_max(params: ModelParams, bloch_builder=None, n_probe: int = 32) -> float:
     for t in ts:
         evals = np.linalg.eigvalsh(builder(params, ks, t))
         hmax = max(hmax, float(np.max(np.abs(evals))))
-    return 0.5 / hmax
+    return 2.0 / hmax
 
 
 def _bloch_frame(params: ModelParams) -> np.ndarray:
@@ -171,12 +183,14 @@ def _resolve_initial(params: ModelParams, initial) -> np.ndarray:
 
 
 def _step_grid(t_start: float, t_end: float, dt: float, samples: int) -> tuple:
-    """(n_steps, dt, stride): `samples` chunks of `stride` whole steps no longer
-    than dt over [t_start, t_end]; sample i falls at t_start + i*span/samples."""
+    """(n_steps, dt, stride): `samples` chunks of `stride` >= 3 whole steps no
+    longer than dt over [t_start, t_end]; sample i falls at
+    t_start + i*span/samples.  Three steps per chunk give every step the
+    three midpoints its Magnus stencil needs."""
     span = t_end - t_start
     if span <= 0 or samples < 1:
         raise ValueError("need t_end > t_start and at least one sample")
-    stride = max(1, int(np.ceil(span / (dt * samples) - 1e-12)))
+    stride = max(3, int(np.ceil(span / (dt * samples) - 1e-12)))
     return stride * samples, span / (stride * samples), stride
 
 
@@ -232,22 +246,74 @@ def _reversed_k(params: ModelParams) -> np.ndarray:
     return (-w - w[0]) % params.L
 
 
+def _chunk_steps(t_start: float, step: int, stride: int, dt: float,
+                 jump_times: np.ndarray) -> tuple:
+    """(mids, dts, starts) of steps step..step+stride-1: their midpoints, their
+    widths and the first step of each smooth piece.  A jump of H starts a new
+    piece: a step across it is split there, and a jump within 1e-9*dt of a
+    step edge starts the piece at that edge, so that no sliver of a step,
+    whose midpoint could fall on either side of the jump, joins a stencil."""
+    pos = (jump_times - t_start) / dt - step  # in steps from the chunk start
+    inside = (pos > 1e-9) & (pos < stride - 1e-9)
+    pos, cuts = pos[inside], jump_times[inside]
+    on_edge = np.abs(pos - np.rint(pos)) <= 1e-9
+    cuts = np.where(on_edge, t_start + (step + np.rint(pos)) * dt, cuts)
+    edges = np.sort(np.concatenate([t_start + (step + np.arange(stride + 1)) * dt,
+                                    cuts[~on_edge]]))
+    return (0.5 * (edges[1:] + edges[:-1]), np.diff(edges),
+            np.sort(np.append(0, np.searchsorted(edges, cuts))))
+
+
+def _magnus_generators(h: np.ndarray, mids: np.ndarray, dts: np.ndarray,
+                       starts: np.ndarray) -> np.ndarray:
+    """Fourth-order Magnus generators of the steps of one chunk.
+
+    h has shape (n, ..., d, d): the Hermitian H_i at the midpoint mids[i] of
+    step i, of width dts[i]; `starts` holds the first step of each smooth
+    piece.  Step i applies exp(-i*dts[i]*G_i) with
+
+        G_i = H_i + (dts[i]^2/24) H''_i + i (dts[i]^2/12) [H_i, H'_i],
+
+    where H' and H'' are the derivatives at mids[i] of the quadratic through
+    three consecutive midpoints of the piece: centred on i inside the piece,
+    one-sided at its ends.  A piece of fewer than three steps keeps G_i = H_i.
+    G is Hermitian, equals H for a static H, and G[-H](k) = -conj(G[H](-k))
+    whenever H(k)* = H(-k).
+    """
+    def col(v):  # broadcast a per-step vector over the trailing axes
+        return v.reshape(v.shape + (1,) * (h.ndim - 1))
+
+    g = h.copy()
+    bounds = np.append(starts, len(mids))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo < 3:
+            continue
+        c = np.clip(np.arange(lo, hi), lo + 1, hi - 2)
+        x0, x1, x2 = mids[c - 1], mids[c], mids[c + 1]
+        d01 = (h[c] - h[c - 1]) / col(x1 - x0)
+        d12 = (h[c + 1] - h[c]) / col(x2 - x1)
+        half_h2 = (d12 - d01) / col(x2 - x0)  # H''/2
+        h1 = d01 + half_h2 * col(2 * mids[lo:hi] - x0 - x1)
+        x = h[lo:hi] @ h1  # [H, H'] = x - x^dagger, both factors Hermitian
+        g[lo:hi] += col(dts[lo:hi] ** 2 / 12) * (
+            half_h2 + 1j * (x - np.conj(np.swapaxes(x, -1, -2))))
+    return g
+
+
+def _step_unitaries(g: np.ndarray, dts: np.ndarray) -> np.ndarray:
+    """exp(-i*dts[i]*g[i]) for Hermitian g of shape (n, ..., d, d)."""
+    evals, vecs = np.linalg.eigh(g)
+    phases = np.exp(-1j * evals * dts.reshape(dts.shape + (1,) * (g.ndim - 2)))
+    return (vecs * phases[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+
+
 def _chunk_propagator(params: ModelParams, builder, ks: np.ndarray, t_start: float,
                       step: int, stride: int, dt: float, jump_times: np.ndarray) -> np.ndarray:
-    """Product of the midpoint unitaries of steps step..step+stride-1 per
+    """Product of the Magnus step unitaries of steps step..step+stride-1 per
     momentum, shape (L, q, q)."""
-    mids = t_start + (step + 0.5 + np.arange(stride)) * dt
-    dts = np.full(stride, dt)
-    t_lo, t_hi = t_start + step * dt, t_start + (step + stride) * dt
-    cuts = jump_times[(jump_times > t_lo) & (jump_times < t_hi)]
-    if cuts.size:
-        # a step across a jump of H is split there, so it stays second order
-        edges = np.union1d(t_start + (step + np.arange(stride + 1)) * dt, cuts)
-        mids, dts = 0.5 * (edges[1:] + edges[:-1]), np.diff(edges)
-    evals, vecs = np.linalg.eigh(builder.batch(params, ks, mids))
-    phases = np.exp(-1j * evals * dts[:, None, None])
-    u_steps = (vecs * phases[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
-    return _chain_product(u_steps)
+    mids, dts, starts = _chunk_steps(t_start, step, stride, dt, jump_times)
+    g = _magnus_generators(builder.batch(params, ks, mids), mids, dts, starts)
+    return _chain_product(_step_unitaries(g, dts))
 
 
 def evolve(
@@ -262,12 +328,13 @@ def evolve(
     protocol: Protocol | None = None,
     jump_times=(),
 ) -> PumpTrajectory:
-    """Propagate with the exponential midpoint rule over [t_start, t_end].
+    """Propagate with fourth-order Magnus steps over [t_start, t_end].
 
     Records the state at t_start + i*(t_end - t_start)/samples, i = 0..samples.
     `jump_times` lists the times at which the Hamiltonian is discontinuous;
-    a step that straddles one is split into two midpoint steps there, since
-    a single step across a jump has an error of first order in dt.
+    a step that straddles one is split into two steps there, and no Magnus
+    stencil reaches across it, since a step across a jump has an error of
+    first order in dt.
 
     A span of n >= 2 whole periods with `samples` a multiple of n solves the
     chunk propagators of its first period only and applies them to every
@@ -346,32 +413,33 @@ def evolve_dense(
     hamiltonian=None,
     samples: int = SAMPLES_PER_CYCLE,
 ) -> PumpTrajectory:
-    """Reference midpoint-rule propagator using dense N x N eigensolves.
+    """Reference propagator using dense N x N matrices.
 
-    Mathematically identical to `evolve`; kept for cross-validation and for
-    Hamiltonian builders without a Bloch-block form.  It skips two checks of
-    `evolve` on purpose: the dt cap, because `dt_max` probes the Bloch
-    builder and a dense `hamiltonian` may have no Bloch form to probe; and
-    the seam check, because it is a reference for arbitrary states, whose
+    The same fourth-order Magnus steps as `evolve`, built chunk by chunk with
+    the same stencils, so the two agree to rounding; kept for cross-validation
+    and for Hamiltonian builders without a Bloch-block form.  It skips two
+    checks of `evolve` on purpose: the dt cap, because `dt_max` probes the
+    Bloch builder and a dense `hamiltonian` may have no Bloch form to probe;
+    and the seam check, because it is a reference for arbitrary states, whose
     density may sit at the seam.  Every step is solved; nothing is reused
-    across periods.
+    across periods, and `hamiltonian` is taken to be smooth (no jump times).
     """
     from .model import real_space_hamiltonian
 
     builder = hamiltonian or real_space_hamiltonian
     n_steps, dt, stride = _step_grid(t_start, t_end, dt, samples)
     psi = _resolve_initial(params, initial)
-    sample_states = [psi.copy()]
+    sample_states = [psi]
     sample_times = [t_start]
     norm_drift = 0.0
-    for step in range(n_steps):
-        h = builder(params, t_start + (step + 0.5) * dt)
-        evals, vecs = np.linalg.eigh(h)
-        psi = vecs @ (np.exp(-1j * evals * dt) * (np.conj(vecs.T) @ psi))
-        if (step + 1) % stride == 0:
-            sample_states.append(psi.copy())
-            sample_times.append(t_start + (step + 1) * dt)
-            norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
+    for step in range(0, n_steps, stride):
+        mids, dts, starts = _chunk_steps(t_start, step, stride, dt, np.empty(0))
+        h = np.stack([builder(params, t) for t in mids])
+        for u in _step_unitaries(_magnus_generators(h, mids, dts, starts), dts):
+            psi = u @ psi
+        sample_states.append(psi)
+        sample_times.append(t_start + (step + stride) * dt)
+        norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
     return _trajectory(params, sample_times, sample_states, dt, norm_drift, None)
 
 

@@ -109,10 +109,29 @@ def test_pump_traditional_smoke(tmp_path):
     assert manifest["invariant_checks"]["norm_drift"]["pass"]
     assert manifest["invariant_checks"]["seam_density_max"]["pass"]
     assert -1.3 < manifest["delta_p_final_cells"] < -0.5
+    assert manifest["status"] == "ok"
+    population = manifest["invariant_checks"]["min_highest_band_population"]
+    assert population["value"] <= population["final"] <= 1.0
     obs = np.loadtxt(base / "observables.tsv")
     density = np.loadtxt(base / "density.tsv")
     assert obs.shape[1] == 7  # t/T, dP, D_W, norm, three band populations
     assert density.shape == (obs.shape[0], 45)
+
+
+def test_failed_run_leaves_manifest(tmp_path, capsys):
+    # site 1 sits on the ring seam, so the run stops with SeamDensityError
+    argv = ["pump-traditional", "--outdir", str(tmp_path), "--set", "initial_site=1"] + FAST
+    assert cli.main(argv) == 1
+    assert "run failed" in capsys.readouterr().err
+    manifest_path = tmp_path / "pump-traditional" / "manifest.json"
+    first = manifest_path.read_bytes()
+    manifest = json.loads(first)
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "SeamDensityError"
+    assert "seam" in manifest["error"]["message"]
+    assert manifest["config"]["initial_site"] == 1
+    assert cli.main(argv) == 1
+    assert manifest_path.read_bytes() == first
 
 
 def test_pump_echo_smoke(tmp_path):
