@@ -182,6 +182,15 @@ def _resolve_initial(params: ModelParams, initial) -> np.ndarray:
     return vec
 
 
+def _check_seam(density, seam_threshold: float | None) -> None:
+    seam = float(np.max(density))
+    if seam_threshold is not None and seam > seam_threshold:
+        raise SeamDensityError(
+            f"density at the ring seam reached {seam:.3e} (> {seam_threshold:.1e}); "
+            "enlarge L or recenter the initial state"
+        )
+
+
 def _step_grid(t_start: float, t_end: float, dt: float, samples: int) -> tuple:
     """(n_steps, dt, stride): `samples` chunks of `stride` >= 3 whole steps no
     longer than dt over [t_start, t_end]; sample i falls at
@@ -344,8 +353,11 @@ def evolve(
     (ValueError otherwise); the other protocols only label the trajectory.
     Raises IntegratorError on norm drift beyond 1e-8 and SeamDensityError if
     any sampled density at the ring seam (sites 1 or N) exceeds
-    `seam_threshold` (pass None to disable the seam check).
+    `seam_threshold` (pass None to disable the seam check); the initial
+    state is checked before anything is propagated.
     """
+    psi0 = _resolve_initial(params, initial)
+    _check_seam(np.abs(psi0[[0, -1]]) ** 2, seam_threshold)
     builder = bloch_builder or bloch_blocks
     cap = dt_max(params, builder)
     if dt is None:
@@ -361,7 +373,6 @@ def evolve(
     jump_times = np.asarray(jump_times, dtype=float)
     _check_periodic_jumps(jump_times, t_start, t_end, n_periods, 1e-9 * dt)
 
-    psi0 = _resolve_initial(params, initial)
     frame = _bloch_frame(params)
     ks = k_grid(params)
     reversed_k = _reversed_k(params)
@@ -395,12 +406,7 @@ def evolve(
         norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
 
     traj = _trajectory(params, sample_times, sample_states, dt, norm_drift, protocol)
-    seam = traj.seam_density_max
-    if seam_threshold is not None and seam > seam_threshold:
-        raise SeamDensityError(
-            f"density at the ring seam reached {seam:.3e} (> {seam_threshold:.1e}); "
-            "enlarge L or recenter the initial state"
-        )
+    _check_seam(traj.seam_density_max, seam_threshold)
     return traj
 
 

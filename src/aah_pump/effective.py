@@ -8,15 +8,18 @@ Schrieffer-Wolff rotation yields renormalized on-site energies, a
 first-order resonant bond, a second-order inter-cell bond, and third-order
 same-sublattice hoppings.
 
-Two independent routes are implemented: `sw_generic` evaluates the literal
-second- and third-order matrix-element sums for an arbitrary diagonal H0
-plus perturbation, and `effective_params` evaluates the closed-form
-coefficients; they must agree to rounding, which is the module's
-self-consistency oracle.  The closed forms are evaluated on a time array,
-one mask per region, and written into one per-region bond list as a
-`model.HoppingTable`; `effective_cycle_hamiltonian` and
-`effective_bloch_blocks` are that table assembled as a dense ring matrix and
-as Bloch blocks.
+One Schrieffer-Wolff routine (Bravyi, DiVincenzo & Loss, Ann. Phys. 326,
+2793 (2011)) builds every effective Hamiltonian here: `_sw_blocks` evaluates
+the second- and third-order sums for diagonal H0 plus perturbation V on a
+batch of matrices whose indices are labelled by cluster, and returns the
+block-diagonal H_eff.  `sw_generic` is its two-cluster form on one matrix.
+H_T is that routine run on the chain's own Hamiltonian on a three-cell ring,
+the resonant pair of the time's region being one cluster and the third
+sublattice the other; its cell-0 rows are read back as a
+`model.HoppingTable`, which `effective_cycle_hamiltonian` and
+`effective_bloch_blocks` assemble as a dense ring matrix and as Bloch
+blocks.  `effective_params` reads the couplings of one region off the same
+table.  The hand-derived q = 3 closed forms live in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import (HoppingTable, ModelParams, bloch_from_table, onsite_energy,
-                    ring_from_table, tunneling)
+from .model import (HoppingTable, ModelParams, bloch_from_table, hopping_table,
+                    ring_from_table)
 
 
 class Region(Enum):
@@ -42,7 +45,7 @@ class DivergentDenominatorError(RuntimeError):
 
 @dataclass
 class EffectiveParams:
-    """Closed-form effective couplings of one region at one time.
+    """Effective couplings of one region at one time.
 
     onsite : renormalized (V_A, V_B, V_C)
     j1, j2, j3 : first-, second-, third-order tunneling strengths
@@ -73,6 +76,51 @@ def region_of_phase(phi: float) -> Region:
     return tuple(Region)[_region_index(float(phi))]
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _sw_blocks(h0: np.ndarray, v: np.ndarray, labels: np.ndarray, order: int,
+               gap_floor: float) -> np.ndarray:
+    """Block-diagonal effective Hamiltonian of diag(h0) + v, batched.
+
+    h0 (..., n) holds the unperturbed energies, v (..., n, n) the Hermitian
+    perturbation (its diagonal included) and labels (..., n) the cluster of
+    each index.  With g[i,m] = 1/(E_i - E_m) for m outside the cluster of i
+    and 0 inside it, each cluster block of the result is
+    H0 + V + H_eff2 (+ H_eff3 for order 3):
+
+        H_eff2[i,j] = 1/2 sum_m V[i,m] V[m,j] (g[i,m] + g[j,m])
+
+    and the third-order sums chain V through two outside states, or through
+    one outside and one inside state.  The blocks between clusters are zero.
+    Raises DivergentDenominatorError when two clusters lie within gap_floor.
+    """
+    if order not in (2, 3):
+        raise ValueError("order must be 2 or 3")
+    inside = labels[..., :, None] == labels[..., None, :]
+    de = h0[..., :, None] - h0[..., None, :]  # de[i, m] = E_i - E_m
+    gap = np.min(np.abs(de), where=~inside, initial=np.inf)
+    if gap <= gap_floor:
+        raise DivergentDenominatorError(
+            f"gap {gap:.3e} between clusters <= gap_floor {gap_floor:.3e}")
+    g = np.divide(1.0, de, out=np.zeros(np.broadcast_shapes(de.shape, inside.shape)),
+                  where=~inside)
+    g_t = np.swapaxes(g, -1, -2)
+
+    t1 = (v * g) @ v
+    h = v + 0.5 * (t1 + _dagger(t1))
+    if order == 3:
+        # chain through two outside states: V[i,m] V[m,n] V[n,j] with the
+        # column-index energy in both denominators
+        s_a = 0.5 * v @ (g_t * (v @ (v * g_t)))
+        # chain through one inside state: -V[i,k] V[k,m] V[m,j] /
+        # ((E_k - E_m)(E_i - E_m))
+        s_c = -0.5 * (((v * inside) @ (v * g)) * g) @ v
+        h += s_a + _dagger(s_a) + s_c + _dagger(s_c)
+    return h * inside + h0[..., None] * np.eye(h0.shape[-1])
+
+
 def sw_generic(
     h0_diag: np.ndarray,
     v: np.ndarray,
@@ -83,55 +131,19 @@ def sw_generic(
     """Effective Hamiltonian on `subspace` from the Schrieffer-Wolff sums.
 
     h0_diag holds the unperturbed (diagonal) energies, v the perturbation in
-    the same basis.  Returns the subspace block of
-    H0*P + P*V*P + H_eff2 (+ H_eff3 for order 3), indexed in subspace order:
-
-        H_eff2[i,j] = 1/2 sum_m V[i,m] V[m,j] (1/(E_i-E_m) + 1/(E_j-E_m))
-
-    with m outside the subspace, and the four third-order sums chaining
-    V through one or two outside states (including the block-diagonal V
-    elements inside the subspace).  Raises DivergentDenominatorError when
+    the same basis.  Returns the subspace block, indexed in subspace order,
+    of the block-diagonal `_sw_blocks` result for the two clusters
+    `subspace` and its complement.  Raises DivergentDenominatorError when
     the subspace-to-complement gap is below gap_floor.
     """
-    if order not in (2, 3):
-        raise ValueError("order must be 2 or 3")
     h0_diag = np.asarray(h0_diag, dtype=float)
-    v = np.asarray(v, dtype=complex)
-    n = len(h0_diag)
     p_idx = np.asarray(sorted(subspace), dtype=int)
-    mask = np.zeros(n, dtype=bool)
-    mask[p_idx] = True
-    c_idx = np.nonzero(~mask)[0]
-    if len(c_idx) == 0:
+    labels = np.zeros(len(h0_diag), dtype=bool)
+    labels[p_idx] = True
+    if labels.all():
         raise ValueError("subspace must have a nonempty complement")
-
-    e_p = h0_diag[p_idx]
-    e_c = h0_diag[c_idx]
-    gap = np.abs(e_p[:, None] - e_c[None, :])
-    if np.min(gap) <= gap_floor:
-        raise DivergentDenominatorError(
-            f"subspace-complement gap {np.min(gap):.3e} <= gap_floor {gap_floor:.3e}"
-        )
-
-    v_pp = v[np.ix_(p_idx, p_idx)]
-    v_pc = v[np.ix_(p_idx, c_idx)]
-    v_cc = v[np.ix_(c_idx, c_idx)]
-    g = 1.0 / (e_p[:, None] - e_c[None, :])  # g[i, m] = 1/(E_i - E_m)
-
-    h_eff = np.diag(e_p).astype(complex) + v_pp
-    t1 = (v_pc * g) @ np.conj(v_pc.T)
-    h_eff += 0.5 * (t1 + np.conj(t1.T))
-
-    if order == 3:
-        # chain through two outside states: V[k,m] V[m,n] V[n,j] with the
-        # column-index energy in both denominators
-        x1 = np.conj(v_pc.T) * g.T  # x1[n, j] = V[n,j] / (E_j - E_n)
-        s_a = 0.5 * v_pc @ (g.T * (v_cc @ x1))
-        # chain through one inside state: -V[k,i] V[i,m] V[m,j] /
-        # ((E_k - E_m)(E_i - E_m))
-        s_c = -0.5 * ((v_pp @ (v_pc * g)) * g) @ np.conj(v_pc.T)
-        h_eff += s_a + np.conj(s_a.T) + s_c + np.conj(s_c.T)
-    return h_eff
+    h_eff = _sw_blocks(h0_diag, np.asarray(v, dtype=complex), labels, order, gap_floor)
+    return h_eff[np.ix_(p_idx, p_idx)]
 
 
 def region_boundaries(params: ModelParams, t_start: float, t_end: float) -> np.ndarray:
@@ -143,117 +155,62 @@ def region_boundaries(params: ModelParams, t_start: float, t_end: float) -> np.n
     return np.sort((sixth + 2 * sixth * n - params.phi0) / params.omega)
 
 
-# closed forms of each region: renormalized (V_A, V_B, V_C) and effective
-# (J_1, J_2, J_3) from the bare energies, bonds and biases
-def _region_i(va, vb, vc, j1, j2, j3, d1, d2, d3):
-    return (va + j3**2 / d3, vb + j2**2 / d2, vc - j2**2 / d2 - j3**2 / d3,
-            j1 - j1 * (j2**2 + j3**2) / (2 * d2 * d3),
-            0.5 * j2 * j3 * (1 / d2 + 1 / d3),
-            j1 * j2 * j3 / (2 * d2 * d3))
+def _effective_table(params: ModelParams, ts: np.ndarray) -> HoppingTable:
+    """H_T on a time batch, from `_sw_blocks` on the chain's three-cell ring.
 
-
-def _region_ii(va, vb, vc, j1, j2, j3, d1, d2, d3):
-    return (va + j1**2 / d1 + j3**2 / d3, vb - j1**2 / d1, vc - j3**2 / d3,
-            j2 - j2 * (j1**2 + j3**2) / (2 * d1 * d3),
-            -0.5 * j1 * j3 * (1 / d1 + 1 / d3),
-            j1 * j2 * j3 / (2 * d1 * d3))
-
-
-def _region_iii(va, vb, vc, j1, j2, j3, d1, d2, d3):
-    # region III chains pass through the extremal B sublattice, so both
-    # third-order denominators are (E - E_B) products and the correction
-    # enters with the opposite sign to regions I and II (the generic sums
-    # confirm this; the sign follows from Delta_1*Delta_2 < 0 here)
-    return (va + j1**2 / d1, vb - j1**2 / d1 + j2**2 / d2, vc - j2**2 / d2,
-            j3 + j3 * (j1**2 + j2**2) / (2 * d1 * d2),
-            0.5 * j1 * j2 * (1 / d1 - 1 / d2),
-            -j1 * j2 * j3 / (2 * d1 * d2))
-
-
-def _closed_forms(params: ModelParams, ts: np.ndarray) -> tuple:
-    """Closed-form couplings on a time array, evaluated with one mask per region.
-
-    Returns (region index (T,), values (12, T)): the rows are the renormalized
-    (V_A, V_B, V_C), the effective (J_1, J_2, J_3), the biases
-    (Delta_1, Delta_2, Delta_3) = (V_A-V_B, V_B-V_C, V_A-V_C) and the bare
-    bonds (J_1, J_2, J_3).  Region r leaves Delta_{r+1} out of its
-    denominators; the others must exceed gap_floor = 0.1*V0.
+    In region r the resonant pair, sublattices (r, r+1 mod 3), is one
+    cluster and the third sublattice the other; gap_floor = 0.1*V0.  Three
+    cells is the smallest ring on which no third-order path wraps around, so
+    the cell-0 rows hold the on-site energies, the three intra-cell bonds
+    and the nine bonds to the previous cell (a = -1) of the infinite chain.
     """
     if params.q != 3:
         raise ValueError("effective Hamiltonians are derived for q = 3")
     ts = np.asarray(ts, dtype=float)
-    s = np.arange(1, 4)
-    va, vb, vc = onsite_energy(params, s, ts[:, None]).T
-    j1, j2, j3 = tunneling(params, s, ts[:, None]).T
-    inputs = np.stack([va, vb, vc, j1, j2, j3, va - vb, vb - vc, va - vc])
+    h = np.real(ring_from_table(hopping_table(params, ts), 3))  # the chain is real
+    h0 = np.diagonal(h, axis1=-2, axis2=-1)
     region = _region_index(params.phase(ts))
-    gap_floor = 0.1 * abs(params.V0)
-    forms = np.empty((6, len(ts)))
-    for r, form in enumerate((_region_i, _region_ii, _region_iii)):
-        x = inputs[:, region == r]
-        relevant = np.delete(x[6:], r, axis=0)
-        if relevant.size and np.min(np.abs(relevant)) <= gap_floor:
-            worst = relevant[:, np.argmin(np.min(np.abs(relevant), axis=0))]
-            raise DivergentDenominatorError(
-                f"region {tuple(Region)[r].value} denominators {tuple(worst.tolist())} "
-                f"within gap_floor {gap_floor:.3e}"
-            )
-        forms[:, region == r] = form(*x)
-    return region, np.concatenate([forms, inputs[6:9], inputs[3:6]])
+    third = (np.arange(9) - region[:, None]) % 3 == 2
+    h = _sw_blocks(h0, h - h0[..., None] * np.eye(9), third, 3, 0.1 * abs(params.V0))
+    s = np.arange(3)
+    intra = tuple((a, b, 0, h[:, a, b]) for a, b in ((0, 1), (1, 2), (0, 2)))
+    inter = tuple((a, b, -1, h[:, 6 + a, b]) for a in range(3) for b in range(3))
+    return HoppingTable(h[:, s, s], intra + inter)
 
 
 def effective_params(params: ModelParams, t: float, region: Region | None = None) -> EffectiveParams:
-    """Closed-form effective couplings at time t.
+    """Effective couplings at time t, read off the H_T table.
 
     The region defaults to the one owning phi(t); passing a mismatched
-    region raises.  Denominators entering the chosen region's formulas must
-    exceed gap_floor = 0.1*V0.
+    region raises.  In region r, j1 is the resonant pair's bond that the
+    chain itself has, j2 the pair's bond one cell over and j3 minus the hop
+    of sublattice r to the next cell.  The two clusters must lie more than
+    gap_floor = 0.1*V0 apart.
     """
     phi = float(np.mod(params.phase(t), 2.0 * np.pi))
     own = region_of_phase(phi)
     if region is not None and region is not own:
         raise ValueError(f"phi(t) = {phi:.4f} lies in region {own.value}, not {region.value}")
-    _, v = _closed_forms(params, np.array([t]))
-    v = v[:, 0].tolist()
+    r = tuple(Region).index(own)
+    table = _effective_table(params, [t])
+    amp = {bond[:3]: float(bond[3][0]) for bond in table.bonds}
+    chain = hopping_table(params, [t])
+    s_to, s_from, a, _ = chain.bonds[r]
+    va, vb, vc = chain.onsite[0].tolist()
     return EffectiveParams(
-        region=own, onsite=tuple(v[0:3]), j1=v[3], j2=v[4], j3=v[5],
-        biases=tuple(v[6:9]), bare=tuple(v[9:12]),
+        region=own, onsite=tuple(table.onsite[0].tolist()),
+        j1=amp[s_to, s_from, a], j2=amp[s_from, s_to, -1 - a], j3=-amp[r, r, -1],
+        biases=(va - vb, vb - vc, va - vc),
+        bare=tuple(float(bond[3][0]) for bond in chain.bonds),
     )
-
-
-# H_T bonds per region as (s_to, s_from, a, order, factor): the hopping
-# c^dag_{l+a,s_to} c_{l,s_from} with amplitude factor * J_order.  The first-
-# and second-order bonds join the resonant pair within a cell and across a
-# cell boundary; the third-order bonds are same-sublattice hops to the next
-# cell, -J_3 on the resonant pair and 2*J_3 on the third sublattice.
-_BONDS = {
-    Region.I: ((0, 1, 0, 1, 1), (0, 1, 1, 2, 1),  # A_l <- B_l, A_l <- B_{l-1}
-               (0, 0, 1, 3, -1), (1, 1, 1, 3, -1), (2, 2, 1, 3, 2)),
-    Region.II: ((1, 2, 0, 1, 1), (1, 2, 1, 2, 1),  # B_l <- C_l, B_{l+1} <- C_l
-                (0, 0, 1, 3, 2), (1, 1, 1, 3, -1), (2, 2, 1, 3, -1)),
-    Region.III: ((0, 2, 1, 1, 1), (0, 2, 0, 2, 1),  # A_{l+1} <- C_l, A_l <- C_l
-                 (0, 0, 1, 3, -1), (1, 1, 1, 3, 2), (2, 2, 1, 3, -1)),
-}
-
-
-def _effective_table(params: ModelParams, ts: np.ndarray) -> HoppingTable:
-    """H_T on a time batch: each region's bonds carry its couplings at the
-    times that region owns and zero elsewhere."""
-    region, v = _closed_forms(params, ts)
-    bonds = tuple(
-        (s_to, s_from, a, np.where(region == r, factor * v[2 + order], 0.0))
-        for r, reg in enumerate(Region)
-        for s_to, s_from, a, order, factor in _BONDS[reg]
-    )
-    return HoppingTable(v[:3].T, bonds)
 
 
 def effective_cycle_hamiltonian(params: ModelParams, t: float) -> np.ndarray:
     """Piecewise cycle generator H_T(t) on the L-cell ring (dense N x N).
 
-    Assembles the region-owning effective Hamiltonian from the closed-form
-    couplings; continuous within each region and discontinuous at region
-    boundaries by construction.
+    Assembles the region-owning effective Hamiltonian from the H_T table;
+    continuous within each region and discontinuous at region boundaries,
+    where the cluster partition changes.
     """
     return ring_from_table(_effective_table(params, np.array([t])), params.L)[0]
 

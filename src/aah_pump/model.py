@@ -11,10 +11,12 @@ Every translation-invariant Hamiltonian of the package is a `HoppingTable`:
 on-site energies per sublattice and bonds (s_to, s_from, a, amplitude), each
 the hopping c^dag_{l+a,s_to} c_{l,s_from} plus its Hermitian conjugate, on a
 batch of times.  `hopping_table` gives the chain's table from
-`onsite_energy` and `tunneling` at s = 1..q; `effective` writes the cycle
-generator H_T the same way.  `bloch_from_table` and `ring_from_table` turn a
-table into Bloch blocks and dense ring matrices.  `real_space_hamiltonian`
-stays site-indexed as the independent dense reference.
+`onsite_energy` and `tunneling` at s = 1..q.  `effective` builds the cycle
+generator H_T with its one Schrieffer-Wolff routine on this table's
+three-cell ring and reads the result back as a table.  `bloch_from_table`
+and `ring_from_table` turn a table into Bloch blocks and dense ring
+matrices.  `real_space_hamiltonian` stays site-indexed as the independent
+dense reference.
 
 Bloch reduction: with psi_j = e^{ikj} u_{s(j)} / sqrt(L) and u strictly
 q-periodic, each quasi-momentum k of the ring gives a q x q Hermitian block.

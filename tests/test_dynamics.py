@@ -273,6 +273,27 @@ def test_seam_guard_triggers(paper_params):
         dynamics.evolve(paper_params, 1, 0.0, 1.0, samples=2)
 
 
+def test_seam_guard_checks_the_initial_state_before_propagating(paper_params):
+    calls = []
+
+    def builder(params, k, t):
+        calls.append(t)
+        return model.bloch_blocks(params, k, t)
+
+    def batch(params, k, ts):
+        calls.append(ts)
+        return model.bloch_blocks_batch(params, k, ts)
+
+    builder.batch = batch
+    with pytest.raises(dynamics.SeamDensityError):
+        dynamics.evolve(paper_params, 1, 0.0, paper_params.period, bloch_builder=builder)
+    assert calls == []
+    traj = dynamics.evolve(paper_params, 1, 0.0, 1.0, samples=2, bloch_builder=builder,
+                           seam_threshold=None)
+    assert calls
+    assert traj.seam_density_max > 1e-3
+
+
 def test_norm_preserved(traj_traditional_2c):
     assert traj_traditional_2c.norm_drift < 1e-10
     norms = np.linalg.norm(traj_traditional_2c.states, axis=1)

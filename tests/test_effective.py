@@ -3,7 +3,7 @@ import pytest
 
 from aah_pump import dynamics, effective, model
 from aah_pump.effective import Region
-from aah_pump.model import ModelParams, TunnelingMode
+from aah_pump.model import ModelParams, Sign, TunnelingMode
 
 
 def _h0_and_v(params, t):
@@ -57,6 +57,110 @@ def engine_couplings(params, t, region):
         "j3_b": h_comp[4, 5].real / 2,       # B5-B6
         "j3_c": -h_sub[9, 11].real,          # C5-C6
     }
+
+
+# The hand-derived q = 3 closed forms, the oracle for the generic route: the
+# renormalized (V_A, V_B, V_C) and effective (J_1, J_2, J_3) of each region
+# from the bare energies, bonds and biases.
+def _region_i(va, vb, vc, j1, j2, j3, d1, d2, d3):
+    return (va + j3**2 / d3, vb + j2**2 / d2, vc - j2**2 / d2 - j3**2 / d3,
+            j1 - j1 * (j2**2 + j3**2) / (2 * d2 * d3),
+            0.5 * j2 * j3 * (1 / d2 + 1 / d3),
+            j1 * j2 * j3 / (2 * d2 * d3))
+
+
+def _region_ii(va, vb, vc, j1, j2, j3, d1, d2, d3):
+    return (va + j1**2 / d1 + j3**2 / d3, vb - j1**2 / d1, vc - j3**2 / d3,
+            j2 - j2 * (j1**2 + j3**2) / (2 * d1 * d3),
+            -0.5 * j1 * j3 * (1 / d1 + 1 / d3),
+            j1 * j2 * j3 / (2 * d1 * d3))
+
+
+def _region_iii(va, vb, vc, j1, j2, j3, d1, d2, d3):
+    # region III chains pass through the extremal B sublattice, so both
+    # third-order denominators are (E - E_B) products and the correction
+    # enters with the opposite sign to regions I and II (the sign follows
+    # from Delta_1*Delta_2 < 0 here)
+    return (va + j1**2 / d1, vb - j1**2 / d1 + j2**2 / d2, vc - j2**2 / d2,
+            j3 + j3 * (j1**2 + j2**2) / (2 * d1 * d2),
+            0.5 * j1 * j2 * (1 / d1 - 1 / d2),
+            -j1 * j2 * j3 / (2 * d1 * d2))
+
+
+CLOSED_FORMS = {Region.I: _region_i, Region.II: _region_ii, Region.III: _region_iii}
+
+# H_T bonds per region as (s_to, s_from, a, order, factor): the hopping
+# c^dag_{l+a,s_to} c_{l,s_from} with amplitude factor * J_order.  The first-
+# and second-order bonds join the resonant pair within a cell and across a
+# cell boundary; the third-order bonds are same-sublattice hops to the next
+# cell, -J_3 on the resonant pair and 2*J_3 on the third sublattice.
+CLOSED_FORM_BONDS = {
+    Region.I: ((0, 1, 0, 1, 1), (0, 1, 1, 2, 1),  # A_l <- B_l, A_l <- B_{l-1}
+               (0, 0, 1, 3, -1), (1, 1, 1, 3, -1), (2, 2, 1, 3, 2)),
+    Region.II: ((1, 2, 0, 1, 1), (1, 2, 1, 2, 1),  # B_l <- C_l, B_{l+1} <- C_l
+                (0, 0, 1, 3, 2), (1, 1, 1, 3, -1), (2, 2, 1, 3, -1)),
+    Region.III: ((0, 2, 1, 1, 1), (0, 2, 0, 2, 1),  # A_{l+1} <- C_l, A_l <- C_l
+                 (0, 0, 1, 3, -1), (1, 1, 1, 3, 2), (2, 2, 1, 3, -1)),
+}
+
+
+def closed_forms(params, t):
+    """Region owning phi(t) and its closed-form couplings as a dict keyed
+    like `EffectiveParams`."""
+    s = np.arange(1, 4)
+    va, vb, vc = model.onsite_energy(params, s, t).tolist()
+    j1, j2, j3 = model.tunneling(params, s, t).tolist()
+    biases = (va - vb, vb - vc, va - vc)
+    region = effective.region_of_phase(params.phase(t))
+    *onsite, e1, e2, e3 = CLOSED_FORMS[region](va, vb, vc, j1, j2, j3, *biases)
+    return region, {"onsite": tuple(onsite), "j1": e1, "j2": e2, "j3": e3,
+                    "biases": biases, "bare": (j1, j2, j3)}
+
+
+def closed_form_blocks(params, k, t):
+    """Bloch blocks of H_T(t) assembled from the closed forms."""
+    region, want = closed_forms(params, t)
+    js = (None, want["j1"], want["j2"], want["j3"])
+    bonds = tuple((s_to, s_from, a, np.array([factor * js[order]]))
+                  for s_to, s_from, a, order, factor in CLOSED_FORM_BONDS[region])
+    return model.bloch_from_table(model.HoppingTable(np.array([want["onsite"]]), bonds), k)[0]
+
+
+def check_against_closed_forms(params, t, rel=1e-10):
+    region, want = closed_forms(params, t)
+    ep = effective.effective_params(params, t)
+    assert ep.region is region
+    scale = max(np.max(np.abs(want["onsite"])), abs(want["j1"]), abs(want["j2"]))
+    for key, val in want.items():
+        np.testing.assert_allclose(getattr(ep, key), val, rtol=0, atol=rel * scale,
+                                   err_msg=key)
+    ks = model.k_grid(params)
+    np.testing.assert_allclose(effective.effective_bloch_blocks(params, ks, t),
+                               closed_form_blocks(params, ks, t), rtol=0, atol=rel * scale)
+
+
+def criterion_07_draws():
+    """The 200 (params, region) draws of acceptance criterion 07."""
+    rng = np.random.default_rng(2024)
+    intervals = {
+        Region.I: [(0.0, np.pi / 6), (5 * np.pi / 6, 7 * np.pi / 6),
+                   (11 * np.pi / 6, 2 * np.pi)],
+        Region.II: [(np.pi / 6, np.pi / 2), (7 * np.pi / 6, 3 * np.pi / 2)],
+        Region.III: [(np.pi / 2, 5 * np.pi / 6), (3 * np.pi / 2, 11 * np.pi / 6)],
+    }
+    regions = list(intervals)
+    modes = [TunnelingMode.UNIFORM, TunnelingMode.SINE_MODULATED]
+    draws = 0
+    while draws < 200:
+        region = regions[draws % 3]
+        lo, hi = intervals[region][rng.integers(len(intervals[region]))]
+        v0 = rng.uniform(5.0, 100.0)
+        p = ModelParams(J=rng.uniform(0.01, 0.1) * v0, V0=v0,
+                        phi0=rng.uniform(lo, hi), tunneling_mode=modes[draws % 2])
+        if np.min(np.abs(model.tunneling(p, np.arange(1, 4), 0.0))) < 1e-6 * p.J:
+            continue
+        yield p, region
+        draws += 1
 
 
 def _compare(ep, got, rel=1e-10):
@@ -172,6 +276,40 @@ def test_engine_matches_closed_forms_random_draws():
         assert ep.region is region
         got = engine_couplings(p, 0.0, region)
         _compare(ep, got, rel=1e-10)
+
+
+@pytest.mark.parametrize("sign", list(Sign))
+@pytest.mark.parametrize("mode", list(TunnelingMode))
+def test_h_t_matches_closed_forms_all_regions(mode, sign):
+    p = ModelParams(tunneling_mode=mode, sign=sign)
+    phis = (0.05, 2.9, 6.1, 0.7, 1.3, 4.0, 1.8, 2.4, 5.2)  # three per region
+    assert {effective.region_of_phase(phi) for phi in phis} == set(Region)
+    for phi in phis:
+        check_against_closed_forms(p, (phi - p.phi0) / p.omega)
+
+
+def test_h_t_matches_closed_forms_on_criterion_07_draws():
+    for p, region in criterion_07_draws():
+        assert effective.region_of_phase(p.phase(0.0)) is region
+        check_against_closed_forms(p, 0.0, rel=1e-10)
+
+
+def test_cycle_hamiltonian_is_dense_sw_of_the_ring(paper_params):
+    # third route: the two-cluster SW of the full L-cell ring, pair sites and
+    # other sites each as a subspace, is H_T on the ring
+    p = paper_params
+    for phi in (0.3, 1.0, 2.0):  # one phase per region
+        t = (phi - p.phi0) / p.omega
+        region = effective.region_of_phase(phi)
+        h0, v = _h0_and_v(p, t)
+        pair = _sublattice_sites(p, REGION_SUBSPACE[region])
+        other = np.setdiff1d(np.arange(p.n_sites), pair)
+        dense = np.zeros((p.n_sites, p.n_sites), dtype=complex)
+        for sites in (pair, other):
+            dense[np.ix_(sites, sites)] = effective.sw_generic(
+                h0, v, sites, order=3, gap_floor=0.1 * p.V0)
+        np.testing.assert_allclose(effective.effective_cycle_hamiltonian(p, t), dense,
+                                   rtol=0, atol=1e-12 * p.V0)
 
 
 def test_high_order_couplings_vanish_at_resonances():
