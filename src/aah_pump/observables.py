@@ -60,19 +60,16 @@ def position_moments(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return density, mean_x, d_w
 
 
-def bloch_states_real_space(bands: BandSolution, t_index: int) -> np.ndarray:
-    """All Bloch states psi_m(k) at one stored time as N-site vectors,
-    shape (q, L, N)."""
-    p = bands.params
-    j = np.arange(1, p.n_sites + 1)
-    sub = (j - 1) % p.q
-    phase = np.exp(1j * bands.k_grid[:, None] * j) / np.sqrt(p.L)  # (L, N)
-    u = bands.states[:, :, t_index, :]  # (q, L, q)
-    return u[:, :, sub] * phase[None, :, :]
-
-
 def band_population(state: np.ndarray, bands: BandSolution, t_index: int = 0) -> np.ndarray:
-    """Per-band weights sum_k |<psi_m(k,t)|state>|^2; they sum to one."""
-    psi = bloch_states_real_space(bands, t_index)  # (q, L, N)
-    amps = np.einsum("mkn,n->mk", np.conj(psi), state)
+    """Per-band weights sum_k |<psi_m(k,t)|state>|^2; they sum to one.
+
+    With site j = qc + s (s = 1..q), <psi_m(k)|state> is
+    sum_s conj(u_{m,s}(k)) e^{-iks} sum_c e^{-ikqc} state_{qc+s} / sqrt(L):
+    one FFT over cells of the state's (L, q) reshape, then a contraction per k.
+    """
+    p = bands.params
+    cells = np.fft.fft(np.reshape(state, (p.L, p.q)), axis=0)[bands.fft_index]  # (L, q)
+    s = np.arange(1, p.q + 1)
+    cells = cells * np.exp(-1j * np.outer(bands.k_grid, s)) / np.sqrt(p.L)
+    amps = np.einsum("mks,ks->mk", np.conj(bands.states[:, :, t_index, :]), cells)
     return np.sum(np.abs(amps) ** 2, axis=1)

@@ -39,6 +39,13 @@ class BandSolution:
     def n_bands(self) -> int:
         return self.params.q
 
+    @property
+    def fft_index(self) -> np.ndarray:
+        """Slot of each k_n = 2*pi*w_n/(qL) in an FFT over the L cells, w_n mod L:
+        sum_c e^{-ik_n qc} x_c is np.fft.fft(x)[fft_index[n]]."""
+        p = self.params
+        return np.rint(self.k_grid * p.q * p.L / (2.0 * np.pi)).astype(int) % p.L
+
     def min_gap(self) -> float:
         return float(np.min(self.energies[1:] - self.energies[:-1]))
 

@@ -4,11 +4,19 @@ A Wannier state of band m at cell R (1-based) is the discrete transform
 
     W_j = (1/L) * sum_k e^{ik(j - q(R-1))} e^{i theta(k)} u_{m,s(j)}(k),
 
-over the L-point momentum grid; the states of all L cells of a band are one
-DFT over k, a single matrix product.  The gauge theta(k) minimizing the
-spread Omega = <X^2> - <X>^2 is found by parallel transport: re-phase so
-every link overlap <u(k_n)|u(k_{n+1})> is real positive, then spread the
-residual loop phase uniformly, which makes the discrete Berry connection
+over the L-point momentum grid.  Write site j = qc + s with c = 0..L-1
+counting cells and s = 1..q the sublattice.  Because e^{ikqL} = 1 on the
+ring grid, W_j depends on c and R only through d = (c - R + 1) mod L, so all
+L states of a band are translates of one (L, q) cell transform
+
+    w[d, s] = (1/L) * sum_k e^{ikqd} e^{i theta(k) + iks} u_{m,s}(k),
+
+one FFT over k, placed on every cell by index.  A band's set costs an
+O(qL log L) transform plus an O(LN) gather, and no site-space Bloch state
+is ever formed.  The gauge theta(k) minimizing the spread
+Omega = <X^2> - <X>^2 is found by parallel transport: re-phase so every
+link overlap <u(k_n)|u(k_{n+1})> is real positive, then spread the residual
+loop phase uniformly, which makes the discrete Berry connection
 k-uniform.  The spread splits into a gauge-invariant part Omega_I (inter-band
 matrix elements of X) and a gauge-dependent part Omega_D (intra-band,
 off-home-cell elements); Omega_D vanishes for the maximally localized state.
@@ -21,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, bz_wrap_phases
-from .observables import bloch_states_real_space, position_moments
-from .spectrum import BandSolution
+from .observables import position_moments
+from .spectrum import BandSolution, BandTouchingError
 
 
 @dataclass
@@ -44,14 +52,26 @@ class SpreadReport:
         return float(np.sqrt(max(self.omega, 0.0)))
 
 
-def _band_wannier_states(bands: BandSolution, m: int, theta, t_index: int) -> np.ndarray:
-    """All L Wannier states of band m in gauge theta, shape (L, N), row R-1 for
-    cell R: e^{i theta(k) - ikq(R-1)}/sqrt(L) times the site-space Bloch states."""
+def _cell_transform(bands: BandSolution, m: int, theta, t_index: int) -> np.ndarray:
+    """Band m's Wannier amplitudes by cell offset from home, shape (L, q):
+    w[d, s-1] = (1/L) sum_k e^{ikqd} e^{i theta(k) + iks} u_{m,s}(k)."""
     p = bands.params
     if np.shape(theta) != (p.L,):
         raise ValueError(f"theta must have one phase per momentum, shape ({p.L},)")
-    dft = np.exp(1j * (theta - np.outer(p.q * np.arange(p.L), bands.k_grid))) / np.sqrt(p.L)
-    return dft @ bloch_states_real_space(bands, t_index)[m]
+    s = np.arange(1, p.q + 1)
+    a = np.exp(1j * (np.asarray(theta)[:, None] + np.outer(bands.k_grid, s)))
+    slotted = np.empty((p.L, p.q), dtype=complex)
+    slotted[bands.fft_index] = a * bands.states[m, :, t_index, :]
+    return np.fft.ifft(slotted, axis=0)
+
+
+def _band_wannier_states(bands: BandSolution, m: int, theta, t_index: int) -> np.ndarray:
+    """All L Wannier states of band m in gauge theta, shape (L, N), row R-1 for
+    cell R: site qc + s of row R-1 is the cell transform w[(c - R + 1) mod L, s]."""
+    w = _cell_transform(bands, m, theta, t_index)
+    L = len(w)
+    offsets = (np.arange(L) - np.arange(L)[:, None]) % L  # [R-1, c] -> d
+    return np.take(w, offsets, axis=0).reshape(L, -1)
 
 
 def wannier_from_bloch(
@@ -62,8 +82,12 @@ def wannier_from_bloch(
     t_index: int = 0,
 ) -> WannierState:
     """Discrete Bloch-to-Wannier transform with gauge phases e^{i theta(k)}."""
-    theta = np.zeros(bands.params.L) if theta is None else theta
-    amps = _band_wannier_states(bands, m, theta, t_index)[cell - 1].copy()
+    L = bands.params.L
+    if not 1 <= cell <= L:
+        raise ValueError(f"cell must lie in 1..{L}, got {cell}")
+    theta = np.zeros(L) if theta is None else theta
+    # row cell-1 of the band's set: the transform translated by cell-1 cells
+    amps = np.roll(_cell_transform(bands, m, theta, t_index), cell - 1, axis=0).ravel()
     return WannierState(amplitudes=amps, band=m, cell=cell)
 
 
@@ -84,7 +108,7 @@ def parallel_transport_gauge(params: ModelParams, u: np.ndarray) -> np.ndarray:
     """
     links = _link_overlaps(params, u)
     if np.min(np.abs(links)) < 1e-12:
-        raise RuntimeError("vanishing momentum-space link; cannot parallel transport")
+        raise BandTouchingError("vanishing momentum-space link; cannot parallel transport")
     L = len(u)
     theta = np.zeros(L)
     args = np.angle(links)
@@ -126,7 +150,10 @@ def maximally_localize(
 
     Returns (state, spread report, theta).  The post-conditions Omega_D ~ 0
     and a k-uniform Berry connection hold by construction of the transport
-    gauge; the spread audit over the full basis runs on every call.
+    gauge; the spread audit over the full basis runs on every call.  Each
+    call runs two cell transforms per band, one to recenter its gauge and one
+    to lay out its L states, and gathers the complete (q, L, N) basis, O(qLN)
+    in all; the audit's N x N Gram check, O(N^3), is most of its cost.
     """
     p = bands.params
     if cell is None:
@@ -160,7 +187,7 @@ def spread_decomposition(state: WannierState, basis: np.ndarray) -> SpreadReport
 
     Omega_I collects |<W_m'(R)|X|W>|^2 over all cells of the other bands,
     Omega_D the same within the state's own band excluding its home cell;
-    Omega comes directly from <X^2> - <X>^2 and must equal their sum.
+    Omega comes directly from <(X - <X>)^2> and must equal their sum.
     Raises if the basis is not a complete orthonormal set, or if its
     (state.band, state.cell) member differs from the state (the sums are
     only meaningful for a member of the basis family).
@@ -183,10 +210,11 @@ def spread_decomposition(state: WannierState, basis: np.ndarray) -> SpreadReport
     j = np.arange(1, n + 1)
     xw = j * w
     center = float(np.real(np.vdot(w, xw)))
-    x2 = float(np.real(np.vdot(xw, xw)))
-    omega = x2 - center**2
+    # about the centre: <X^2> - <X>^2 would cancel digits of <X>^2 ~ N^2
+    omega = float(np.sum(np.abs(w) ** 2 * (j - center) ** 2))
 
-    elements = np.abs(flat.conj() @ xw) ** 2  # |<W_m'(R)|X|W>|^2, flattened (m', R)
+    # |<W_m'(R)|X|W>|^2, flattened (m', R); conjugating the vector spares an N x N copy
+    elements = np.abs(flat @ np.conj(xw)) ** 2
     elements = elements.reshape(q_bands, L)
     own = state.band
     omega_i = float(np.sum(elements) - np.sum(elements[own]))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aah_pump import cli
+from aah_pump import cli, wannier
 
 # omega=0.1 makes a pump run ten times shorter, but the ramp is then not
 # adiabatic (dP is about -0.24 traditional and -0.37 suppressed, and the dense
@@ -132,6 +132,20 @@ def test_failed_run_leaves_manifest(tmp_path, capsys):
     assert manifest["config"]["initial_site"] == 1
     assert cli.main(argv) == 1
     assert manifest_path.read_bytes() == first
+
+
+def test_vanishing_link_leaves_failed_manifest(tmp_path, capsys, monkeypatch):
+    # an MLWS start needs the transport gauge; with every k-link zero it raises
+    # BandTouchingError before any dynamics, and the run must record it
+    monkeypatch.setattr(wannier, "_link_overlaps",
+                        lambda params, u: np.zeros(len(u), dtype=complex))
+    argv = ["pump-echo", "--outdir", str(tmp_path), "--set", "initial_mlws_cell=8"]
+    assert cli.main(argv) == 1
+    assert "run failed" in capsys.readouterr().err
+    manifest = read_manifest(tmp_path, "pump-echo")
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "BandTouchingError"
+    assert "link" in manifest["error"]["message"]
 
 
 def test_pump_echo_smoke(tmp_path):

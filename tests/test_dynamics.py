@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from aah_pump import dynamics, effective, model, observables, spectrum
 from aah_pump.dynamics import Protocol
 from aah_pump.model import ModelParams, Sign, TunnelingMode
+from oracles import bloch_states_real_space
 
 
 def test_frozen_hamiltonian_preserves_eigenstate_density():
@@ -15,7 +16,7 @@ def test_frozen_hamiltonian_preserves_eigenstate_density():
     # a global phase
     p = ModelParams(omega=1e-12, phi0=0.4)
     bands = spectrum.solve_bands(p, np.array([0.0]))
-    psi = observables.bloch_states_real_space(bands, 0)[2, 4]
+    psi = bloch_states_real_space(bands, 0)[2, 4]
     traj = dynamics.evolve(p, psi, 0.0, 5.0, dt=1e-3, samples=5, seam_threshold=None)
     assert np.max(np.abs(traj.density - traj.density[0])) < 1e-10
     phase = traj.states[-1] / psi

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from aah_pump import observables
+from aah_pump import observables, spectrum
+from aah_pump.model import ModelParams
+from oracles import bloch_states_real_space
 
 
 def _delta(site, n=45):
@@ -44,10 +47,29 @@ def test_delta_p_in_cells():
 
 
 def test_band_population_eigenstate(bands_t0):
-    psi = observables.bloch_states_real_space(bands_t0, 0)[1, 6]
+    psi = bloch_states_real_space(bands_t0, 0)[1, 6]
     weights = observables.band_population(psi, bands_t0, 0)
     assert weights[1] == pytest.approx(1.0, abs=1e-10)
     assert weights.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(q=st.integers(2, 6), L=st.integers(3, 13), t=st.floats(0.0, 700.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_band_population_matches_site_space_overlaps(q, L, t, seed):
+    # the per-cell FFT route against overlaps with the literal Bloch states
+    p = ModelParams(q=q, p=1, L=L, phi0=0.3)
+    try:
+        bands = spectrum.solve_bands(p, np.array([0.0, t]))
+    except spectrum.BandTouchingError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=p.n_sites) + 1j * rng.normal(size=p.n_sites)
+    state /= np.linalg.norm(state)
+    psi = bloch_states_real_space(bands, 1)
+    literal = np.sum(np.abs(np.einsum("mkn,n->mk", np.conj(psi), state)) ** 2, axis=1)
+    weights = observables.band_population(state, bands, 1)
+    np.testing.assert_allclose(weights, literal, rtol=0, atol=1e-14)
 
 
 def test_initial_site_highest_band_weight(bands_t0):

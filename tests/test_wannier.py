@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -168,6 +169,91 @@ def test_wannier_basis_random_models(data, q, phi0, ratio, mode, sign, t, L):
     state, _, theta = wannier.maximally_localize(bands, m, cell)
     rebuilt = wannier.wannier_from_bloch(bands, m, cell, theta)
     np.testing.assert_allclose(state.amplitudes, rebuilt.amplitudes, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(q=st.integers(2, 6), L=st.integers(3, 12), phi0=st.floats(-np.pi, np.pi),
+       t=st.floats(1.0, 700.0), seed=st.integers(0, 2**32 - 1))
+def test_transform_matches_literal_sum(q, L, phi0, t, seed):
+    # every cell of wannier_from_bloch and wannier_basis against the module
+    # docstring's sum, in random non-smooth gauges at the stored time t_index = 1
+    p = ModelParams(q=q, p=1, L=L, phi0=phi0)
+    try:
+        bands = spectrum.solve_bands(p, np.array([0.0, t]))
+    except spectrum.BandTouchingError:
+        assume(False)
+    thetas = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(q, L))
+    j = np.arange(1, p.n_sites + 1)
+    cells = np.arange(1, L + 1)
+    # phase[R-1, n, j-1] = e^{ik_n(j - q(R-1))}
+    phase = np.exp(1j * bands.k_grid[None, :, None]
+                   * (j[None, None, :] - q * (cells[:, None, None] - 1)))
+    basis = wannier.wannier_basis(bands, 1, thetas)
+    for m in range(q):
+        u = bands.states[m, :, 1, :][:, (j - 1) % q]  # u_{m,s(j)}(k_n), (L, N)
+        literal = np.einsum("rnj,n,nj->rj", phase, np.exp(1j * thetas[m]), u) / L
+        np.testing.assert_allclose(basis[m], literal, rtol=0, atol=1e-12)
+        for cell in cells:
+            state = wannier.wannier_from_bloch(bands, m, cell, thetas[m], 1)
+            np.testing.assert_allclose(state.amplitudes, literal[cell - 1], rtol=0, atol=1e-12)
+
+
+def test_wannier_from_bloch_rejects_cell_off_ring(bands_t0):
+    for cell in (0, bands_t0.params.L + 1):
+        with pytest.raises(ValueError):
+            wannier.wannier_from_bloch(bands_t0, 2, cell)
+
+
+def test_spread_audit_runs_on_every_call(bands_t0, monkeypatch):
+    audits = []
+    audit = wannier.spread_decomposition
+
+    def counted(state, basis):
+        audits.append((state, basis))
+        return audit(state, basis)
+
+    monkeypatch.setattr(wannier, "spread_decomposition", counted)
+    p = bands_t0.params
+    for m, cell in ((2, 9), (0, 1), (1, p.L)):
+        state, _, _ = wannier.maximally_localize(bands_t0, m, cell)
+        assert len(audits) == 1
+        audited, basis = audits.pop()
+        assert audited is state
+        assert basis.shape == (p.q, p.L, p.n_sites)
+        flat = basis.reshape(p.n_sites, p.n_sites)
+        np.testing.assert_allclose(flat @ flat.conj().T, np.eye(p.n_sites), atol=1e-10)
+        assert np.array_equal(basis[m, cell - 1], state.amplitudes)
+
+
+def test_vanishing_link_raises_band_touching(bands_t0):
+    # band 2's u at one momentum is replaced by the unit vector orthogonal to
+    # both of its neighbors, so the two links around it vanish
+    states = bands_t0.states.copy()
+    u = states[2, :, 0, :]
+    v = np.conj(np.cross(u[3], u[5]))
+    states[2, 4, 0, :] = v / np.linalg.norm(v)
+    broken = dataclasses.replace(bands_t0, states=states)
+    with pytest.raises(spectrum.BandTouchingError):
+        wannier.parallel_transport_gauge(broken.params, states[2, :, 0, :])
+    with pytest.raises(spectrum.BandTouchingError):
+        wannier.maximally_localize(broken, 2, cell=9)
+
+
+def test_spread_accurate_far_from_the_origin():
+    # at cell L = 120 the centre is near site 360, so <X^2> - <X>^2 would
+    # lose up to 7e-10 of Omega ~ 4e-4 to cancellation
+    p = ModelParams(L=120, tunneling_mode=TunnelingMode.SINE_MODULATED)
+    bands = spectrum.solve_bands(p, np.array([0.0]))
+    basis = wannier.wannier_basis(bands)
+    j = np.arange(1, p.n_sites + 1, dtype=np.longdouble)
+    for cell in (p.L - 2, p.L - 1, p.L):
+        w = basis[2, cell - 1]
+        report = wannier.spread_decomposition(
+            wannier.WannierState(amplitudes=w, band=2, cell=cell), basis)
+        density = np.abs(w).astype(np.longdouble) ** 2
+        center = np.sum(density * j)
+        exact = float(np.sum(density * (j - center) ** 2))
+        assert report.omega == pytest.approx(exact, rel=0, abs=1e-13)
 
 
 def test_spread_rejects_foreign_state(bands_t0):
