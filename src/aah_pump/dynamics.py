@@ -36,12 +36,13 @@ Cost model: a run pays for one period of eigensolves, however many periods
 it spans.  H(t + T) = H(t), so the chunk propagators of the first period
 serve every later one; and the cell-gauge blocks satisfy H(k)* = H(-k), so
 a sign-reversed period applies conj(U_chunk(-k)) of the forward one, since
-G[-H](k) = -conj(G[H](-k)).  A paper cycle is 144,000 3 x 3 eigensolves
-(9,600 steps x 15 momenta), and a two-cycle run costs the same.  Against
-solving every period afresh, two-cycle paper runs differ by at most 6.5e-13
-in the state (echo; 3.6e-13 traditional), 3.7e-13 in delta_p and 1.3e-11 in
-D_W.  Spans that are not a whole number n >= 2 of periods, or whose sample
-count is not a multiple of n, solve every step.
+G[-H](k) = -conj(G[H](-k)); `model._reversed_k` indexes -k, as it does for
+the paired band solve of `spectrum.solve_bands`.  A paper cycle is 144,000
+3 x 3 eigensolves (9,600 steps x 15 momenta), and a two-cycle run costs the
+same.  Against solving every period afresh, two-cycle paper runs differ by at
+most 6.5e-13 in the state (echo; 3.6e-13 traditional), 3.7e-13 in delta_p
+and 1.3e-11 in D_W.  Spans that are not a whole number n >= 2 of periods, or
+whose sample count is not a multiple of n, solve every step.
 
 Protocols: TRADITIONAL evolves under H(t) for every cycle; ECHO flips the
 sign of the Hamiltonian on every second cycle, cancelling dynamical phases;
@@ -57,7 +58,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ModelParams, TunnelingMode, bloch_blocks, k_grid
+from .model import ModelParams, TunnelingMode, _reversed_k, bloch_blocks, k_grid
 from .observables import position_moments
 from .spectrum import BandSolution, chern_number
 from .wannier import WannierState
@@ -249,12 +250,6 @@ def _check_periodic_jumps(jump_times: np.ndarray, t_start: float, t_end: float,
                          "propagators cannot serve the others")
 
 
-def _reversed_k(params: ModelParams) -> np.ndarray:
-    """Index of -k on the momentum grid, modulo 2*pi/q."""
-    w = np.rint(k_grid(params) * params.q * params.L / (2.0 * np.pi)).astype(int)
-    return (-w - w[0]) % params.L
-
-
 def _chunk_steps(t_start: float, step: int, stride: int, dt: float,
                  jump_times: np.ndarray) -> tuple:
     """(mids, dts, starts) of steps step..step+stride-1: their midpoints, their
@@ -375,7 +370,7 @@ def evolve(
 
     frame = _bloch_frame(params)
     ks = k_grid(params)
-    reversed_k = _reversed_k(params)
+    reversed_k = _reversed_k(params.L)
     c = np.einsum("jns,j->ns", np.conj(frame), psi0)
 
     per_period = samples // n_periods

@@ -212,6 +212,13 @@ def _k_wavenumbers(L: int) -> np.ndarray:
     return np.sort(w)
 
 
+def _reversed_k(L: int) -> np.ndarray:
+    """Grid index of -k for each grid momentum k, modulo 2*pi/q.  For even L
+    the zone edge k = pi/q is its own partner, as is k = 0."""
+    w = _k_wavenumbers(L)
+    return (-w - w[0]) % L
+
+
 def k_grid(params: ModelParams) -> np.ndarray:
     """The L ring momenta 2*pi*n/(q*L) reduced to (-pi/q, pi/q], ascending."""
     return 2.0 * np.pi * _k_wavenumbers(params.L) / (params.q * params.L)

@@ -93,7 +93,7 @@ def _minus_k_index(params):
 def _assert_reuse_symmetries(params, batch, ts, periodic_rtol):
     """The premises of the period reuse: conj(H(k)) = H(-k) and H(t + T) = H(t)."""
     neg = _minus_k_index(params)
-    assert np.array_equal(dynamics._reversed_k(params), neg)
+    assert np.array_equal(model._reversed_k(params.L), neg)
     ks = model.k_grid(params)
     h = batch(params, ks, ts)
     scale = np.max(np.abs(h))
@@ -179,7 +179,7 @@ def test_magnus_generator_symmetries(data, q, L, phi0, ratio, mode, sign, t0, dt
     # forward one
     g_flipped = dynamics._magnus_generators(model.bloch_blocks_batch(flipped, ks, mids),
                                             mids, dts, starts)
-    np.testing.assert_allclose(g_flipped, -np.conj(g[:, dynamics._reversed_k(p)]),
+    np.testing.assert_allclose(g_flipped, -np.conj(g[:, model._reversed_k(p.L)]),
                                rtol=0, atol=1e-12 * scale)
 
 

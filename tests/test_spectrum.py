@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aah_pump import model, spectrum
 from aah_pump.model import ModelParams, Sign, TunnelingMode
@@ -35,6 +38,16 @@ def test_band_touching_raises():
     grid = spectrum.default_topology_grid(p, 240)
     with pytest.raises(spectrum.BandTouchingError):
         spectrum.solve_bands(p, grid)
+
+
+def test_chern_refuses_band_closing_between_grid_points():
+    # for even q the two middle bands of the uniform chain touch at Dirac
+    # points, which the grid misses; the lattice sum still returns integers
+    p = ModelParams(q=6, L=15)
+    bands = spectrum.solve_bands(p, spectrum.default_topology_grid(p, 240))
+    assert spectrum.chern_number(bands, 0) == -1
+    with pytest.raises(spectrum.BandTouchingError, match="band 2 plaquette"):
+        spectrum.chern_number(bands, 2)
 
 
 @pytest.mark.parametrize("fixture", ["bands_topology", "bands_topology_sine"])
@@ -118,3 +131,82 @@ def test_flatness_sine_below_uniform(bands_topology, bands_topology_sine):
     flat_u = spectrum.flatness(bands_topology)
     flat_s = spectrum.flatness(bands_topology_sine)
     assert np.all(flat_s.ratios[2] <= flat_u.ratios[2])
+
+
+@st.composite
+def chains(draw):
+    """Chains with q = 2..6, a coprime p, odd and even L (even L puts the
+    self-conjugate zone edge k = pi/q on the grid), both modes and signs."""
+    q = draw(st.integers(2, 6))
+    p = draw(st.integers(1, q - 1).filter(lambda n: math.gcd(n, q) == 1))
+    return ModelParams(J=draw(st.floats(0.2, 2.0)), V0=draw(st.floats(3.0, 30.0)),
+                       p=p, q=q, phi0=draw(st.floats(-np.pi, np.pi)),
+                       L=draw(st.integers(3, 12)),
+                       tunneling_mode=draw(st.sampled_from(TunnelingMode)),
+                       sign=draw(st.sampled_from(Sign)))
+
+
+def _per_block_bands(params, t_grid):
+    """Energies (q, L, M) and site-gauge states (q, L, M, q) from one eigh per
+    block on the full grid, largest-|.| component made real positive."""
+    ks = model.k_grid(params)
+    h = model.bloch_blocks_batch(params, ks, t_grid)
+    s = np.arange(1, params.q + 1)
+    energies = np.empty(h.shape[:-1])
+    states = np.empty(h.shape, dtype=complex)
+    for i in range(len(t_grid)):
+        for n, k in enumerate(ks):
+            energies[i, n], w = np.linalg.eigh(h[i, n])
+            for m in range(params.q):
+                u = np.exp(-1j * k * s) * w[:, m]
+                anchor = u[np.argmax(np.abs(u))]
+                states[i, n, m] = u * np.conj(anchor) / abs(anchor)
+    return np.transpose(energies, (2, 1, 0)), np.transpose(states, (2, 1, 0, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(params=chains())
+def test_paired_solve_matches_per_block_eigh(params):
+    t_grid = spectrum.default_topology_grid(params, 8)
+    try:
+        bands = spectrum.solve_bands(params, t_grid)
+    except spectrum.BandTouchingError:
+        assume(False)
+    energies, states = _per_block_bands(params, t_grid)
+    scale = 1e-13 * params.V0
+    np.testing.assert_allclose(bands.energies, energies, rtol=0, atol=scale)
+    # eigenvector rounding grows as 1/gap; where the two largest components
+    # tie, the anchor may pick either, so compare the band projector there
+    mags = np.sort(np.abs(states), axis=-1)
+    tied = mags[..., -1] - mags[..., -2] < 1e-9
+    atol = scale / bands.min_gap()
+    np.testing.assert_allclose(bands.states[~tied], states[~tied], rtol=0, atol=atol)
+    overlap = np.abs(np.einsum("...s,...s->...", np.conj(bands.states), states))
+    np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("L", [15, 30])
+def test_solve_bands_solves_one_momentum_per_pair(monkeypatch, L):
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        solved.append(math.prod(np.shape(a)[:-2]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    p = ModelParams(L=L)
+    grid = spectrum.default_topology_grid(p, 40)
+    spectrum.solve_bands(p, grid)
+    assert sum(solved) == len(grid) * (L // 2 + 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(params=chains())
+def test_chern_numbers_sum_to_zero(params):
+    try:
+        bands = spectrum.solve_bands(params, spectrum.default_topology_grid(params, 60))
+        cherns = [spectrum.chern_number(bands, m) for m in range(params.q)]
+    except spectrum.BandTouchingError:
+        assume(False)
+    assert sum(cherns) == 0
