@@ -18,7 +18,7 @@ in the Bloch basis; this is the same unitary as the dense real-space path
 `evolve_dense`, which builds G from N x N matrices with the same stencils.
 A Bloch builder is called as builder(params, k, t) and carries its
 time-batched form builder.batch(params, k, ts), which `evolve` calls once
-per sample chunk it solves; `model.bloch_blocks` and
+per block of sample chunks it solves; `model.bloch_blocks` and
 `effective.effective_bloch_blocks` are the two builders.
 
 The step cap is dt_max = 2/max_t ||H(t)||_2; a run is `samples` chunks of
@@ -42,7 +42,14 @@ the paired band solve of `spectrum.solve_bands`.  A paper cycle is 144,000
 same.  Against solving every period afresh, two-cycle paper runs differ by at
 most 6.5e-13 in the state (echo; 3.6e-13 traditional), 3.7e-13 in delta_p
 and 1.3e-11 in D_W.  Spans that are not a whole number n >= 2 of periods, or
-whose sample count is not a multiple of n, solve every step.
+whose sample count is not a multiple of n, solve every step.  The chunks
+solved are taken in blocks of about _BLOCKS_PER_SOLVE Bloch blocks, at
+least one chunk each: per block, one builder call, one generator pass, one
+batched eigensolve and one chain product over its chunks side by side.  So
+the eigensolves still number steps x L, but the per-call overhead is paid
+per block.  At omega = 0.05 a chunk is 5 steps x 15 momenta and 6 chunks
+share a block; a paper chunk of 24 steps is a block by itself.  Blocks are
+made as the run reaches them, so a one-period run holds one block at a time.
 
 Protocols: TRADITIONAL evolves under H(t) for every cycle; ECHO flips the
 sign of the Hamiltonian on every second cycle, cancelling dynamical phases;
@@ -64,6 +71,13 @@ from .spectrum import BandSolution, chern_number
 from .wannier import WannierState
 
 SAMPLES_PER_CYCLE = 400
+# Bloch blocks solved together in `_chunk_propagators`.  Larger blocks cut
+# per-call overhead but hold more step-sized temporaries: a one-cycle
+# comparison at omega = 0.05 peaks 3.0% higher in memory at 1,024 than per
+# chunk, and from 720, two paper chunks, a fresh process grows and trims its
+# heap on every block of a paper run (21,700 to 46,600 more page faults in a
+# two-cycle echo), which ran slower in 5 of 6 benchmark pairs at 768.
+_BLOCKS_PER_SOLVE = 512
 
 
 class IntegratorError(RuntimeError):
@@ -270,11 +284,12 @@ def _chunk_steps(t_start: float, step: int, stride: int, dt: float,
 
 def _magnus_generators(h: np.ndarray, mids: np.ndarray, dts: np.ndarray,
                        starts: np.ndarray) -> np.ndarray:
-    """Fourth-order Magnus generators of the steps of one chunk.
+    """Fourth-order Magnus generators of a run of steps, in one pass.
 
     h has shape (n, ..., d, d): the Hermitian H_i at the midpoint mids[i] of
     step i, of width dts[i]; `starts` holds the first step of each smooth
-    piece.  Step i applies exp(-i*dts[i]*G_i) with
+    piece, sorted, and a chunk boundary starts a piece.  Step i applies
+    exp(-i*dts[i]*G_i) with
 
         G_i = H_i + (dts[i]^2/24) H''_i + i (dts[i]^2/12) [H_i, H'_i],
 
@@ -289,18 +304,27 @@ def _magnus_generators(h: np.ndarray, mids: np.ndarray, dts: np.ndarray,
 
     g = h.copy()
     bounds = np.append(starts, len(mids))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo < 3:
-            continue
-        c = np.clip(np.arange(lo, hi), lo + 1, hi - 2)
-        x0, x1, x2 = mids[c - 1], mids[c], mids[c + 1]
-        d01 = (h[c] - h[c - 1]) / col(x1 - x0)
-        d12 = (h[c + 1] - h[c]) / col(x2 - x1)
-        half_h2 = (d12 - d01) / col(x2 - x0)  # H''/2
-        h1 = d01 + half_h2 * col(2 * mids[lo:hi] - x0 - x1)
-        x = h[lo:hi] @ h1  # [H, H'] = x - x^dagger, both factors Hermitian
-        g[lo:hi] += col(dts[lo:hi] ** 2 / 12) * (
-            half_h2 + 1j * (x - np.conj(np.swapaxes(x, -1, -2))))
+    piece = np.searchsorted(bounds, np.arange(len(mids)), side="right") - 1
+    lo, hi = bounds[piece], bounds[piece + 1]
+    i = np.flatnonzero(hi - lo >= 3)  # steps of pieces shorter than three keep G = H
+    c = np.clip(i, lo[i] + 1, hi[i] - 2)
+    x0, x1, x2 = mids[c - 1], mids[c], mids[c + 1]
+    # in place where the operands allow, so that a block of chunks keeps few
+    # step-sized temporaries alive; sums and products commute, so the values
+    # are those of the plain expressions
+    h1 = h[c] - h[c - 1]
+    h1 /= col(x1 - x0)
+    half_h2 = h[c + 1] - h[c]
+    half_h2 /= col(x2 - x1)
+    half_h2 -= h1
+    half_h2 /= col(x2 - x0)  # H''/2
+    h1 += half_h2 * col(2 * mids[i] - x0 - x1)  # H'
+    x = h[i] @ h1  # [H, H'] = x - x^dagger, both factors Hermitian
+    x -= np.conj(np.swapaxes(x, -1, -2))
+    x *= 1j
+    x += half_h2
+    x *= col(dts[i] ** 2 / 12)
+    g[i] += x
     return g
 
 
@@ -311,13 +335,34 @@ def _step_unitaries(g: np.ndarray, dts: np.ndarray) -> np.ndarray:
     return (vecs * phases[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
 
 
-def _chunk_propagator(params: ModelParams, builder, ks: np.ndarray, t_start: float,
-                      step: int, stride: int, dt: float, jump_times: np.ndarray) -> np.ndarray:
-    """Product of the Magnus step unitaries of steps step..step+stride-1 per
-    momentum, shape (L, q, q)."""
-    mids, dts, starts = _chunk_steps(t_start, step, stride, dt, jump_times)
-    g = _magnus_generators(builder.batch(params, ks, mids), mids, dts, starts)
-    return _chain_product(_step_unitaries(g, dts))
+def _chunk_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: float,
+                       chunks: int, stride: int, dt: float, jump_times: np.ndarray):
+    """Yield, in order, the propagators of chunks 0..chunks-1 of `stride`
+    steps from t_start, each the product of its Magnus step unitaries per
+    momentum, shape (L, q, q).
+
+    The chunks are solved in blocks of max(1, _BLOCKS_PER_SOLVE //
+    (stride*L)): one builder call, one generator pass and one batched
+    eigensolve over all steps of the block, and one chain product over its
+    chunks side by side.  A chunk split by a jump has more steps; the others
+    are padded at the end with exact identities, which leave their products
+    bit for bit as they are.
+    """
+    per_block = max(1, _BLOCKS_PER_SOLVE // (stride * params.L))
+    eye = np.eye(params.q, dtype=complex)
+    for first in range(0, chunks, per_block):
+        mids, dts, starts = zip(*(_chunk_steps(t_start, chunk * stride, stride, dt, jump_times)
+                                  for chunk in range(first, min(first + per_block, chunks))))
+        sizes = np.array([len(m) for m in mids])
+        offsets = np.cumsum(sizes) - sizes
+        mids, dts = np.concatenate(mids), np.concatenate(dts)
+        starts = np.concatenate([s + o for s, o in zip(starts, offsets)])
+        g = _magnus_generators(builder.batch(params, ks, mids), mids, dts, starts)
+        # u[j, n]: step j of the block's chunk n, identity past the chunk's end
+        u = np.broadcast_to(eye, (sizes.max(), len(sizes), params.L, params.q, params.q)).copy()
+        chunk = np.repeat(np.arange(len(sizes)), sizes)
+        u[np.arange(len(mids)) - offsets[chunk], chunk] = _step_unitaries(g, dts)
+        yield from _chain_product(u)
 
 
 def evolve(
@@ -340,9 +385,12 @@ def evolve(
     stencil reaches across it, since a step across a jump has an error of
     first order in dt.
 
-    A span of n >= 2 whole periods with `samples` a multiple of n solves the
-    chunk propagators of its first period only and applies them to every
-    period, so its jumps must repeat with the period (ValueError otherwise).
+    The chunk propagators are solved a block of chunks at a time, with one
+    `builder.batch` call and one batched eigensolve per block.  A span of
+    n >= 2 whole periods with `samples` a multiple of n solves the chunk
+    propagators of its first period only, keeps them and applies them to
+    every period, so its jumps must repeat with the period (ValueError
+    otherwise).
     Under `protocol` ECHO the sign of the Hamiltonian is reversed on every
     second period counted from t_start, which needs such a span with n even
     (ValueError otherwise); the other protocols only label the trajectory.
@@ -374,6 +422,8 @@ def evolve(
     c = np.einsum("jns,j->ns", np.conj(frame), psi0)
 
     per_period = samples // n_periods
+    propagators = _chunk_propagators(params, builder, ks, t_start, per_period, stride, dt,
+                                     jump_times)
     # the first period's chunk propagators, kept only when later periods reuse them
     first_period = (np.empty((per_period, params.L, params.q, params.q), dtype=complex)
                     if n_periods > 1 else None)
@@ -384,8 +434,7 @@ def evolve(
         period, i = divmod(chunk, per_period)
         step = chunk * stride
         if period == 0:
-            u_chunk = _chunk_propagator(params, builder, ks, t_start, step, stride, dt,
-                                        jump_times)
+            u_chunk = next(propagators)
             if first_period is not None:
                 first_period[i] = u_chunk
         elif echo and period % 2:

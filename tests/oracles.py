@@ -1,4 +1,5 @@
-"""Literal site-space formulas that the library evaluates by faster routes."""
+"""Literal site-space formulas and one-at-a-time solves that the library
+evaluates by faster routes."""
 
 import numpy as np
 
@@ -12,3 +13,13 @@ def bloch_states_real_space(bands, t_index):
     phase = np.exp(1j * bands.k_grid[:, None] * j) / np.sqrt(p.L)  # (L, N)
     u = bands.states[:, :, t_index, :]  # (q, L, q)
     return u[:, :, sub] * phase[None, :, :]
+
+
+def chunk_propagator(params, builder, ks, t_start, step, stride, dt, jump_times):
+    """Product of the Magnus step unitaries of steps step..step+stride-1 per
+    momentum, shape (L, q, q), solved for this one chunk alone."""
+    from aah_pump import dynamics
+
+    mids, dts, starts = dynamics._chunk_steps(t_start, step, stride, dt, jump_times)
+    g = dynamics._magnus_generators(builder.batch(params, ks, mids), mids, dts, starts)
+    return dynamics._chain_product(dynamics._step_unitaries(g, dts))

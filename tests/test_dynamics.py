@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aah_pump import dynamics, effective, model, observables, spectrum
 from aah_pump.dynamics import Protocol
 from aah_pump.model import ModelParams, Sign, TunnelingMode
-from oracles import bloch_states_real_space
+from oracles import bloch_states_real_space, chunk_propagator
 
 
 def test_frozen_hamiltonian_preserves_eigenstate_density():
@@ -210,6 +210,60 @@ def test_magnus_generator_exact_for_quadratic_h(d, seed, t0, dt, stride, jumps):
     np.testing.assert_allclose(g, expected, rtol=0, atol=1e-9 * scale)
 
 
+def test_magnus_generators_of_many_chunks_in_one_call():
+    # twelve chunks of four steps with jumps inside, on a step edge and close
+    # together, so the pieces include one- and two-step ones: one call over
+    # all of them must give each chunk's generators bit for bit, so no
+    # stencil reaches across a chunk boundary or a jump
+    rng = np.random.default_rng(3)
+    a, b, c = (m + np.conj(m.T) for m in
+               rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3)))
+    t0, dt, stride = 1.5, 0.1, 4
+    jumps = t0 + dt * np.array([1.5, 6.0, 13.2, 13.7, 22.0, 30.99, 41.0, 41.4])
+    chunks = [dynamics._chunk_steps(t0, n * stride, stride, dt, jumps) for n in range(12)]
+    sizes = [len(mids) for mids, _, _ in chunks]
+    mids = np.concatenate([m for m, _, _ in chunks])
+    dts = np.concatenate([d for _, d, _ in chunks])
+    starts = np.concatenate([s + o for (_, _, s), o in
+                             zip(chunks, np.cumsum(sizes) - sizes)])
+    assert np.min(np.diff(np.append(starts, len(mids)))) < 3
+
+    def h(t):
+        return a + b * t[:, None, None] + c * t[:, None, None] ** 2
+
+    g = dynamics._magnus_generators(h(mids), mids, dts, starts)
+    per_chunk = np.concatenate([dynamics._magnus_generators(h(m), m, d, s)
+                                for m, d, s in chunks])
+    assert np.array_equal(g, per_chunk)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(q=st.integers(2, 6), L=st.integers(3, 6), t0=st.floats(0.0, 700.0),
+       dt=st.floats(0.01, 0.3), stride=st.integers(3, 7), chunks=st.integers(1, 12),
+       per_block=st.integers(1, 13), spare=st.floats(0.0, 0.99),
+       jumps=st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), max_size=3))
+@example(q=3, L=4, t0=2.0, dt=0.1, stride=4, chunks=7, per_block=3, spare=0.5,
+         jumps=[(5 / 28, True), (6.5 / 28, False), (13.7 / 28, False), (14.2 / 28, False)])
+def test_block_propagators_match_the_per_chunk_oracle(q, L, t0, dt, stride, chunks,
+                                                      per_block, spare, jumps):
+    # blocks of per_block chunks, which need not divide the chunk count, give
+    # every chunk's propagator bit for bit as solving that chunk alone does;
+    # jumps fall inside steps or on their edges, and split some chunks
+    p = ModelParams(V0=10.0, p=1, q=q, L=L, phi0=0.3)
+    n_steps = chunks * stride
+    jump_times = np.array([t0 + (np.rint(x * n_steps) if on_edge else x * n_steps) * dt
+                           for x, on_edge in jumps])
+    ks = model.k_grid(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_BLOCKS_PER_SOLVE", int((per_block + spare) * stride * L))
+        blocked = list(dynamics._chunk_propagators(p, model.bloch_blocks, ks, t0, chunks,
+                                                   stride, dt, jump_times))
+    assert len(blocked) == chunks
+    for n, u in enumerate(blocked):
+        assert np.array_equal(u, chunk_propagator(p, model.bloch_blocks, ks, t0, n * stride,
+                                                  stride, dt, jump_times))
+
+
 FAST = ModelParams(V0=10.0, omega=0.2)
 
 
@@ -263,6 +317,28 @@ def test_two_cycle_run_solves_one_period(monkeypatch, protocol):
                                  seam_threshold=None)
     steps = round((traj.times[-1] - traj.times[0]) / traj.dt)
     assert sum(solved) == steps // 2 * FAST.L
+
+
+@pytest.mark.parametrize("n_cycles", [1, 2])
+def test_evolve_builds_a_block_of_chunks_per_call(n_cycles):
+    calls = []
+
+    def builder(params, k, t):
+        return model.bloch_blocks(params, k, t)
+
+    def batch(params, k, ts):
+        calls.append(len(ts))
+        return model.bloch_blocks_batch(params, k, ts)
+
+    builder.batch = batch
+    traj = dynamics.run_protocol(FAST, Protocol.TRADITIONAL, n_cycles, 27,
+                                 samples_per_cycle=10, bloch_builder=builder,
+                                 seam_threshold=None)
+    stride = round(FAST.period / traj.dt) // 10
+    per_block = max(1, dynamics._BLOCKS_PER_SOLVE // (stride * FAST.L))
+    assert 1 < per_block < 10  # one call per chunk would be told apart
+    assert len(calls) == math.ceil(10 / per_block)
+    assert sum(calls) == 10 * stride
 
 
 def test_suppressed_forces_sine(traj_suppressed_1c):
