@@ -8,8 +8,9 @@ and message.  Runs are deterministic: identical configurations produce
 bit-identical files.
 
 Config files use `key = value` lines (# comments allowed); any CLI flag
-overrides the file.  Exit codes: 0 success, 1 numerical/validation failure,
-2 usage error.
+overrides the file.  The value `none` is taken only by the fields that default
+to none, and the experiment is the first argument, never a key.  Exit codes:
+0 success, 1 numerical/validation failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -91,10 +92,14 @@ def parse_config_file(path: str) -> dict:
 
 def _coerce(field_name: str, value: str):
     types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    if field_name == "experiment":
+        raise ValueError("the experiment is the first argument, not a config key")
     if field_name not in types:
         raise ValueError(f"unknown config key {field_name!r}")
     hint = types[field_name]
     if value == "none":
+        if "None" not in hint:
+            raise ValueError(f"{field_name} cannot be none")
         return None
     if "int" in hint:
         return int(value)

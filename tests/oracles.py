@@ -15,11 +15,29 @@ def bloch_states_real_space(bands, t_index):
     return u[:, :, sub] * phase[None, :, :]
 
 
+def chunk_steps(t_start, step, stride, dt, jump_times):
+    """(mids, dts, starts) of steps step..step+stride-1 placed one chunk at a
+    time: their midpoints, their widths and the first step of each smooth
+    piece.  A jump of H starts a new piece: a step across it is split there,
+    and a jump within 1e-9*dt of a step edge starts the piece at that edge."""
+    pos = (jump_times - t_start) / dt - step  # in steps from the chunk start
+    inside = (pos > 1e-9) & (pos < stride - 1e-9)
+    pos, cuts = pos[inside], jump_times[inside]
+    on_edge = np.abs(pos - np.rint(pos)) <= 1e-9
+    cuts = np.where(on_edge, t_start + (step + np.rint(pos)) * dt, cuts)
+    edges = np.sort(np.concatenate([t_start + (step + np.arange(stride + 1)) * dt,
+                                    cuts[~on_edge]]))
+    return (0.5 * (edges[1:] + edges[:-1]), np.diff(edges),
+            np.sort(np.append(0, np.searchsorted(edges, cuts))))
+
+
 def chunk_propagator(params, builder, ks, t_start, step, stride, dt, jump_times):
     """Product of the Magnus step unitaries of steps step..step+stride-1 per
     momentum, shape (L, q, q), solved for this one chunk alone."""
     from aah_pump import dynamics
 
-    mids, dts, starts = dynamics._chunk_steps(t_start, step, stride, dt, jump_times)
-    g = dynamics._magnus_generators(builder.batch(params, ks, mids), mids, dts, starts)
-    return dynamics._chain_product(dynamics._step_unitaries(g, dts))
+    mids, dts, starts = chunk_steps(t_start, step, stride, dt, jump_times)
+    h = np.moveaxis(builder.batch(params, ks, mids), (-2, -1), (0, 1))
+    g = dynamics._magnus_generators(h, mids, dts, starts)
+    u = dynamics._chain_product(dynamics._step_unitaries(g, dts))
+    return np.moveaxis(u, (0, 1), (-2, -1))

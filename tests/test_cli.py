@@ -26,6 +26,27 @@ def test_invalid_config_key_exits_2(tmp_path):
     assert cli.main(["chern", "--outdir", str(tmp_path), "--set", "bogus=1"]) == 2
 
 
+@pytest.mark.parametrize("override", ["experiment=chern", "J=none", "outdir=none"])
+def test_invalid_config_value_exits_2(tmp_path, capsys, override):
+    # the experiment comes from the first argument only, and only fields that
+    # default to none take it
+    assert cli.main(["bands", "--outdir", str(tmp_path), "--set", override]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_experiment_key_in_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiment = chern\n")
+    assert cli.main(["bands", str(cfg), "--outdir", str(tmp_path)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_none_sets_an_optional_field(tmp_path):
+    assert cli.main(["bands", "--outdir", str(tmp_path), "--set", "n_t=24",
+                     "--set", "band=none"]) == 0
+    assert read_manifest(tmp_path, "bands")["config"]["band"] is None
+
+
 def test_malformed_config_file_exits_2(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("omega 0.1\n")

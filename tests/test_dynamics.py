@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from aah_pump import dynamics, effective, model, observables, spectrum
 from aah_pump.dynamics import Protocol
 from aah_pump.model import ModelParams, Sign, TunnelingMode
-from oracles import bloch_states_real_space, chunk_propagator
+from oracles import bloch_states_real_space, chunk_propagator, chunk_steps
 
 
 def test_frozen_hamiltonian_preserves_eigenstate_density():
@@ -53,6 +53,27 @@ def test_dt_cap_enforced(paper_params):
     cap = dynamics.dt_max(paper_params)
     with pytest.raises(ValueError):
         dynamics.evolve(paper_params, 27, 0.0, 1.0, dt=3 * cap)
+
+
+def test_dt_max_probes_once_per_params_and_builder():
+    calls = []
+
+    def builder(params, k, t):
+        calls.append(t)
+        return model.bloch_blocks(params, k, t)
+
+    p = ModelParams(phi0=0.123)
+    cap = dynamics.dt_max(p, builder)
+    assert len(calls) == 32
+    # the probe of one (params, builder) pair is remembered
+    assert dynamics.dt_max(p, builder) == cap
+    assert len(calls) == 32
+    ks = model.k_grid(p)
+    hmax = max(np.max(np.abs(np.linalg.eigvalsh(model.bloch_blocks(p, ks, t))))
+               for t in np.linspace(0.0, p.period, 32, endpoint=False))
+    assert cap == 2.0 / hmax
+    dynamics.dt_max(dataclasses.replace(p, phi0=0.2), builder)
+    assert len(calls) == 64
 
 
 def test_initial_state_validation(paper_params):
@@ -165,21 +186,24 @@ def test_magnus_generator_symmetries(data, q, L, phi0, ratio, mode, sign, t0, dt
                     tunneling_mode=mode, sign=sign)
     flipped = dataclasses.replace(p, sign=Sign.MINUS if sign is Sign.PLUS else Sign.PLUS)
     jumps = np.array([] if jump is None else [t0 + jump * stride * dt])
-    mids, dts, starts = dynamics._chunk_steps(t0, 0, stride, dt, jumps)
+    mids, dts, starts, _ = dynamics._block_steps(t0, 0, stride, 1, dt, jumps)
     ks = model.k_grid(p)
-    h = model.bloch_blocks_batch(p, ks, mids)
+
+    def blocks(params):  # (q, q, steps, L), the layout of the step kernels
+        return np.moveaxis(model.bloch_blocks_batch(params, ks, mids), (-2, -1), (0, 1))
+
+    h = blocks(p)
     scale = np.max(np.abs(h))
     g = dynamics._magnus_generators(h, mids, dts, starts)
-    np.testing.assert_allclose(g, np.conj(np.swapaxes(g, -1, -2)), rtol=0,
+    np.testing.assert_allclose(g, np.conj(np.swapaxes(g, 0, 1)), rtol=0,
                                atol=1e-12 * scale)
     # a static H has no derivatives, so G is H itself
-    static = np.broadcast_to(h[:1], h.shape)
+    static = np.broadcast_to(h[:, :, :1], h.shape)
     assert np.array_equal(dynamics._magnus_generators(static, mids, dts, starts), static)
     # G[-H](k) = -conj(G[H](-k)): what lets an echo-reversed period reuse the
     # forward one
-    g_flipped = dynamics._magnus_generators(model.bloch_blocks_batch(flipped, ks, mids),
-                                            mids, dts, starts)
-    np.testing.assert_allclose(g_flipped, -np.conj(g[:, model._reversed_k(p.L)]),
+    g_flipped = dynamics._magnus_generators(blocks(flipped), mids, dts, starts)
+    np.testing.assert_allclose(g_flipped, -np.conj(g[:, :, :, model._reversed_k(p.L)]),
                                rtol=0, atol=1e-12 * scale)
 
 
@@ -194,7 +218,7 @@ def test_magnus_generator_exact_for_quadratic_h(d, seed, t0, dt, stride, jumps):
     a, b, c = (m + np.conj(m.T) for m in
                rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d)))
     cuts = np.array([t0 + f * stride * dt for f in jumps])
-    mids, dts, starts = dynamics._chunk_steps(t0, 0, stride, dt, cuts)
+    mids, dts, starts, _ = dynamics._block_steps(t0, 0, stride, 1, dt, cuts)
     t = mids[:, None, None]
     h = a + b * t + c * t ** 2
     slope = b + 2 * c * t
@@ -205,9 +229,10 @@ def test_magnus_generator_exact_for_quadratic_h(d, seed, t0, dt, stride, jumps):
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi - lo < 3:
             expected[lo:hi] = h[lo:hi]
-    g = dynamics._magnus_generators(h, mids, dts, starts)
+    # the kernels take the matrix axes first, (d, d, steps)
+    g = dynamics._magnus_generators(np.moveaxis(h, 0, -1), mids, dts, starts)
     scale = np.max(np.abs(h)) * (1 + np.max(np.abs(t)))
-    np.testing.assert_allclose(g, expected, rtol=0, atol=1e-9 * scale)
+    np.testing.assert_allclose(g, np.moveaxis(expected, 0, -1), rtol=0, atol=1e-9 * scale)
 
 
 def test_magnus_generators_of_many_chunks_in_one_call():
@@ -220,7 +245,7 @@ def test_magnus_generators_of_many_chunks_in_one_call():
                rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3)))
     t0, dt, stride = 1.5, 0.1, 4
     jumps = t0 + dt * np.array([1.5, 6.0, 13.2, 13.7, 22.0, 30.99, 41.0, 41.4])
-    chunks = [dynamics._chunk_steps(t0, n * stride, stride, dt, jumps) for n in range(12)]
+    chunks = [chunk_steps(t0, n * stride, stride, dt, jumps) for n in range(12)]
     sizes = [len(mids) for mids, _, _ in chunks]
     mids = np.concatenate([m for m, _, _ in chunks])
     dts = np.concatenate([d for _, d, _ in chunks])
@@ -228,13 +253,50 @@ def test_magnus_generators_of_many_chunks_in_one_call():
                              zip(chunks, np.cumsum(sizes) - sizes)])
     assert np.min(np.diff(np.append(starts, len(mids)))) < 3
 
-    def h(t):
-        return a + b * t[:, None, None] + c * t[:, None, None] ** 2
+    def h(t):  # (3, 3, steps), the layout of the step kernels
+        return a[..., None] + b[..., None] * t + c[..., None] * t ** 2
 
     g = dynamics._magnus_generators(h(mids), mids, dts, starts)
     per_chunk = np.concatenate([dynamics._magnus_generators(h(m), m, d, s)
-                                for m, d, s in chunks])
+                                for m, d, s in chunks], axis=2)
     assert np.array_equal(g, per_chunk)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t0=st.floats(-700.0, 700.0), dt=st.floats(0.01, 0.5), stride=st.integers(3, 9),
+       step=st.integers(0, 50), chunks=st.integers(1, 12),
+       jumps=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                st.sampled_from(["inside", "step edge", "chunk edge"]),
+                                st.floats(-1e-9, 1e-9)), max_size=6))
+@example(t0=1.5, dt=0.1, stride=4, step=0, chunks=3,
+         jumps=[(0.5, "chunk edge", 0.0), (0.5, "chunk edge", 5e-10), (0.4, "step edge", 0.0),
+                (0.4, "step edge", -9e-10), (0.8, "inside", 0.0)])
+def test_block_steps_place_each_chunk_as_if_alone(t0, dt, stride, step, chunks, jumps):
+    # one call over `chunks` chunks gives, bit for bit, the steps of one
+    # single-chunk call per chunk and of the per-chunk oracle, with jumps
+    # inside steps, on step edges and on chunk boundaries, exactly or within
+    # 1e-9*dt; every chunk boundary starts a piece
+    n_steps = chunks * stride
+    times = []
+    for x, where, nudge in jumps:
+        at = {"inside": x * n_steps, "step edge": np.rint(x * n_steps),
+              "chunk edge": stride * np.rint(x * chunks)}[where]
+        times.append(t0 + (step + at + nudge) * dt)
+    jump_times = np.array(times)
+    mids, dts, starts, offsets = dynamics._block_steps(t0, step, stride, chunks, dt,
+                                                       jump_times)
+    singles = [dynamics._block_steps(t0, step + n * stride, stride, 1, dt, jump_times)
+               for n in range(chunks)]
+    oracle = [chunk_steps(t0, step + n * stride, stride, dt, jump_times)
+              for n in range(chunks)]
+    sizes = [len(m) for m, _, _ in oracle]
+    assert np.array_equal(offsets, np.cumsum(sizes) - sizes)
+    for placed in (singles, oracle):
+        assert np.array_equal(mids, np.concatenate([m for m, *_ in placed]))
+        assert np.array_equal(dts, np.concatenate([d for _, d, *_ in placed]))
+        assert np.array_equal(starts, np.concatenate(
+            [s + o for (_, _, s, *_), o in zip(placed, offsets)]))
+    assert np.all(np.isin(offsets, starts))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
