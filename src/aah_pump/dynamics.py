@@ -145,25 +145,26 @@ class PhaseRecord:
     xi: np.ndarray  # x_b - q*C
 
 
-def dt_max(params: ModelParams, bloch_builder=None, n_probe: int = 32) -> float:
-    """Step cap 2 / max_t ||H(t)||_2, probed over one period.
+def dt_max(params: ModelParams, bloch_builder=None) -> float:
+    """Step cap 2 / max_t ||H(t)||_2, probed at 32 equally spaced times of one
+    period.
 
     The Magnus series of a step converges while h*||H|| < pi (Blanes et al.,
     Phys. Rep. 470, 151 (2009)), and the cap keeps h*||H|| <= 2 inside that
     bound.  Measured on one paper cycle, the state error is 1.5e-6 at the cap
     and stays fourth order up to h*||H|| = 3 (9.5e-6); at h*||H|| = 4, past
     the bound, it jumps to 1.4e-3.  The rest of the measured accuracy is in
-    the module docstring.  The cap is probed once per (params, builder,
-    n_probe) and remembered, so a run that picks dt and then propagates with
-    it probes once.
+    the module docstring.  The cap is probed once per (params, builder) and
+    remembered, so a run that picks dt and then propagates with it probes
+    once.
     """
-    return _probed_dt_max(params, bloch_builder or bloch_blocks, n_probe)
+    return _probed_dt_max(params, bloch_builder or bloch_blocks)
 
 
 @functools.lru_cache(maxsize=32)
-def _probed_dt_max(params: ModelParams, builder, n_probe: int) -> float:
+def _probed_dt_max(params: ModelParams, builder) -> float:
     ks = k_grid(params)
-    ts = np.linspace(0.0, params.period, n_probe, endpoint=False)
+    ts = np.linspace(0.0, params.period, 32, endpoint=False)
     evals = np.linalg.eigvalsh(np.stack([builder(params, ks, t) for t in ts]))
     return 2.0 / float(np.max(np.abs(evals)))
 
@@ -626,42 +627,3 @@ def accumulate_phases(params: ModelParams, bands: BandSolution, m: int) -> Phase
         x_d=x_d,
         xi=x_b - params.q * c_m,
     )
-
-
-def dynamical_phase_trace(
-    params: ModelParams,
-    m: int,
-    k_indices=None,
-    n_t: int = 512,
-    n_cycles: int = 2,
-    protocol: Protocol = Protocol.TRADITIONAL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Running dynamical phase gamma_d(k, t) across n_cycles.
-
-    Returns (times, gammas) with gammas of shape (len(k_indices), n_samples).
-    Under ECHO the sign alternates each cycle, so the per-cycle contributions
-    cancel pairwise and gamma_d(k, 2T) = 0.
-    """
-    from .spectrum import solve_bands
-
-    t_cycle = np.linspace(0.0, params.period, n_t + 1)
-    bands = solve_bands(params, t_cycle)
-    energies = bands.energies[m]  # (L, M)
-    if k_indices is None:
-        k_indices = np.arange(params.L)
-    k_indices = np.asarray(k_indices, dtype=int)
-    e_sel = energies[k_indices]
-
-    seg = np.concatenate(
-        [np.zeros((len(k_indices), 1)),
-         np.cumsum((e_sel[:, 1:] + e_sel[:, :-1]) / 2.0 * np.diff(t_cycle), axis=1)],
-        axis=1,
-    )
-    times = [t_cycle]
-    gammas = [-seg]
-    for c in range(1, n_cycles):
-        sign = -1.0 if (protocol is Protocol.ECHO and c % 2 == 1) else 1.0
-        offset = gammas[-1][:, -1:]
-        times.append(c * params.period + t_cycle[1:])
-        gammas.append(offset - sign * seg[:, 1:])
-    return np.concatenate(times), np.concatenate(gammas, axis=1)

@@ -16,8 +16,7 @@ block-diagonal H_eff.  `sw_generic` is its two-cluster form on one matrix.
 H_T is that routine run on the chain's own Hamiltonian on a three-cell ring,
 the resonant pair of the time's region being one cluster and the third
 sublattice the other; its cell-0 rows are read back as a
-`model.HoppingTable`, which `effective_cycle_hamiltonian` and
-`effective_bloch_blocks` assemble as a dense ring matrix and as Bloch
+`model.HoppingTable`, which `effective_bloch_blocks` assembles as Bloch
 blocks.  `effective_params` reads the couplings of one region off the same
 table.  The hand-derived q = 3 closed forms live in the tests as an oracle.
 """
@@ -64,16 +63,11 @@ class EffectiveParams:
 
 def _region_index(phi) -> np.ndarray:
     """Index into tuple(Region) of each phase: the count of boundaries
-    pi/6 + n*pi/3 below the reduced phase, modulo 3."""
+    pi/6 + n*pi/3 below the reduced phase, modulo 3.  So I is [0,pi/6) u
+    [5pi/6,7pi/6) u [11pi/6,2pi), II is [pi/6,pi/2) u [7pi/6,3pi/2) and III
+    is [pi/2,5pi/6) u [3pi/2,11pi/6)."""
     edges = np.arange(1, 12, 2) * (np.pi / 6.0)
     return np.searchsorted(edges, np.mod(phi, 2.0 * np.pi), side="right") % 3
-
-
-def region_of_phase(phi: float) -> Region:
-    """Region of the reduced modulation phase, by the cycle partition
-    I: [0,pi/6) u [5pi/6,7pi/6) u [11pi/6,2pi]; II: [pi/6,pi/2) u
-    [7pi/6,3pi/2); III: [pi/2,5pi/6) u [3pi/2,11pi/6)."""
-    return tuple(Region)[_region_index(float(phi))]
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -188,10 +182,10 @@ def effective_params(params: ModelParams, t: float, region: Region | None = None
     gap_floor = 0.1*V0 apart.
     """
     phi = float(np.mod(params.phase(t), 2.0 * np.pi))
-    own = region_of_phase(phi)
+    r = int(_region_index(phi))
+    own = tuple(Region)[r]
     if region is not None and region is not own:
         raise ValueError(f"phi(t) = {phi:.4f} lies in region {own.value}, not {region.value}")
-    r = tuple(Region).index(own)
     table = _effective_table(params, [t])
     amp = {bond[:3]: float(bond[3][0]) for bond in table.bonds}
     chain = hopping_table(params, [t])
@@ -203,16 +197,6 @@ def effective_params(params: ModelParams, t: float, region: Region | None = None
         biases=(va - vb, vb - vc, va - vc),
         bare=tuple(float(bond[3][0]) for bond in chain.bonds),
     )
-
-
-def effective_cycle_hamiltonian(params: ModelParams, t: float) -> np.ndarray:
-    """Piecewise cycle generator H_T(t) on the L-cell ring (dense N x N).
-
-    Assembles the region-owning effective Hamiltonian from the H_T table;
-    continuous within each region and discontinuous at region boundaries,
-    where the cluster partition changes.
-    """
-    return ring_from_table(_effective_table(params, np.array([t])), params.L)[0]
 
 
 def effective_bloch_blocks(params: ModelParams, k: np.ndarray, t: float) -> np.ndarray:

@@ -20,7 +20,7 @@ dense reference.
 
 Bloch reduction: with psi_j = e^{ikj} u_{s(j)} / sqrt(L) and u strictly
 q-periodic, each quasi-momentum k of the ring gives a q x q Hermitian block.
-`bloch_hamiltonian` returns the cell-gauge matrix (plain intra-cell bonds,
+`bloch_blocks` returns the cell-gauge matrices (plain intra-cell bonds,
 wrap bond carrying e^{ikq}); the diagonal map w_s = e^{iks} u_s converts its
 eigenvectors to the site-phase periodic parts used by the Wannier and Berry
 machinery (see `spectrum.solve_bands`).
@@ -34,8 +34,6 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-
-HERMITICITY_ATOL = 1e-12
 
 
 class TunnelingMode(Enum):
@@ -81,6 +79,9 @@ class ModelParams:
             raise ValueError(f"p and q must be coprime, got p={self.p}, q={self.q}")
         if self.L < 3:
             raise ValueError(f"L must be >= 3, got {self.L}")
+        for name in ("J", "V0", "phi0", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega <= 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
@@ -224,22 +225,6 @@ def k_grid(params: ModelParams) -> np.ndarray:
     return 2.0 * np.pi * _k_wavenumbers(params.L) / (params.q * params.L)
 
 
-def _check_on_grid(params: ModelParams, k: float) -> None:
-    grid = k_grid(params)
-    if not np.any(np.abs(grid - k) < 1e-9):
-        raise ValueError(
-            f"k={k} is not on the {params.L}-point momentum grid; discrete "
-            "Berry phases require grid momenta"
-        )
-
-
-def bloch_hamiltonian(params: ModelParams, k: float, t: float) -> np.ndarray:
-    """q x q Bloch block at grid momentum k: intra-cell bonds are plain
-    hopping entries and the cell-boundary bond carries exp(+ikq)."""
-    _check_on_grid(params, k)
-    return bloch_blocks(params, np.asarray([k]), t)[0]
-
-
 def bloch_blocks(params: ModelParams, k: np.ndarray, t: float) -> np.ndarray:
     """Cell-gauge Bloch matrices for an array of momenta, shape (len(k), q, q)."""
     return bloch_blocks_batch(params, k, np.asarray([t]))[0]
@@ -270,10 +255,3 @@ def bz_wrap_phases(params: ModelParams) -> np.ndarray:
     """Component phases relating u(k + 2*pi/q) = diag(e^{-i 2*pi s/q}) u(k)."""
     s = np.arange(1, params.q + 1)
     return np.exp(-2j * np.pi * s / params.q)
-
-
-def check_hermitian(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> None:
-    """Raise if h deviates from Hermiticity beyond atol (absolute, entrywise)."""
-    dev = np.max(np.abs(h - h.conj().T))
-    if dev > atol:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")

@@ -71,9 +71,9 @@ class BandSolution:
     def min_gap(self) -> float:
         return float(np.min(self.energies[1:] - self.energies[:-1]))
 
-    def spans_period(self, rtol: float = 1e-9) -> bool:
+    def spans_period(self) -> bool:
         span = self.t_grid[-1] - self.t_grid[0]
-        return abs(span - self.params.period) < rtol * self.params.period
+        return abs(span - self.params.period) < 1e-9 * self.params.period
 
 
 @dataclass
@@ -97,11 +97,7 @@ def default_topology_grid(params: ModelParams, n_t: int = 240) -> np.ndarray:
     return np.linspace(0.0, params.period, n_t + 1)
 
 
-def solve_bands(
-    params: ModelParams,
-    t_grid: np.ndarray,
-    gap_tolerance: float | None = None,
-) -> BandSolution:
+def solve_bands(params: ModelParams, t_grid: np.ndarray) -> BandSolution:
     """Diagonalize the Bloch blocks on the full (k, t) grid.
 
     Eigenvectors are converted to the site-phase gauge and then rotated so
@@ -111,10 +107,9 @@ def solve_bands(
     momenta n <= rev[n] are solved, one of each +-k pair plus the
     self-conjugate k = 0 and, for even L, k = pi/q, and each solution also
     fills its partner.  Raises BandTouchingError if any inter-band gap drops
-    below `gap_tolerance` (default 1e-6 * V0).
+    below 1e-6 * |V0|.
     """
-    if gap_tolerance is None:
-        gap_tolerance = 1e-6 * abs(params.V0)
+    gap_tolerance = 1e-6 * abs(params.V0)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     ks = k_grid(params)
     rev = _reversed_k(params.L)

@@ -119,12 +119,6 @@ def parallel_transport_gauge(params: ModelParams, u: np.ndarray) -> np.ndarray:
     return theta
 
 
-def berry_connection_mean(params: ModelParams, u: np.ndarray) -> float:
-    """(1/L) * sum_k <u|i d_k|u> from link phases, in sites."""
-    args = np.angle(_link_overlaps(params, u))
-    return -params.q / (2.0 * np.pi) * float(np.sum(args))
-
-
 def mlws_gauge(bands: BandSolution, m: int, t_index: int = 0) -> np.ndarray:
     """Transport gauge with the loop-phase branch fixed by recentering.
 
@@ -143,7 +137,7 @@ def mlws_gauge(bands: BandSolution, m: int, t_index: int = 0) -> np.ndarray:
 def maximally_localize(
     bands: BandSolution,
     m: int,
-    cell: int | None = None,
+    cell: int,
     t_index: int = 0,
 ) -> tuple[WannierState, SpreadReport, np.ndarray]:
     """Maximally localized Wannier state of band m with home cell `cell`.
@@ -155,10 +149,7 @@ def maximally_localize(
     to lay out its L states, and gathers the complete (q, L, N) basis, O(qLN)
     in all; the audit's N x N Gram check, O(N^3), is most of its cost.
     """
-    p = bands.params
-    if cell is None:
-        cell = p.L // 2 + 1
-    thetas = [mlws_gauge(bands, b, t_index) for b in range(p.q)]
+    thetas = [mlws_gauge(bands, b, t_index) for b in range(bands.params.q)]
     basis = wannier_basis(bands, t_index, thetas)
     # a copy, so the state does not keep the whole basis alive
     state = WannierState(amplitudes=basis[m, cell - 1].copy(), band=m, cell=cell)

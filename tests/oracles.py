@@ -1,7 +1,10 @@
 """Literal site-space formulas and one-at-a-time solves that the library
-evaluates by faster routes."""
+evaluates by faster routes, and the checks and dense or scalar forms of
+library quantities that only the tests need."""
 
 import numpy as np
+
+from aah_pump import dynamics, effective, model, wannier
 
 
 def bloch_states_real_space(bands, t_index):
@@ -34,10 +37,33 @@ def chunk_steps(t_start, step, stride, dt, jump_times):
 def chunk_propagator(params, builder, ks, t_start, step, stride, dt, jump_times):
     """Product of the Magnus step unitaries of steps step..step+stride-1 per
     momentum, shape (L, q, q), solved for this one chunk alone."""
-    from aah_pump import dynamics
-
     mids, dts, starts = chunk_steps(t_start, step, stride, dt, jump_times)
     h = np.moveaxis(builder.batch(params, ks, mids), (-2, -1), (0, 1))
     g = dynamics._magnus_generators(h, mids, dts, starts)
     u = dynamics._chain_product(dynamics._step_unitaries(g, dts))
     return np.moveaxis(u, (0, 1), (-2, -1))
+
+
+def check_hermitian(h):
+    """Raise if h deviates from Hermiticity beyond 1e-12 (absolute, entrywise)."""
+    dev = np.max(np.abs(h - h.conj().T))
+    if dev > 1e-12:
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev:.3e}")
+
+
+def berry_connection_mean(params, u):
+    """(1/L) * sum_k <u|i d_k|u> from the link phases of `u`, shape (L, q), in
+    sites."""
+    args = np.angle(wannier._link_overlaps(params, u))
+    return -params.q / (2.0 * np.pi) * float(np.sum(args))
+
+
+def effective_cycle_hamiltonian(params, t):
+    """Piecewise cycle generator H_T(t) on the L-cell ring as a dense N x N
+    matrix, from the same table as `effective.effective_bloch_blocks`."""
+    return model.ring_from_table(effective._effective_table(params, [t]), params.L)[0]
+
+
+def region_of_phase(phi):
+    """Region of the cycle partition that owns the modulation phase phi."""
+    return tuple(effective.Region)[effective._region_index(float(phi))]

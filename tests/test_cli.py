@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +29,11 @@ def test_invalid_config_key_exits_2(tmp_path):
     assert cli.main(["chern", "--outdir", str(tmp_path), "--set", "bogus=1"]) == 2
 
 
-@pytest.mark.parametrize("override", ["experiment=chern", "J=none", "outdir=none"])
+@pytest.mark.parametrize("override",
+                         ["experiment=chern", "J=none", "outdir=none", "omega=nan"])
 def test_invalid_config_value_exits_2(tmp_path, capsys, override):
-    # the experiment comes from the first argument only, and only fields that
-    # default to none take it
+    # the experiment comes from the first argument only, only fields that
+    # default to none take it, and model parameters must be finite
     assert cli.main(["bands", "--outdir", str(tmp_path), "--set", override]) == 2
     assert "invalid configuration" in capsys.readouterr().err
 
@@ -175,6 +179,12 @@ def test_pump_echo_smoke(tmp_path):
     manifest = read_manifest(tmp_path, "pump-echo")
     assert manifest["protocol"] == "echo"
     assert manifest["n_cycles"] == 2
+    # overlaps with the orthonormal MLWS set of every cell: each in [0, 1],
+    # and by Bessel's inequality their sum is at most one
+    projections = manifest["projections_final"]
+    assert set(projections) == {f"mlws_cell{c}" for c in range(1, 16)}
+    assert all(0.0 <= value <= 1.0 for value in projections.values())
+    assert sum(projections.values()) <= 1.0 + 1e-12
 
 
 def test_pump_suppressed_smoke(tmp_path):
@@ -202,3 +212,11 @@ def test_mlws_initial_state(tmp_path):
     assert code == 0
     manifest = read_manifest(tmp_path, "pump-traditional")
     assert manifest["initial_state"] == "mlws band=2 cell=9"
+
+
+def test_cli_imports_without_scipy():
+    # numpy is the only runtime dependency
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import aah_pump.cli, sys; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

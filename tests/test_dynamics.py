@@ -504,21 +504,6 @@ def test_accumulate_phases_rejects_coarse_grid(paper_params):
         dynamics.accumulate_phases(paper_params, bands, 2)
 
 
-def test_dynamical_phase_trace_traditional(paper_params):
-    times, gam = dynamics.dynamical_phase_trace(
-        paper_params, 2, k_indices=[0, 7], n_t=256, n_cycles=2,
-        protocol=Protocol.TRADITIONAL)
-    assert gam[:, 0] == pytest.approx(0.0)
-    half = np.searchsorted(times, paper_params.period)
-    np.testing.assert_allclose(gam[:, -1], 2 * gam[:, half], rtol=1e-12)
-
-
-def test_dynamical_phase_trace_echo_cancellation(paper_params):
-    _, gam = dynamics.dynamical_phase_trace(
-        paper_params, 2, n_t=256, n_cycles=2, protocol=Protocol.ECHO)
-    assert np.max(np.abs(gam[:, -1])) < 1e-6
-
-
 def test_dt_halving_self_convergence(dt_halving_pair):
     coarse, fine = dt_halving_pair
     fidelity = abs(np.vdot(coarse.final_state, fine.final_state))

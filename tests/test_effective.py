@@ -4,6 +4,7 @@ import pytest
 from aah_pump import dynamics, effective, model
 from aah_pump.effective import Region
 from aah_pump.model import ModelParams, Sign, TunnelingMode
+from oracles import check_hermitian, effective_cycle_hamiltonian, region_of_phase
 
 
 def _h0_and_v(params, t):
@@ -111,7 +112,7 @@ def closed_forms(params, t):
     va, vb, vc = model.onsite_energy(params, s, t).tolist()
     j1, j2, j3 = model.tunneling(params, s, t).tolist()
     biases = (va - vb, vb - vc, va - vc)
-    region = effective.region_of_phase(params.phase(t))
+    region = region_of_phase(params.phase(t))
     *onsite, e1, e2, e3 = CLOSED_FORMS[region](va, vb, vc, j1, j2, j3, *biases)
     return region, {"onsite": tuple(onsite), "j1": e1, "j2": e2, "j3": e3,
                     "biases": biases, "bare": (j1, j2, j3)}
@@ -220,7 +221,7 @@ def test_sw_hermitian_output():
     v = (a + a.conj().T) / 2
     np.fill_diagonal(v, 0.0)
     out = effective.sw_generic(h0, v, [0, 3, 5], order=3)
-    model.check_hermitian(out)
+    check_hermitian(out)
 
 
 def test_region_partition():
@@ -232,7 +233,7 @@ def test_region_partition():
         11 * np.pi / 6: Region.I, 2 * np.pi: Region.I,
     }
     for phi, reg in cases.items():
-        assert effective.region_of_phase(phi) is reg, phi
+        assert region_of_phase(phi) is reg, phi
 
 
 def test_effective_params_region_mismatch():
@@ -283,14 +284,14 @@ def test_engine_matches_closed_forms_random_draws():
 def test_h_t_matches_closed_forms_all_regions(mode, sign):
     p = ModelParams(tunneling_mode=mode, sign=sign)
     phis = (0.05, 2.9, 6.1, 0.7, 1.3, 4.0, 1.8, 2.4, 5.2)  # three per region
-    assert {effective.region_of_phase(phi) for phi in phis} == set(Region)
+    assert {region_of_phase(phi) for phi in phis} == set(Region)
     for phi in phis:
         check_against_closed_forms(p, (phi - p.phi0) / p.omega)
 
 
 def test_h_t_matches_closed_forms_on_criterion_07_draws():
     for p, region in criterion_07_draws():
-        assert effective.region_of_phase(p.phase(0.0)) is region
+        assert region_of_phase(p.phase(0.0)) is region
         check_against_closed_forms(p, 0.0, rel=1e-10)
 
 
@@ -300,7 +301,7 @@ def test_cycle_hamiltonian_is_dense_sw_of_the_ring(paper_params):
     p = paper_params
     for phi in (0.3, 1.0, 2.0):  # one phase per region
         t = (phi - p.phi0) / p.omega
-        region = effective.region_of_phase(phi)
+        region = region_of_phase(phi)
         h0, v = _h0_and_v(p, t)
         pair = _sublattice_sites(p, REGION_SUBSPACE[region])
         other = np.setdiff1d(np.arange(p.n_sites), pair)
@@ -308,7 +309,7 @@ def test_cycle_hamiltonian_is_dense_sw_of_the_ring(paper_params):
         for sites in (pair, other):
             dense[np.ix_(sites, sites)] = effective.sw_generic(
                 h0, v, sites, order=3, gap_floor=0.1 * p.V0)
-        np.testing.assert_allclose(effective.effective_cycle_hamiltonian(p, t), dense,
+        np.testing.assert_allclose(effective_cycle_hamiltonian(p, t), dense,
                                    rtol=0, atol=1e-12 * p.V0)
 
 
@@ -330,8 +331,8 @@ def test_cycle_hamiltonian_hermitian_and_spectrum_close(paper_params):
     ts = np.linspace(0.0, paper_params.period, 12, endpoint=False)
     bound = 40 * (paper_params.J / paper_params.V0) ** 4 * paper_params.V0
     for t in ts:
-        h_t = effective.effective_cycle_hamiltonian(paper_params, t)
-        model.check_hermitian(h_t)
+        h_t = effective_cycle_hamiltonian(paper_params, t)
+        check_hermitian(h_t)
         full = np.linalg.eigvalsh(model.real_space_hamiltonian(paper_params, t))
         assert np.max(np.abs(np.linalg.eigvalsh(h_t) - full)) < bound
 
@@ -345,7 +346,7 @@ def test_perturbative_scaling_fourth_order(paper_params):
         p = dataclasses.replace(paper_params, J=float(j))
         err = 0.0
         for t in np.linspace(0.0, p.period, 7, endpoint=False):
-            h_t = effective.effective_cycle_hamiltonian(p, t)
+            h_t = effective_cycle_hamiltonian(p, t)
             full = np.linalg.eigvalsh(model.real_space_hamiltonian(p, t))
             err = max(err, np.max(np.abs(np.linalg.eigvalsh(h_t) - full)))
         errs.append(err)
@@ -366,14 +367,14 @@ def test_effective_blocks_match_dense(paper_params):
                                seam_threshold=None)
         dense = dynamics.evolve_dense(paper_params, psi, t0, t0 + 1.0, dt=fast.dt,
                                       samples=2,
-                                      hamiltonian=effective.effective_cycle_hamiltonian)
+                                      hamiltonian=effective_cycle_hamiltonian)
         np.testing.assert_allclose(fast.states, dense.states, atol=1e-12)
     # the batch builder masks each region's bonds; on times straddling all six
     # boundaries it must equal the blocks built one time at a time
     bounds = effective.region_boundaries(paper_params, 0.0, paper_params.period)
     assert len(bounds) == 6
     ts = np.sort(np.concatenate([bounds - 1e-3, bounds, bounds + 1e-3]))
-    assert {effective.region_of_phase(paper_params.phase(t)) for t in ts} == set(Region)
+    assert {region_of_phase(paper_params.phase(t)) for t in ts} == set(Region)
     batch = effective.effective_bloch_blocks_batch(paper_params, ks, ts)
     per_time = np.stack([effective.effective_bloch_blocks(paper_params, ks, t) for t in ts])
     np.testing.assert_allclose(batch, per_time, rtol=0, atol=1e-13)
@@ -384,8 +385,8 @@ def test_region_boundaries_are_the_jumps_of_h_t():
     times = effective.region_boundaries(p, 0.0, p.period)
     np.testing.assert_allclose(p.phase(times), np.pi / 6 + np.pi / 3 * np.arange(1, 7))
     for t in times:
-        assert (effective.region_of_phase(p.phase(t - 1e-6))
-                is not effective.region_of_phase(p.phase(t + 1e-6)))
+        assert (region_of_phase(p.phase(t - 1e-6))
+                is not region_of_phase(p.phase(t + 1e-6)))
 
 
 def test_step_split_at_region_boundary_keeps_second_order(paper_params):

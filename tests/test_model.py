@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from aah_pump import model
 from aah_pump.model import ModelParams, Sign, TunnelingMode
+from oracles import check_hermitian
 
 
 def test_params_validation():
@@ -21,6 +22,13 @@ def test_params_validation():
     p = ModelParams()
     assert p.n_sites == 45
     assert p.period == pytest.approx(2 * np.pi / 0.01)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["J", "V0", "phi0", "omega"])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ModelParams(**{field: value})
 
 
 def test_onsite_energy_values():
@@ -73,7 +81,7 @@ def test_tunneling_sine_zero_at_t0():
 def test_real_space_hamiltonian_hermitian_and_periodic_bond():
     p = ModelParams()
     h = model.real_space_hamiltonian(p, 12.3)
-    model.check_hermitian(h)
+    check_hermitian(h)
     assert h[44, 0] == pytest.approx(-1.0)  # ring-closing bond
 
 
@@ -137,11 +145,9 @@ def test_bloch_dimension_and_grid_rejection():
     ks = model.k_grid(p)
     assert len(ks) == p.L
     assert np.all(ks > -np.pi / p.q) and np.all(ks <= np.pi / p.q)
-    h = model.bloch_hamiltonian(p, ks[3], 0.0)
+    h = model.bloch_blocks(p, ks[3:4], 0.0)[0]
     assert h.shape == (3, 3)
-    model.check_hermitian(h)
-    with pytest.raises(ValueError):
-        model.bloch_hamiltonian(p, ks[3] + 0.01, 0.0)
+    check_hermitian(h)
 
 
 def test_bloch_gauge_periodicity():
@@ -179,9 +185,3 @@ def test_bloch_ansatz_solves_dense_problem():
         for m in range(p.q):
             psi = np.exp(1j * ks[n] * j) * u[n, m][(j - 1) % p.q] / np.sqrt(p.L)
             np.testing.assert_allclose(h @ psi, evals[n, m] * psi, atol=1e-10)
-
-
-def test_check_hermitian_raises():
-    a = np.array([[0.0, 1.0], [0.5, 0.0]])
-    with pytest.raises(ValueError):
-        model.check_hermitian(a)

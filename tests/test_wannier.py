@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from aah_pump import spectrum, wannier
 from aah_pump.model import ModelParams, Sign, TunnelingMode
+from oracles import berry_connection_mean
 
 
 def test_wannier_normalized_and_orthogonal(bands_t0):
@@ -63,7 +64,7 @@ def test_mean_position_identity(bands_t0, mlws9):
     state, report, theta = mlws9
     p = bands_t0.params
     u = bands_t0.states[2, :, 0, :] * np.exp(1j * theta)[:, None]
-    rhs = p.q * (9 - 1) + wannier.berry_connection_mean(p, u)
+    rhs = p.q * (9 - 1) + berry_connection_mean(p, u)
     assert report.center == pytest.approx(rhs, abs=1e-8)
 
 
