@@ -167,10 +167,7 @@ def _manifest(outdir: Path, cfg: RunConfig, params: ModelParams, extra: dict) ->
 def _trajectory_outputs(outdir: Path, params: ModelParams, traj, refs: dict) -> dict:
     t_over = traj.times / params.period
     bands_at = spectrum.solve_bands(params, traj.times)
-    pops = np.array(
-        [observables.band_population(traj.states[i], bands_at, i)
-         for i in range(len(traj.times))]
-    )
+    pops = observables.band_population(traj.states, bands_at)
     _write_table(
         outdir / "observables.tsv",
         "pump trajectory observables (positions in unit cells / sites)",
@@ -214,18 +211,11 @@ def _trajectory_outputs(outdir: Path, params: ModelParams, traj, refs: dict) -> 
 
 
 def _mlws_references(params: ModelParams) -> dict:
-    """The highest band's MLWS of every cell, each audited against the one
-    basis it is taken from, as `wannier.maximally_localize` does per call."""
+    """The highest band's MLWS of every cell, from `wannier.maximally_localize`."""
     bands0 = spectrum.solve_bands(params, np.array([0.0]))
     band = params.q - 1
-    basis = wannier.wannier_basis(bands0)
-    refs = {}
-    for cell in range(1, params.L + 1):
-        state = wannier.WannierState(amplitudes=basis[band, cell - 1].copy(),
-                                     band=band, cell=cell)
-        wannier.spread_decomposition(state, basis)
-        refs[f"mlws_cell{cell}"] = state.amplitudes
-    return refs
+    return {f"mlws_cell{cell}": wannier.maximally_localize(bands0, band, cell)[0].amplitudes
+            for cell in range(1, params.L + 1)}
 
 
 def run(cfg: RunConfig) -> int:

@@ -53,6 +53,9 @@ eigensolves still number steps x L, but the per-call overhead is paid per
 block.  At omega = 0.05 a chunk is 5 steps x 15 momenta and 6 chunks share a
 block; a paper chunk of 24 steps is a block by itself.  Blocks are made as
 the run reaches them, so a one-period run holds one block at a time.
+The state is carried as cell-gauge Bloch components, (L, q), from
+`model._to_momenta`; each chunk applies its propagator per momentum, and all
+samples go back to sites in one `model._from_momenta` after the chunk loop.
 The step kernels (`_magnus_generators`, `_step_unitaries`, `_chain_product`)
 take stacks with the matrix axes first, (q, q, step, L) here and
 (N, N, step) in `evolve_dense`, and multiply them with one einsum, `_mm`:
@@ -77,7 +80,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ModelParams, TunnelingMode, _reversed_k, bloch_blocks, k_grid
+from .model import (ModelParams, TunnelingMode, _from_momenta, _k_loop_increments, _reversed_k,
+                    _to_momenta, bloch_blocks, k_grid)
 from .observables import position_moments
 from .spectrum import BandSolution, chern_number
 from .wannier import WannierState
@@ -169,20 +173,6 @@ def _probed_dt_max(params: ModelParams, builder) -> float:
     return 2.0 / float(np.max(np.abs(evals)))
 
 
-def _bloch_frame(params: ModelParams) -> np.ndarray:
-    """Unitary frame F[j, n, s] mapping cell-gauge Bloch components to sites:
-    psi_j = sum_{n,s} F[j,n,s] c[n,s]."""
-    ks = k_grid(params)
-    j = np.arange(1, params.n_sites + 1)
-    cell = (j - 1) // params.q  # 0-based
-    sub = (j - 1) % params.q
-    frame = np.zeros((params.n_sites, params.L, params.q), dtype=complex)
-    frame[np.arange(params.n_sites), :, sub] = np.exp(
-        1j * np.outer(cell * params.q, ks)
-    ) / np.sqrt(params.L)
-    return frame
-
-
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix products a[:, :, ...] @ b[:, :, ...] of two stacks laid out matrix
     axes first, (d, d, ...)."""
@@ -230,12 +220,14 @@ def _check_seam(density, seam_threshold: float | None) -> None:
 
 def _step_grid(t_start: float, t_end: float, dt: float, samples: int) -> tuple:
     """(n_steps, dt, stride): `samples` chunks of `stride` >= 3 whole steps no
-    longer than dt over [t_start, t_end]; sample i falls at
-    t_start + i*span/samples.  Three steps per chunk give every step the
-    three midpoints its Magnus stencil needs."""
+    longer than dt > 0 (ValueError otherwise, NaN too) over [t_start, t_end];
+    sample i falls at t_start + i*span/samples.  Three steps per chunk give
+    every step the three midpoints its Magnus stencil needs."""
     span = t_end - t_start
     if span <= 0 or samples < 1:
         raise ValueError("need t_end > t_start and at least one sample")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     stride = max(3, int(np.ceil(span / (dt * samples) - 1e-12)))
     return stride * samples, span / (stride * samples), stride
 
@@ -421,6 +413,7 @@ def evolve(
     """Propagate with fourth-order Magnus steps over [t_start, t_end].
 
     Records the state at t_start + i*(t_end - t_start)/samples, i = 0..samples.
+    A given dt must be positive and at most `dt_max` (ValueError otherwise).
     `jump_times` lists the times at which the Hamiltonian is discontinuous;
     a step that straddles one is split into two steps there, and no Magnus
     stencil reaches across it, since a step across a jump has an error of
@@ -457,10 +450,12 @@ def evolve(
     jump_times = np.asarray(jump_times, dtype=float)
     _check_periodic_jumps(jump_times, t_start, t_end, n_periods, 1e-9 * dt)
 
-    frame = _bloch_frame(params)
     ks = k_grid(params)
     reversed_k = _reversed_k(params.L)
-    c = np.einsum("jns,j->ns", np.conj(frame), psi0)
+    root_l = np.sqrt(params.L)
+    # cell-gauge Bloch components of every sample, (L, q) each
+    sampled = np.empty((samples + 1, params.L, params.q), dtype=complex)
+    sampled[0] = _to_momenta(psi0.reshape(params.L, params.q)) / root_l
 
     per_period = samples // n_periods
     propagators = _chunk_propagators(params, builder, ks, t_start, per_period, stride, dt,
@@ -468,12 +463,8 @@ def evolve(
     # the first period's chunk propagators, kept only when later periods reuse them
     first_period = (np.empty((per_period, params.L, params.q, params.q), dtype=complex)
                     if n_periods > 1 else None)
-    sample_states = [psi0]
-    sample_times = [t_start]
-    norm_drift = 0.0
     for chunk in range(samples):
         period, i = divmod(chunk, per_period)
-        step = chunk * stride
         if period == 0:
             u_chunk = next(propagators)
             if first_period is not None:
@@ -484,13 +475,13 @@ def evolve(
             u_chunk = np.conj(first_period[i, reversed_k])
         else:
             u_chunk = first_period[i]
-        c = np.einsum("nij,nj->ni", u_chunk, c)
-        psi = np.einsum("jns,ns->j", frame, c)
-        sample_states.append(psi)
-        sample_times.append(t_start + (step + stride) * dt)
-        norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
+        sampled[chunk + 1] = np.einsum("nij,nj->ni", u_chunk, sampled[chunk])
 
-    traj = _trajectory(params, sample_times, sample_states, dt, norm_drift, protocol)
+    states = (_from_momenta(sampled) * root_l).reshape(samples + 1, -1)
+    states[0] = psi0
+    norm_drift = float(np.max(np.abs(np.linalg.norm(states[1:], axis=1) - 1.0)))
+    sample_times = t_start + (stride * np.arange(samples + 1)) * dt
+    traj = _trajectory(params, sample_times, states, dt, norm_drift, protocol)
     _check_seam(traj.seam_density_max, seam_threshold)
     return traj
 
@@ -566,35 +557,21 @@ def run_protocol(
     )
 
 
-def _wrapped_increments(values: np.ndarray, periodic_offset_free: bool) -> np.ndarray:
-    """Per-link increments around the momentum loop.
-
-    For phases defined modulo 2*pi every link takes the principal branch;
-    otherwise links use raw differences and only the seam is wrapped.
-    """
-    inc = np.empty_like(values)
-    inc[:-1] = np.diff(values)
-    inc[-1] = values[0] - values[-1]
-    if periodic_offset_free:
-        inc = np.angle(np.exp(1j * inc))
-    else:
-        inc[-1] = np.angle(np.exp(1j * inc[-1]))
-    return inc
-
-
 def _centered_k_derivative(values: np.ndarray, dk: float, wrap_all: bool) -> np.ndarray:
-    inc = _wrapped_increments(values, wrap_all)
+    inc = _k_loop_increments(values, wrap_all)
     return (inc + np.roll(inc, 1)) / (2.0 * dk)
 
 
 def accumulate_phases(params: ModelParams, bands: BandSolution, m: int) -> PhaseRecord:
     """Berry and dynamical phases of band m over one cycle, per momentum.
 
-    gamma_d integrates -E_m(k,t) dt by the trapezoid rule; gamma_b is the
-    discrete Berry phase of the closed time loop (sum of link phases, which
-    is gauge invariant).  X_b and X_d are centered momentum derivatives of
-    the unwrapped phases; xi = X_b - q*C_m.
+    gamma_d integrates -E_m(k,t) dt by the trapezoid rule; gamma_b is the discrete
+    Berry phase of the closed time loop (sum of link phases, which is gauge
+    invariant).  X_b and X_d are centered momentum derivatives of the unwrapped
+    phases; xi = X_b - q*C_m.  Raises ValueError unless m lies in 0..q-1.
     """
+    if not 0 <= m < bands.n_bands:
+        raise ValueError(f"band must lie in 0..{bands.n_bands - 1}, got {m}")
     if not bands.spans_period():
         raise ValueError("phase accumulation needs a t-grid covering one period")
     links_t = np.einsum(

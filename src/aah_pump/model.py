@@ -24,6 +24,16 @@ q-periodic, each quasi-momentum k of the ring gives a q x q Hermitian block.
 wrap bond carrying e^{ikq}); the diagonal map w_s = e^{iks} u_s converts its
 eigenvectors to the site-phase periodic parts used by the Wannier and Berry
 machinery (see `spectrum.solve_bands`).
+
+Site-to-momentum map, the one place the package goes between sites and
+momenta: with site j = qc + s (cells c = 0..L-1, sublattices s = 1..q) and a
+state reshaped to (L, q), `_to_momenta` gives sum_c e^{-ik_n qc} x_c for
+every grid momentum k_n = 2*pi*w_n/(qL) as one FFT over cells, whose slot
+w_n mod L holds momentum n (`_k_wavenumbers`); `_from_momenta` inverts it.
+Divided by sqrt(L) it gives the cell-gauge Bloch components c_n of
+psi_{qc+s} = sum_n e^{ik_n qc} c_n,s / sqrt(L).  `_closed_k_loop` closes the
+momentum loop with u(k_0 + 2*pi/q) = diag(`bz_wrap_phases`) u(k_0), and
+`_k_loop_increments` steps around it, principal branch at the seam.
 """
 
 from __future__ import annotations
@@ -213,6 +223,19 @@ def _k_wavenumbers(L: int) -> np.ndarray:
     return np.sort(w)
 
 
+def _to_momenta(x: np.ndarray) -> np.ndarray:
+    """Cell-axis DFT in `k_grid` order: y[..., n, s] = sum_c e^{-i k_n q c}
+    x[..., c, s] for x of shape (..., L, q), cells c = 0..L-1."""
+    L = x.shape[-2]
+    return np.fft.fft(x, axis=-2)[..., _k_wavenumbers(L) % L, :]
+
+
+def _from_momenta(y: np.ndarray) -> np.ndarray:
+    """Inverse of `_to_momenta`: x[..., c, s] = (1/L) sum_n e^{i k_n q c} y[..., n, s]."""
+    L = y.shape[-2]
+    return np.fft.ifft(y[..., np.argsort(_k_wavenumbers(L) % L), :], axis=-2)
+
+
 def _reversed_k(L: int) -> np.ndarray:
     """Grid index of -k for each grid momentum k, modulo 2*pi/q.  For even L
     the zone edge k = pi/q is its own partner, as is k = 0."""
@@ -255,3 +278,20 @@ def bz_wrap_phases(params: ModelParams) -> np.ndarray:
     """Component phases relating u(k + 2*pi/q) = diag(e^{-i 2*pi s/q}) u(k)."""
     s = np.arange(1, params.q + 1)
     return np.exp(-2j * np.pi * s / params.q)
+
+
+def _closed_k_loop(params: ModelParams, u: np.ndarray) -> np.ndarray:
+    """Site-gauge parts u over the k grid (axis 0, components last) extended by
+    u(k_0 + 2*pi/q), which closes the momentum loop: shape (L+1, ..., q)."""
+    return np.concatenate([u, u[:1] * bz_wrap_phases(params)], axis=0)
+
+
+def _k_loop_increments(values: np.ndarray, wrap_all: bool = False) -> np.ndarray:
+    """Increments values[n+1] - values[n] around the momentum loop, the last
+    from k_{L-1} back to k_0.  The seam increment takes the principal branch;
+    with `wrap_all`, for phases defined modulo 2*pi, every increment does."""
+    inc = np.append(np.diff(values), values[0] - values[-1])
+    if wrap_all:
+        return np.angle(np.exp(1j * inc))
+    inc[-1] = np.angle(np.exp(1j * inc[-1]))
+    return inc

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import _to_momenta
 from .spectrum import BandSolution
 
 
@@ -20,16 +21,19 @@ def position_moments(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return density, mean_x, d_w
 
 
-def band_population(state: np.ndarray, bands: BandSolution, t_index: int = 0) -> np.ndarray:
-    """Per-band weights sum_k |<psi_m(k,t)|state>|^2; they sum to one.
+def band_population(states: np.ndarray, bands: BandSolution) -> np.ndarray:
+    """Per-band weights sum_k |<psi_m(k, t_i)|states[i]>|^2, shape (M, q), for
+    one state per time t_i of `bands.t_grid`; each row sums to one.
 
     With site j = qc + s (s = 1..q), <psi_m(k)|state> is
     sum_s conj(u_{m,s}(k)) e^{-iks} sum_c e^{-ikqc} state_{qc+s} / sqrt(L):
-    one FFT over cells of the state's (L, q) reshape, then a contraction per k.
+    the cell-axis map `model._to_momenta` of the states' (M, L, q) reshape,
+    then a contraction per k.
     """
     p = bands.params
-    cells = np.fft.fft(np.reshape(state, (p.L, p.q)), axis=0)[bands.fft_index]  # (L, q)
+    cells = _to_momenta(np.reshape(states, (-1, p.L, p.q)))  # (M, L, q)
     s = np.arange(1, p.q + 1)
     cells = cells * np.exp(-1j * np.outer(bands.k_grid, s)) / np.sqrt(p.L)
-    amps = np.einsum("mks,ks->mk", np.conj(bands.states[:, :, t_index, :]), cells)
-    return np.sum(np.abs(amps) ** 2, axis=1)
+    # conjugate overlaps, of equal moduli, spare a copy of the band states
+    amps = np.einsum("mkis,iks->imk", bands.states, np.conj(cells))
+    return np.sum(np.abs(amps) ** 2, axis=2)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelParams, _reversed_k, bloch_blocks_batch, bz_wrap_phases,
+from .model import (ModelParams, _closed_k_loop, _reversed_k, bloch_blocks_batch,
                     cell_to_site_gauge, k_grid)
 
 
@@ -60,13 +60,6 @@ class BandSolution:
     @property
     def n_bands(self) -> int:
         return self.params.q
-
-    @property
-    def fft_index(self) -> np.ndarray:
-        """Slot of each k_n = 2*pi*w_n/(qL) in an FFT over the L cells, w_n mod L:
-        sum_c e^{-ik_n qc} x_c is np.fft.fft(x)[fft_index[n]]."""
-        p = self.params
-        return np.rint(self.k_grid * p.q * p.L / (2.0 * np.pi)).astype(int) % p.L
 
     def min_gap(self) -> float:
         return float(np.min(self.energies[1:] - self.energies[:-1]))
@@ -154,14 +147,6 @@ def solve_bands(params: ModelParams, t_grid: np.ndarray) -> BandSolution:
                         energies=energies, states=states)
 
 
-def _closed_loop_states(bands: BandSolution, m: int) -> np.ndarray:
-    """Band-m states extended by the wrapped k = k_0 + 2*pi/q point,
-    shape (L+1, M, q)."""
-    u = bands.states[m]  # (L, M, q)
-    wrapped = u[:1] * bz_wrap_phases(bands.params)[None, None, :]
-    return np.concatenate([u, wrapped], axis=0)
-
-
 def _check_torus(bands: BandSolution) -> None:
     if len(bands.t_grid) < 3 or not bands.spans_period():
         raise ValueError("Chern numbers require a t-grid covering one full period")
@@ -172,13 +157,13 @@ def _check_torus(bands: BandSolution) -> None:
 def berry_curvature_grid(bands: BandSolution, m: int) -> np.ndarray:
     """Plaquette-resolved Berry curvature of band m over the (k, t) torus.
 
-    Entry (n, i) is the phase of the oriented link product around the
-    plaquette [k_n, k_{n+1}] x [t_i, t_{i+1}]; the total divided by 2*pi is
-    the integer Chern number.  Orientation follows the curvature
-    i(<d_t u|d_k u> - <d_k u|d_t u>).
+    Entry (n, i) is the phase of the oriented link product around the plaquette
+    [k_n, k_{n+1}] x [t_i, t_{i+1}], with k_L = k_0 + 2*pi/q (`model._closed_k_loop`);
+    the total divided by 2*pi is the integer Chern number.  Orientation
+    follows the curvature i(<d_t u|d_k u> - <d_k u|d_t u>).
     """
     _check_torus(bands)
-    u = _closed_loop_states(bands, m)  # (L+1, M, q)
+    u = _closed_k_loop(bands.params, bands.states[m])  # (L+1, M, q)
     link_k = np.einsum("nms,nms->nm", np.conj(u[:-1]), u[1:])  # (L, M)
     link_t = np.einsum("nms,nms->nm", np.conj(u[:, :-1]), u[:, 1:])  # (L+1, M-1)
     if min(np.min(np.abs(link_k)), np.min(np.abs(link_t))) < 1e-8:

@@ -11,15 +11,16 @@ L states of a band are translates of one (L, q) cell transform
 
     w[d, s] = (1/L) * sum_k e^{ikqd} e^{i theta(k) + iks} u_{m,s}(k),
 
-one FFT over k, placed on every cell by index.  A band's set costs an
-O(qL log L) transform plus an O(LN) gather, and no site-space Bloch state
-is ever formed.  The gauge theta(k) minimizing the spread
-Omega = <X^2> - <X>^2 is found by parallel transport: re-phase so every
-link overlap <u(k_n)|u(k_{n+1})> is real positive, then spread the residual
-loop phase uniformly, which makes the discrete Berry connection
-k-uniform.  The spread splits into a gauge-invariant part Omega_I (inter-band
-matrix elements of X) and a gauge-dependent part Omega_D (intra-band,
-off-home-cell elements); Omega_D vanishes for the maximally localized state.
+the inverse cell-axis map `model._from_momenta`, placed on every cell by
+index.  A band's set costs an O(qL log L) transform plus an O(LN) gather,
+and no site-space Bloch state is ever formed.  The gauge theta(k) minimizing
+the spread Omega = <X^2> - <X>^2 is found by parallel transport: re-phase so
+every link overlap <u(k_n)|u(k_{n+1})> is real positive, then spread the
+residual loop phase uniformly, which makes the discrete Berry connection
+k-uniform.  The spread splits into a gauge-invariant part Omega_I
+(inter-band matrix elements of X) and a gauge-dependent part Omega_D
+(intra-band, off-home-cell elements); Omega_D vanishes for the maximally
+localized state.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, bz_wrap_phases
+from .model import ModelParams, _closed_k_loop, _from_momenta, _k_loop_increments
 from .observables import position_moments
 from .spectrum import BandSolution, BandTouchingError
 
@@ -60,9 +61,7 @@ def _cell_transform(bands: BandSolution, m: int, theta, t_index: int) -> np.ndar
         raise ValueError(f"theta must have one phase per momentum, shape ({p.L},)")
     s = np.arange(1, p.q + 1)
     a = np.exp(1j * (np.asarray(theta)[:, None] + np.outer(bands.k_grid, s)))
-    slotted = np.empty((p.L, p.q), dtype=complex)
-    slotted[bands.fft_index] = a * bands.states[m, :, t_index, :]
-    return np.fft.ifft(slotted, axis=0)
+    return _from_momenta(a * bands.states[m, :, t_index, :])
 
 
 def _band_wannier_states(bands: BandSolution, m: int, theta, t_index: int) -> np.ndarray:
@@ -93,9 +92,8 @@ def wannier_from_bloch(
 
 def _link_overlaps(params: ModelParams, u: np.ndarray) -> np.ndarray:
     """Overlaps <u_n|u_{n+1}> around the momentum loop, the last linking the
-    top of the zone back to k_0 + 2*pi/q via the wrap phases."""
-    wrapped = u[:1] * bz_wrap_phases(params)[None, :]
-    ext = np.concatenate([u, wrapped], axis=0)
+    top of the zone back to k_0 + 2*pi/q."""
+    ext = _closed_k_loop(params, u)
     return np.einsum("ns,ns->n", np.conj(ext[:-1]), ext[1:])
 
 
@@ -148,8 +146,14 @@ def maximally_localize(
     call runs two cell transforms per band, one to recenter its gauge and one
     to lay out its L states, and gathers the complete (q, L, N) basis, O(qLN)
     in all; the audit's N x N Gram check, O(N^3), is most of its cost.
+    Raises ValueError unless m lies in 0..q-1 and cell in 1..L.
     """
-    thetas = [mlws_gauge(bands, b, t_index) for b in range(bands.params.q)]
+    p = bands.params
+    if not 0 <= m < p.q:
+        raise ValueError(f"band must lie in 0..{p.q - 1}, got {m}")
+    if not 1 <= cell <= p.L:
+        raise ValueError(f"cell must lie in 1..{p.L}, got {cell}")
+    thetas = [mlws_gauge(bands, b, t_index) for b in range(p.q)]
     basis = wannier_basis(bands, t_index, thetas)
     # a copy, so the state does not keep the whole basis alive
     state = WannierState(amplitudes=basis[m, cell - 1].copy(), band=m, cell=cell)
@@ -236,9 +240,7 @@ def predict_dispersion(gamma: np.ndarray, k_grid: np.ndarray) -> float:
         raise ValueError("gamma and k_grid must have matching shapes")
     length = len(gamma)
     dk = k[1] - k[0]
-    inc = np.empty_like(gamma)
-    inc[:-1] = np.diff(gamma)
-    inc[-1] = np.angle(np.exp(1j * (gamma[0] - gamma[-1])))
+    inc = _k_loop_increments(gamma)
     if np.max(np.abs(inc)) >= np.pi:
         raise ValueError(
             "gamma is not unwrapped: adjacent increments reach pi; "

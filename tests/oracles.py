@@ -18,6 +18,20 @@ def bloch_states_real_space(bands, t_index):
     return u[:, :, sub] * phase[None, :, :]
 
 
+def bloch_frame(params):
+    """Unitary frame F[j, n, s] mapping cell-gauge Bloch components to sites,
+    psi_j = sum_{n,s} F[j,n,s] c[n,s], with n indexing `model.k_grid`."""
+    ks = model.k_grid(params)
+    j = np.arange(1, params.n_sites + 1)
+    cell = (j - 1) // params.q  # 0-based
+    sub = (j - 1) % params.q
+    frame = np.zeros((params.n_sites, params.L, params.q), dtype=complex)
+    frame[np.arange(params.n_sites), :, sub] = np.exp(
+        1j * np.outer(cell * params.q, ks)
+    ) / np.sqrt(params.L)
+    return frame
+
+
 def chunk_steps(t_start, step, stride, dt, jump_times):
     """(mids, dts, starts) of steps step..step+stride-1 placed one chunk at a
     time: their midpoints, their widths and the first step of each smooth

@@ -159,6 +159,26 @@ def test_failed_run_leaves_manifest(tmp_path, capsys):
     assert manifest_path.read_bytes() == first
 
 
+@pytest.mark.parametrize("experiment, override", [
+    ("pump-traditional", "dt=-1"),
+    ("pump-traditional", "dt=0"),
+    ("phases", "band=3"),
+    ("phases", "band=-1"),
+    ("pump-echo", "initial_mlws_band=3"),
+    ("pump-echo", "initial_mlws_band=-1"),
+    ("pump-echo", "initial_mlws_cell=0"),
+    ("pump-echo", "initial_mlws_cell=16"),
+])
+def test_out_of_range_input_leaves_failed_manifest(tmp_path, capsys, experiment, override):
+    # each is rejected by the library before any propagation, and the run
+    # records the ValueError
+    assert cli.main([experiment, "--outdir", str(tmp_path), "--set", override]) == 1
+    assert "run failed" in capsys.readouterr().err
+    manifest = read_manifest(tmp_path, experiment)
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "ValueError"
+
+
 def test_vanishing_link_leaves_failed_manifest(tmp_path, capsys, monkeypatch):
     # an MLWS start needs the transport gauge; with every k-link zero it raises
     # BandTouchingError before any dynamics, and the run must record it

@@ -55,6 +55,21 @@ def test_dt_cap_enforced(paper_params):
         dynamics.evolve(paper_params, 27, 0.0, 1.0, dt=3 * cap)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("propagate", [dynamics.evolve, dynamics.evolve_dense])
+def test_dt_must_be_positive(paper_params, propagate, dt):
+    # a negative or NaN dt passes the cap check, and the step grid would run
+    # a negative one at span/(3*samples), far past the cap
+    with pytest.raises(ValueError, match="dt must be positive"):
+        propagate(paper_params, 27, 0.0, 1.0, dt=dt)
+
+
+def test_first_sample_is_the_initial_state(traj_mlws_1c, mlws9):
+    # the samples are mapped from Bloch components back to sites, all but the
+    # first, which is the initial state as given
+    assert np.array_equal(traj_mlws_1c.states[0], mlws9[0].amplitudes)
+
+
 def test_dt_max_probes_once_per_params_and_builder():
     calls = []
 
@@ -449,10 +464,9 @@ def test_quantized_transport(traj_traditional_2c, traj_suppressed_1c, bands_topo
 def test_adiabatic_band_population(paper_params, traj_mlws_1c):
     idx = [0, len(traj_mlws_1c.times) // 2, -1]
     bands_at = spectrum.solve_bands(paper_params, traj_mlws_1c.times[idx])
-    for slot, i in enumerate(idx):
-        weights = observables.band_population(traj_mlws_1c.states[i], bands_at, slot)
-        assert weights[2] >= 0.99
-        assert weights.sum() == pytest.approx(1.0, abs=1e-10)
+    weights = observables.band_population(traj_mlws_1c.states[idx], bands_at)
+    assert np.all(weights[:, 2] >= 0.99)
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-10)
 
 
 def test_echo_relocalizes_vs_traditional(traj_echo_2c, traj_traditional_2c):
@@ -502,6 +516,12 @@ def test_accumulate_phases_rejects_coarse_grid(paper_params):
         paper_params, np.linspace(0.0, paper_params.period, 61))
     with pytest.raises(dynamics.GaugeContinuityError):
         dynamics.accumulate_phases(paper_params, bands, 2)
+
+
+@pytest.mark.parametrize("band", [-1, 3])
+def test_accumulate_phases_rejects_band_off_range(paper_params, bands_t0, band):
+    with pytest.raises(ValueError, match="band must lie in 0..2"):
+        dynamics.accumulate_phases(paper_params, bands_t0, band)
 
 
 def test_dt_halving_self_convergence(dt_halving_pair):

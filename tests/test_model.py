@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aah_pump import model
 from aah_pump.model import ModelParams, Sign, TunnelingMode
-from oracles import check_hermitian
+from oracles import bloch_frame, check_hermitian
 
 
 def test_params_validation():
@@ -185,3 +185,18 @@ def test_bloch_ansatz_solves_dense_problem():
         for m in range(p.q):
             psi = np.exp(1j * ks[n] * j) * u[n, m][(j - 1) % p.q] / np.sqrt(p.L)
             np.testing.assert_allclose(h @ psi, evals[n, m] * psi, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(q=st.integers(2, 5), L=st.integers(3, 20), seed=st.integers(0, 2**32 - 1))
+@example(q=3, L=4, seed=0)  # even L: the zone edge k = pi/q is on the grid
+def test_site_to_momentum_map(q, L, seed):
+    # the one cell-axis DFT against the dense Bloch frame, which names each
+    # grid momentum's row
+    p = ModelParams(q=q, L=L)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2, L, q)) + 1j * rng.normal(size=(2, L, q))
+    y = model._to_momenta(x)
+    np.testing.assert_allclose(model._from_momenta(y), x, rtol=0, atol=1e-14)
+    literal = np.einsum("jns,ij->ins", np.conj(bloch_frame(p)), x.reshape(2, -1))
+    np.testing.assert_allclose(y / np.sqrt(L), literal, rtol=0, atol=1e-13)

@@ -37,7 +37,7 @@ def test_global_phase_irrelevant():
 
 def test_band_population_eigenstate(bands_t0):
     psi = bloch_states_real_space(bands_t0, 0)[1, 6]
-    weights = observables.band_population(psi, bands_t0, 0)
+    weights = observables.band_population(psi[None], bands_t0)[0]
     assert weights[1] == pytest.approx(1.0, abs=1e-10)
     assert weights.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -46,24 +46,25 @@ def test_band_population_eigenstate(bands_t0):
 @given(q=st.integers(2, 6), L=st.integers(3, 13), t=st.floats(0.0, 700.0),
        seed=st.integers(0, 2**32 - 1))
 def test_band_population_matches_site_space_overlaps(q, L, t, seed):
-    # the per-cell FFT route against overlaps with the literal Bloch states
+    # the cell-axis FFT route, one call for one state per time, against
+    # overlaps with the literal Bloch states at each time
     p = ModelParams(q=q, p=1, L=L, phi0=0.3)
     try:
         bands = spectrum.solve_bands(p, np.array([0.0, t]))
     except spectrum.BandTouchingError:
         assume(False)
     rng = np.random.default_rng(seed)
-    state = rng.normal(size=p.n_sites) + 1j * rng.normal(size=p.n_sites)
-    state /= np.linalg.norm(state)
-    psi = bloch_states_real_space(bands, 1)
-    literal = np.sum(np.abs(np.einsum("mkn,n->mk", np.conj(psi), state)) ** 2, axis=1)
-    weights = observables.band_population(state, bands, 1)
+    states = rng.normal(size=(2, p.n_sites)) + 1j * rng.normal(size=(2, p.n_sites))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    literal = [np.sum(np.abs(np.conj(bloch_states_real_space(bands, i)) @ states[i]) ** 2,
+                      axis=1) for i in range(2)]
+    weights = observables.band_population(states, bands)
     np.testing.assert_allclose(weights, literal, rtol=0, atol=1e-14)
 
 
 def test_initial_site_highest_band_weight(bands_t0):
     # the bare site-27 state is dominated by the highest band
-    weights = observables.band_population(_delta(27), bands_t0, 0)
+    weights = observables.band_population(_delta(27)[None], bands_t0)[0]
     assert weights[2] == pytest.approx(0.999, abs=5e-4)
     assert weights.sum() == pytest.approx(1.0, abs=1e-10)
 

@@ -205,6 +205,13 @@ def test_wannier_from_bloch_rejects_cell_off_ring(bands_t0):
             wannier.wannier_from_bloch(bands_t0, 2, cell)
 
 
+@pytest.mark.parametrize("band, cell", [(3, 9), (-1, 9), (2, 0), (2, 16)])
+def test_maximally_localize_rejects_band_or_cell_off_range(bands_t0, band, cell):
+    # unchecked, cell 0 would index cell 15's state and band -1 the top band
+    with pytest.raises(ValueError, match="must lie in"):
+        wannier.maximally_localize(bands_t0, band, cell)
+
+
 def test_spread_audit_runs_on_every_call(bands_t0, monkeypatch):
     audits = []
     audit = wannier.spread_decomposition
