@@ -1,11 +1,20 @@
 """Command-line front end for pump experiments.
 
+`_RUNNERS` is the one place an experiment is registered: it maps each name
+to its runner, and the argument parser, `EXPERIMENTS` and `run` all read it.
 Each experiment writes plain delimited text files with commented headers plus
 a JSON manifest recording every resolved parameter, grid size, tolerance,
 and invariant check, with `status` "ok".  A run stopped by a typed library
 error still writes a manifest, with `status` "failed" and the error's type
 and message.  Runs are deterministic: identical configurations produce
 bit-identical files.
+
+A pump run takes its model from its protocol (`dynamics._protocol_params`):
+a suppressed run uses sine-modulated tunneling whatever `tunneling_mode`
+says, so its initial MLWS, its MLWS references, its Chern numbers and its
+manifest's model all come from the sine chain.  One t = 0 band solve serves
+the initial MLWS and the references, and one topology-grid solve serves all
+Chern numbers of a run.
 
 Config files use `key = value` lines (# comments allowed); any CLI flag
 overrides the file.  The value `none` is taken only by the fields that default
@@ -25,19 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, effective, observables, spectrum, wannier
-from .model import ModelParams, Sign, TunnelingMode, site_index
+from .model import ModelParams, TunnelingMode, site_index
 from .dynamics import Protocol
-
-EXPERIMENTS = (
-    "bands",
-    "chern",
-    "flatness",
-    "phases",
-    "pump-traditional",
-    "pump-echo",
-    "pump-suppressed",
-    "effective-compare",
-)
 
 _FLOAT_FMT = "%.17g"
 
@@ -64,15 +62,9 @@ class RunConfig:
     outdir: str = "runs"
 
     def model_params(self) -> ModelParams:
-        mode = {
-            "uniform": TunnelingMode.UNIFORM,
-            "sine": TunnelingMode.SINE_MODULATED,
-        }.get(self.tunneling_mode)
-        if mode is None:
-            raise ValueError(f"unknown tunneling_mode {self.tunneling_mode!r}")
         return ModelParams(J=self.J, V0=self.V0, p=self.p, q=self.q,
                            phi0=self.phi0, omega=self.omega, L=self.L,
-                           tunneling_mode=mode)
+                           tunneling_mode=TunnelingMode(self.tunneling_mode))
 
 
 def parse_config_file(path: str) -> dict:
@@ -108,42 +100,44 @@ def _coerce(field_name: str, value: str):
     return value
 
 
-def _resolve_initial(cfg: RunConfig, params: ModelParams):
-    if cfg.initial_mlws_band is not None or cfg.initial_mlws_cell is not None:
-        band = cfg.initial_mlws_band if cfg.initial_mlws_band is not None else params.q - 1
-        cell = cfg.initial_mlws_cell if cfg.initial_mlws_cell is not None else _default_cell(params)
+def _resolve_initial(cfg: RunConfig, params: ModelParams, bands0=None):
+    """The start of a run on `params`, a site or an MLWS, and its label; an
+    MLWS comes from `bands0`, the t = 0 band solve, solved here if not given."""
+    if cfg.initial_mlws_band is None and cfg.initial_mlws_cell is None:
+        site = cfg.initial_site if cfg.initial_site is not None else site_index(
+            _default_cell(params), params.q, params.q)
+        return site, f"site {site}"
+    band = cfg.initial_mlws_band if cfg.initial_mlws_band is not None else params.q - 1
+    cell = cfg.initial_mlws_cell if cfg.initial_mlws_cell is not None else _default_cell(params)
+    if bands0 is None:
         bands0 = spectrum.solve_bands(params, np.array([0.0]))
-        state, _, _ = wannier.maximally_localize(bands0, band, cell)
-        return state.amplitudes, f"mlws band={band} cell={cell}"
-    cell = _default_cell(params)
-    site = cfg.initial_site if cfg.initial_site is not None else site_index(cell, params.q, params.q)
-    return site, f"site {site}"
+    state, _, _ = wannier.maximally_localize(bands0, band, cell)
+    return state.amplitudes, f"mlws band={band} cell={cell}"
 
 
 def _default_cell(params: ModelParams) -> int:
     return min(params.L, params.L // 2 + 2)
 
 
-def _write_table(path: Path, header: str, columns: list, names: list) -> None:
-    data = np.column_stack(columns)
-    col_line = "columns: " + "\t".join(names)
-    np.savetxt(path, data, fmt=_FLOAT_FMT, delimiter="\t",
-               header=header + "\n" + col_line)
+def _topology_bands(cfg: RunConfig, params: ModelParams) -> spectrum.BandSolution:
+    """The band solve on the closed topology grid of `cfg.n_t` intervals."""
+    return spectrum.solve_bands(params, spectrum.default_topology_grid(params, cfg.n_t))
 
 
-def _write_matrix(path: Path, header: str, matrix: np.ndarray) -> None:
-    np.savetxt(path, matrix, fmt=_FLOAT_FMT, delimiter="\t", header=header)
+def _write_table(path: Path, header: str, columns: dict) -> None:
+    """Equal-length columns, keyed by name, under a commented header."""
+    np.savetxt(path, np.column_stack(list(columns.values())), fmt=_FLOAT_FMT,
+               delimiter="\t", header=header + "\ncolumns: " + "\t".join(columns))
 
 
-class _ManifestEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (TunnelingMode, Sign, Protocol)):
-            return o.value
-        return super().default(o)
+def _per_band(prefix: str, rows) -> dict:
+    """Columns named prefix0, prefix1, ... for rows indexed by band."""
+    return {f"{prefix}{m}": row for m, row in enumerate(rows)}
+
+
+def _check(value, ok) -> dict:
+    """One `invariant_checks` entry."""
+    return {"value": value, "pass": bool(ok)}
 
 
 def _manifest(outdir: Path, cfg: RunConfig, params: ModelParams, extra: dict) -> None:
@@ -159,68 +153,13 @@ def _manifest(outdir: Path, cfg: RunConfig, params: ModelParams, extra: dict) ->
         },
         **extra,
     }
-    (outdir / "manifest.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True, cls=_ManifestEncoder) + "\n"
-    )
-
-
-def _trajectory_outputs(outdir: Path, params: ModelParams, traj, refs: dict) -> dict:
-    t_over = traj.times / params.period
-    bands_at = spectrum.solve_bands(params, traj.times)
-    pops = observables.band_population(traj.states, bands_at)
-    _write_table(
-        outdir / "observables.tsv",
-        "pump trajectory observables (positions in unit cells / sites)",
-        [t_over, traj.delta_p, traj.d_w,
-         np.linalg.norm(traj.states, axis=1)] + [pops[:, m] for m in range(params.q)],
-        ["t_over_T", "delta_p_cells", "d_w_sites", "norm"]
-        + [f"population_band{m}" for m in range(params.q)],
-    )
-    _write_matrix(outdir / "density.tsv",
-                  "site density <n_j>(t); rows follow density_rows.tsv, "
-                  "columns are sites 1..N", traj.density)
-    _write_table(outdir / "density_rows.tsv", "row axis of density.tsv",
-                 [t_over], ["t_over_T"])
-    _write_table(outdir / "density_cols.tsv", "column axis of density.tsv",
-                 [np.arange(1, params.n_sites + 1)], ["site"])
-    band_min = float(np.min(pops[:, params.q - 1]))
-    checks = {
-        "norm_drift": {"value": traj.norm_drift, "pass": bool(traj.norm_drift < 1e-8)},
-        "seam_density_max": {"value": traj.seam_density_max,
-                             "pass": bool(traj.seam_density_max <= 1e-3)},
-        # `final` is the end-of-run population, reported beside the minimum
-        # over the run, which the check bounds
-        "min_highest_band_population": {"value": band_min,
-                                        "final": float(pops[-1, params.q - 1]),
-                                        "pass": bool(band_min >= 0.99)},
-    }
-    return {
-        "delta_p_final_cells": float(traj.delta_p[-1]),
-        "d_w_final_sites": float(traj.d_w[-1]),
-        "d_w_max_sites": float(np.max(traj.d_w)),
-        "projections_final": {label: float(np.abs(np.vdot(ref, traj.final_state)) ** 2)
-                              for label, ref in refs.items()},
-        "invariant_checks": checks,
-        "integrator": {"dt": traj.dt, "samples": len(traj.times),
-                       "rule": "fourth-order Magnus (one exact unitary per step from "
-                               "the midpoint Hamiltonian and its derivatives from "
-                               "three midpoints of the chunk); the chunk propagators "
-                               "of one period serve every period, conjugated at -k "
-                               "on echo-reversed periods"},
-    }
-
-
-def _mlws_references(params: ModelParams) -> dict:
-    """The highest band's MLWS of every cell, from `wannier.maximally_localize`."""
-    bands0 = spectrum.solve_bands(params, np.array([0.0]))
-    band = params.q - 1
-    return {f"mlws_cell{cell}": wannier.maximally_localize(bands0, band, cell)[0].amplitudes
-            for cell in range(1, params.L + 1)}
+    (outdir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one experiment; returns a process exit code."""
-    if cfg.experiment not in EXPERIMENTS:
+    runner = _RUNNERS.get(cfg.experiment)
+    if runner is None:
         print(f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENTS}",
               file=sys.stderr)
         return 2
@@ -232,18 +171,7 @@ def run(cfg: RunConfig) -> int:
     outdir = Path(cfg.outdir) / cfg.experiment
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        if cfg.experiment == "bands":
-            _run_bands(cfg, params, outdir)
-        elif cfg.experiment == "chern":
-            _run_chern(cfg, params, outdir)
-        elif cfg.experiment == "flatness":
-            _run_flatness(cfg, params, outdir)
-        elif cfg.experiment == "phases":
-            _run_phases(cfg, params, outdir)
-        elif cfg.experiment == "effective-compare":
-            _run_effective_compare(cfg, params, outdir)
-        else:
-            _run_pump(cfg, params, outdir)
+        runner(cfg, params, outdir)
     except (dynamics.IntegratorError, dynamics.SeamDensityError,
             dynamics.GaugeContinuityError, spectrum.BandTouchingError,
             effective.DivergentDenominatorError, ValueError) as exc:
@@ -257,120 +185,123 @@ def run(cfg: RunConfig) -> int:
 
 
 def _run_bands(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
-    t_grid = spectrum.default_topology_grid(params, cfg.n_t)
-    bands = spectrum.solve_bands(params, t_grid)
-    t_col, k_col = np.meshgrid(t_grid, bands.k_grid, indexing="ij")
-    energy_cols = [bands.energies[m].T.ravel() for m in range(params.q)]
+    bands = _topology_bands(cfg, params)
+    t_col, k_col = np.meshgrid(bands.t_grid, bands.k_grid, indexing="ij")
     _write_table(outdir / "bands.tsv", "band energies over the (k, t) grid",
-                 [t_col.ravel(), k_col.ravel()] + energy_cols,
-                 ["t", "k"] + [f"E_band{m}" for m in range(params.q)])
+                 {"t": t_col.ravel(), "k": k_col.ravel(),
+                  **_per_band("E_band", [e.T.ravel() for e in bands.energies])})
+    gap = bands.min_gap()
     _manifest(outdir, cfg, params, {
         "grids": {"n_t": cfg.n_t, "n_k": params.L},
-        "invariant_checks": {
-            "min_gap": {"value": bands.min_gap(),
-                        "pass": bool(bands.min_gap() > 1e-6 * abs(params.V0))},
-        },
+        "invariant_checks": {"min_gap": _check(gap, gap > 1e-6 * abs(params.V0))},
     })
 
 
 def _run_chern(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
-    t_grid = spectrum.default_topology_grid(params, cfg.n_t)
-    bands = spectrum.solve_bands(params, t_grid)
+    bands = _topology_bands(cfg, params)
     cherns = [spectrum.chern_number(bands, m) for m in range(params.q)]
     _write_table(outdir / "chern.tsv", "Chern numbers per band",
-                 [np.arange(params.q), np.asarray(cherns)], ["band", "chern"])
+                 {"band": np.arange(params.q), "chern": np.asarray(cherns)})
     print("Chern numbers:", tuple(cherns))
     _manifest(outdir, cfg, params, {
         "chern": cherns,
         "grids": {"n_t": cfg.n_t, "n_k": params.L},
-        "invariant_checks": {
-            "chern_sum_zero": {"value": int(sum(cherns)), "pass": sum(cherns) == 0},
-        },
+        "invariant_checks": {"chern_sum_zero": _check(int(sum(cherns)), sum(cherns) == 0)},
     })
 
 
 def _run_flatness(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
-    t_grid = spectrum.default_topology_grid(params, cfg.n_t)
-    bands = spectrum.solve_bands(params, t_grid)
-    report = spectrum.flatness(bands)
-    cols = [t_grid, report.phases]
-    names = ["t", "phi"]
-    for m in range(params.q - 1):
-        cols.append(report.gaps[m])
-        names.append(f"gap{m}{m + 1}")
-    for m in range(params.q):
-        cols.append(report.widths[m])
-        names.append(f"width_band{m}")
-    for m in range(params.q):
-        cols.append(report.ratios[m])
-        names.append(f"flatness_band{m}")
-    _write_table(outdir / "flatness.tsv", "gaps, bandwidths, flatness ratios", cols, names)
+    report = spectrum.flatness(_topology_bands(cfg, params))
+    _write_table(outdir / "flatness.tsv", "gaps, bandwidths, flatness ratios", {
+        "t": report.t_grid, "phi": report.phases,
+        **{f"gap{m}{m + 1}": gap for m, gap in enumerate(report.gaps)},
+        **_per_band("width_band", report.widths),
+        **_per_band("flatness_band", report.ratios),
+    })
+    min_gap = float(np.min(report.gaps))
     _manifest(outdir, cfg, params, {
         "grids": {"n_t": cfg.n_t, "n_k": params.L},
-        "invariant_checks": {
-            "gaps_positive": {"value": float(np.min(report.gaps)),
-                              "pass": bool(np.min(report.gaps) > 0)},
-        },
+        "invariant_checks": {"gaps_positive": _check(min_gap, min_gap > 0)},
     })
 
 
 def _run_phases(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
     band = cfg.band if cfg.band is not None else params.q - 1
     t_grid = np.linspace(0.0, params.period, cfg.n_t_phases + 1)
-    bands = spectrum.solve_bands(params, t_grid)
-    rec = dynamics.accumulate_phases(params, bands, band)
+    rec = dynamics.accumulate_phases(params, spectrum.solve_bands(params, t_grid), band)
     _write_table(outdir / "phases.tsv",
                  f"cycle phases and momentum-resolved shifts for band {band}",
-                 [rec.k_grid, rec.gamma_b, rec.gamma_d, rec.gamma,
-                  rec.x_b, rec.x_d, rec.xi],
-                 ["k", "gamma_b", "gamma_d", "gamma", "X_b", "X_d", "xi"])
-    pred = wannier.predict_dispersion(rec.gamma, rec.k_grid)
+                 {"k": rec.k_grid, "gamma_b": rec.gamma_b, "gamma_d": rec.gamma_d,
+                  "gamma": rec.gamma, "X_b": rec.x_b, "X_d": rec.x_d, "xi": rec.xi})
     mean_xb = float(np.mean(rec.x_b))
     mean_xd = float(np.mean(rec.x_d))
     _manifest(outdir, cfg, params, {
         "band": band,
         "chern": rec.chern,
-        "predicted_dispersion_omega_d": pred,
+        "predicted_dispersion_omega_d": wannier.predict_dispersion(rec.gamma, rec.k_grid),
         "grids": {"n_t": cfg.n_t_phases, "n_k": params.L},
         "invariant_checks": {
-            "mean_x_b_equals_qC": {
-                "value": mean_xb,
-                "pass": bool(abs(mean_xb - params.q * rec.chern) < 1e-2),
-            },
-            "mean_x_d_vanishes": {
-                "value": mean_xd,
-                "pass": bool(abs(mean_xd) < 1e-3 * np.max(np.abs(rec.x_d))),
-            },
+            "mean_x_b_equals_qC": _check(mean_xb,
+                                         abs(mean_xb - params.q * rec.chern) < 1e-2),
+            "mean_x_d_vanishes": _check(mean_xd,
+                                        abs(mean_xd) < 1e-3 * np.max(np.abs(rec.x_d))),
         },
     })
 
 
 def _run_pump(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
-    protocol = {
-        "pump-traditional": Protocol.TRADITIONAL,
-        "pump-echo": Protocol.ECHO,
-        "pump-suppressed": Protocol.SUPPRESSED,
-    }[cfg.experiment]
+    protocol = Protocol(cfg.experiment.removeprefix("pump-"))
     n_cycles = cfg.n_cycles if cfg.n_cycles is not None else (
         2 if protocol is Protocol.ECHO else 1)
-    initial, initial_label = _resolve_initial(cfg, params)
+    params = dynamics._protocol_params(params, protocol)
+    bands0 = spectrum.solve_bands(params, np.array([0.0]))
+    initial, initial_label = _resolve_initial(cfg, params, bands0)
     traj = dynamics.run_protocol(params, protocol, n_cycles, initial, dt=cfg.dt)
-    # SUPPRESSED runs with sine-modulated tunneling, whatever the configuration
-    run_params = traj.params
-    refs = _mlws_references(run_params)
-    extra = _trajectory_outputs(outdir, run_params, traj, refs)
-    t_grid = spectrum.default_topology_grid(run_params, cfg.n_t)
-    cherns = [spectrum.chern_number(spectrum.solve_bands(run_params, t_grid), m)
-              for m in range(params.q)]
-    extra.update({
+    refs = [wannier.maximally_localize(bands0, params.q - 1, cell)[0].amplitudes
+            for cell in range(1, params.L + 1)]
+    t_over = traj.times / params.period
+    pops = observables.band_population(traj.states, spectrum.solve_bands(params, traj.times))
+    _write_table(outdir / "observables.tsv",
+                 "pump trajectory observables (positions in unit cells / sites)",
+                 {"t_over_T": t_over, "delta_p_cells": traj.delta_p, "d_w_sites": traj.d_w,
+                  "norm": np.linalg.norm(traj.states, axis=1),
+                  **_per_band("population_band", pops.T)})
+    np.savetxt(outdir / "density.tsv", traj.density, fmt=_FLOAT_FMT, delimiter="\t",
+               header="site density <n_j>(t); rows follow density_rows.tsv, "
+                      "columns are sites 1..N")
+    _write_table(outdir / "density_rows.tsv", "row axis of density.tsv", {"t_over_T": t_over})
+    _write_table(outdir / "density_cols.tsv", "column axis of density.tsv",
+                 {"site": np.arange(1, params.n_sites + 1)})
+    top = pops[:, params.q - 1]
+    band_min = float(np.min(top))
+    bands = _topology_bands(cfg, params)
+    _manifest(outdir, cfg, params, {
+        "delta_p_final_cells": float(traj.delta_p[-1]),
+        "d_w_final_sites": float(traj.d_w[-1]),
+        "d_w_max_sites": float(np.max(traj.d_w)),
+        "projections_final": {f"mlws_cell{cell}": float(np.abs(np.vdot(ref, traj.final_state)) ** 2)
+                              for cell, ref in enumerate(refs, 1)},
+        "invariant_checks": {
+            "norm_drift": _check(traj.norm_drift, traj.norm_drift < 1e-8),
+            "seam_density_max": _check(traj.seam_density_max, traj.seam_density_max <= 1e-3),
+            # `final` is the end-of-run population, reported beside the minimum
+            # over the run, which the check bounds
+            "min_highest_band_population": {**_check(band_min, band_min >= 0.99),
+                                            "final": float(top[-1])},
+        },
+        "integrator": {"dt": traj.dt, "samples": len(traj.times),
+                       "rule": "fourth-order Magnus (one exact unitary per step from "
+                               "the midpoint Hamiltonian and its derivatives from "
+                               "three midpoints of the chunk); the chunk propagators "
+                               "of one period serve every period, conjugated at -k "
+                               "on echo-reversed periods"},
         "protocol": protocol.value,
         "n_cycles": n_cycles,
         "initial_state": initial_label,
-        "chern": cherns,
+        "chern": [spectrum.chern_number(bands, m) for m in range(params.q)],
         "note": "delta_p is reported in unit cells; quantized transport "
                 "compares delta_p per cycle against the band Chern number",
     })
-    _manifest(outdir, cfg, run_params, extra)
 
 
 def _run_effective_compare(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
@@ -380,16 +311,15 @@ def _run_effective_compare(cfg: RunConfig, params: ModelParams, outdir: Path) ->
         params, initial, n_cycles=n_cycles, dt=cfg.dt)
     t_over = full.times / params.period
     _write_table(outdir / "observables_full.tsv", "full Hamiltonian trajectory",
-                 [t_over, full.delta_p, full.d_w], ["t_over_T", "delta_p_cells", "d_w_sites"])
+                 {"t_over_T": t_over, "delta_p_cells": full.delta_p, "d_w_sites": full.d_w})
     _write_table(outdir / "observables_effective.tsv",
                  "piecewise effective Hamiltonian trajectory",
-                 [t_over, eff.delta_p, eff.d_w], ["t_over_T", "delta_p_cells", "d_w_sites"])
+                 {"t_over_T": t_over, "delta_p_cells": eff.delta_p, "d_w_sites": eff.d_w})
     dp_diff = np.abs(full.delta_p - eff.delta_p)
     dw_diff = np.abs(full.d_w - eff.d_w)
     _write_table(outdir / "discrepancy.tsv",
                  "pointwise differences between the two trajectories",
-                 [t_over, dp_diff, dw_diff],
-                 ["t_over_T", "abs_delta_p_diff", "abs_d_w_diff"])
+                 {"t_over_T": t_over, "abs_delta_p_diff": dp_diff, "abs_d_w_diff": dw_diff})
     _manifest(outdir, cfg, params, {
         "n_cycles": n_cycles,
         "initial_state": initial_label,
@@ -399,12 +329,24 @@ def _run_effective_compare(cfg: RunConfig, params: ModelParams, outdir: Path) ->
         "note": "the effective generator is piecewise in the modulation "
                 "phase and discontinuous at region boundaries",
         "invariant_checks": {
-            "norm_drift_full": {"value": full.norm_drift,
-                                "pass": bool(full.norm_drift < 1e-8)},
-            "norm_drift_effective": {"value": eff.norm_drift,
-                                     "pass": bool(eff.norm_drift < 1e-8)},
+            "norm_drift_full": _check(full.norm_drift, full.norm_drift < 1e-8),
+            "norm_drift_effective": _check(eff.norm_drift, eff.norm_drift < 1e-8),
         },
     })
+
+
+# the one registry of experiments, in the order the parser lists them
+_RUNNERS = {
+    "bands": _run_bands,
+    "chern": _run_chern,
+    "flatness": _run_flatness,
+    "phases": _run_phases,
+    "pump-traditional": _run_pump,
+    "pump-echo": _run_pump,
+    "pump-suppressed": _run_pump,
+    "effective-compare": _run_effective_compare,
+}
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def build_parser() -> argparse.ArgumentParser:

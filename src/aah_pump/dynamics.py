@@ -83,7 +83,7 @@ import numpy as np
 from .model import (ModelParams, TunnelingMode, _from_momenta, _k_loop_increments, _reversed_k,
                     _to_momenta, bloch_blocks, k_grid)
 from .observables import position_moments
-from .spectrum import BandSolution, chern_number
+from .spectrum import BandSolution, _check_band, chern_number
 from .wannier import WannierState
 
 SAMPLES_PER_CYCLE = 400
@@ -526,6 +526,14 @@ def evolve_dense(
     return _trajectory(params, sample_times, sample_states, dt, norm_drift, None)
 
 
+def _protocol_params(params: ModelParams, protocol: Protocol) -> ModelParams:
+    """The parameters `protocol` runs with: SUPPRESSED forces sine-modulated
+    tunneling, the others keep `params`."""
+    if protocol is Protocol.SUPPRESSED:
+        return dataclasses.replace(params, tunneling_mode=TunnelingMode.SINE_MODULATED)
+    return params
+
+
 def run_protocol(
     params: ModelParams,
     protocol: Protocol,
@@ -548,8 +556,7 @@ def run_protocol(
         raise ValueError("n_cycles must be positive")
     if protocol is Protocol.ECHO and n_cycles % 2:
         raise ValueError("the echo protocol needs an even number of cycles")
-    if protocol is Protocol.SUPPRESSED:
-        params = dataclasses.replace(params, tunneling_mode=TunnelingMode.SINE_MODULATED)
+    params = _protocol_params(params, protocol)
     return evolve(
         params, initial, 0.0, n_cycles * params.period, dt=dt,
         samples=n_cycles * samples_per_cycle, bloch_builder=bloch_builder,
@@ -570,8 +577,7 @@ def accumulate_phases(params: ModelParams, bands: BandSolution, m: int) -> Phase
     invariant).  X_b and X_d are centered momentum derivatives of the unwrapped
     phases; xi = X_b - q*C_m.  Raises ValueError unless m lies in 0..q-1.
     """
-    if not 0 <= m < bands.n_bands:
-        raise ValueError(f"band must lie in 0..{bands.n_bands - 1}, got {m}")
+    _check_band(bands, m)
     if not bands.spans_period():
         raise ValueError("phase accumulation needs a t-grid covering one period")
     links_t = np.einsum(

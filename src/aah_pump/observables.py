@@ -13,11 +13,15 @@ from .spectrum import BandSolution
 
 
 def position_moments(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Density, mean position <X> and width sqrt(<X^2> - <X>^2) over the last axis."""
+    """Density, mean position <X> and width sqrt(<(X - <X>)^2>) over the last axis.
+
+    The width is taken about the centre: <X^2> - <X>^2 would cancel the digits
+    of <X>^2 ~ N^2, about 3e-10 sites of a narrow state's width at N = 45.
+    """
     density = np.abs(states) ** 2
     j = np.arange(1, states.shape[-1] + 1)
     mean_x = density @ j
-    d_w = np.sqrt(np.maximum(density @ (j * j) - mean_x**2, 0.0))
+    d_w = np.sqrt(np.sum(density * (j - np.expand_dims(mean_x, -1)) ** 2, axis=-1))
     return density, mean_x, d_w
 
 

@@ -85,6 +85,12 @@ class FlatnessReport:
     ratios: np.ndarray
 
 
+def _check_band(bands: BandSolution, m: int) -> None:
+    """Raise ValueError unless band m lies in 0..q-1; -1 would index the top band."""
+    if not 0 <= m < bands.n_bands:
+        raise ValueError(f"band must lie in 0..{bands.n_bands - 1}, got {m}")
+
+
 def default_topology_grid(params: ModelParams, n_t: int = 240) -> np.ndarray:
     """Closed time grid with n_t intervals covering one full period."""
     return np.linspace(0.0, params.period, n_t + 1)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .model import ModelParams, _closed_k_loop, _from_momenta, _k_loop_increments
 from .observables import position_moments
-from .spectrum import BandSolution, BandTouchingError
+from .spectrum import BandSolution, BandTouchingError, _check_band
 
 
 @dataclass
@@ -80,7 +80,10 @@ def wannier_from_bloch(
     theta: np.ndarray | None = None,
     t_index: int = 0,
 ) -> WannierState:
-    """Discrete Bloch-to-Wannier transform with gauge phases e^{i theta(k)}."""
+    """Discrete Bloch-to-Wannier transform with gauge phases e^{i theta(k)}.
+
+    Raises ValueError unless m lies in 0..q-1 and cell in 1..L."""
+    _check_band(bands, m)
     L = bands.params.L
     if not 1 <= cell <= L:
         raise ValueError(f"cell must lie in 1..{L}, got {cell}")
@@ -121,8 +124,10 @@ def mlws_gauge(bands: BandSolution, m: int, t_index: int = 0) -> np.ndarray:
     """Transport gauge with the loop-phase branch fixed by recentering.
 
     Shifts theta by integer multiples of kq so the cell-R Wannier state is
-    centered inside cell R's site range [q(R-1)+1, q(R-1)+q].
+    centered inside cell R's site range [q(R-1)+1, q(R-1)+q].  Raises
+    ValueError unless m lies in 0..q-1.
     """
+    _check_band(bands, m)
     p = bands.params
     anchor = p.L // 2 + 1
     theta = parallel_transport_gauge(p, bands.states[m, :, t_index, :])
@@ -149,8 +154,7 @@ def maximally_localize(
     Raises ValueError unless m lies in 0..q-1 and cell in 1..L.
     """
     p = bands.params
-    if not 0 <= m < p.q:
-        raise ValueError(f"band must lie in 0..{p.q - 1}, got {m}")
+    _check_band(bands, m)
     if not 1 <= cell <= p.L:
         raise ValueError(f"cell must lie in 1..{p.L}, got {cell}")
     thetas = [mlws_gauge(bands, b, t_index) for b in range(p.q)]
@@ -182,7 +186,8 @@ def spread_decomposition(state: WannierState, basis: np.ndarray) -> SpreadReport
 
     Omega_I collects |<W_m'(R)|X|W>|^2 over all cells of the other bands,
     Omega_D the same within the state's own band excluding its home cell;
-    Omega comes directly from <(X - <X>)^2> and must equal their sum.
+    Omega is the squared width of `observables.position_moments`, taken about
+    the centre, and must equal their sum.
     Raises if the basis is not a complete orthonormal set, or if its
     (state.band, state.cell) member differs from the state (the sums are
     only meaningful for a member of the basis family).
@@ -202,14 +207,11 @@ def spread_decomposition(state: WannierState, basis: np.ndarray) -> SpreadReport
             "basis does not contain the state in its band family; rebuild the "
             "basis with the state's gauge (|overlap| = %r)" % member
         )
-    j = np.arange(1, n + 1)
-    xw = j * w
-    center = float(np.real(np.vdot(w, xw)))
-    # about the centre: <X^2> - <X>^2 would cancel digits of <X>^2 ~ N^2
-    omega = float(np.sum(np.abs(w) ** 2 * (j - center) ** 2))
+    _, center, d_w = position_moments(w)
+    center, omega = float(center), float(d_w) ** 2
 
     # |<W_m'(R)|X|W>|^2, flattened (m', R); conjugating the vector spares an N x N copy
-    elements = np.abs(flat @ np.conj(xw)) ** 2
+    elements = np.abs(flat @ np.conj(np.arange(1, n + 1) * w)) ** 2
     elements = elements.reshape(q_bands, L)
     own = state.band
     omega_i = float(np.sum(elements) - np.sum(elements[own]))

@@ -38,6 +38,24 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, override):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def test_unknown_tunneling_mode_exits_2(tmp_path, capsys):
+    assert cli.main(["bands", "--outdir", str(tmp_path), "--set", "tunneling_mode=bogus"]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_every_experiment_runs(tmp_path, experiment):
+    # cheap settings; omega=0.1 is not adiabatic, so no check need pass
+    argv = [experiment, "--outdir", str(tmp_path), "--set", "n_t=48",
+            "--set", "n_t_phases=1024"] + FAST
+    assert cli.main(argv) == 0
+    manifest = read_manifest(tmp_path, experiment)
+    assert manifest["status"] == "ok"
+    assert manifest["invariant_checks"]
+    for check in manifest["invariant_checks"].values():
+        assert {"value", "pass"} <= set(check)
+
+
 def test_experiment_key_in_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("experiment = chern\n")
@@ -213,6 +231,16 @@ def test_pump_suppressed_smoke(tmp_path):
     manifest = read_manifest(tmp_path, "pump-suppressed")
     assert manifest["model"]["tunneling_mode"] == "sine"
     assert manifest["delta_p_final_cells"] == pytest.approx(-1.0, abs=0.1)
+
+
+def test_suppressed_mlws_start_is_the_sine_chains(tmp_path):
+    # the run switches to sine tunneling, and its start must be an MLWS of
+    # that chain: wholly in the top band at t = 0
+    argv = ["pump-suppressed", "--outdir", str(tmp_path),
+            "--set", "initial_mlws_cell=9"] + FAST
+    assert cli.main(argv) == 0
+    obs = np.loadtxt(tmp_path / "pump-suppressed" / "observables.tsv")
+    assert obs[0, 6] >= 1.0 - 1e-12  # population_band2 at t = 0
 
 
 def test_effective_compare_smoke(tmp_path):

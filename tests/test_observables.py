@@ -27,6 +27,15 @@ def test_symmetric_two_site_superposition():
     assert d_w == pytest.approx(1.0)
 
 
+def test_width_of_a_nearly_single_site_state():
+    # weight w on site 28, the rest on 27: d_w = sqrt(w(1 - w)) exactly, which
+    # <X^2> - <X>^2 misses by about 1% for w = 1e-12, since <X^2> ~ 729
+    w = 1e-12
+    v = np.sqrt(1 - w) * _delta(27) + np.sqrt(w) * _delta(28)
+    d_w = observables.position_moments(v)[2]
+    assert d_w == pytest.approx(np.sqrt(w * (1 - w)), rel=1e-9, abs=0)
+
+
 def test_global_phase_irrelevant():
     v = (_delta(10) + 1j * _delta(12)) / np.sqrt(2)
     _, mean_a, d_w_a = observables.position_moments(v)

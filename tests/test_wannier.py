@@ -212,6 +212,19 @@ def test_maximally_localize_rejects_band_or_cell_off_range(bands_t0, band, cell)
         wannier.maximally_localize(bands_t0, band, cell)
 
 
+@pytest.mark.parametrize("band", [-1, 3])
+@pytest.mark.parametrize("entry", [
+    lambda bands, m: wannier.wannier_from_bloch(bands, m, 9),
+    lambda bands, m: wannier.mlws_gauge(bands, m),
+], ids=["wannier_from_bloch", "mlws_gauge"])
+def test_band_off_range_is_rejected(bands_t0, entry, band):
+    # unchecked, band -1 would give the top band under the label -1; the
+    # same check of maximally_localize and accumulate_phases is tested beside
+    # their other input checks
+    with pytest.raises(ValueError, match="band must lie in 0..2"):
+        entry(bands_t0, band)
+
+
 def test_spread_audit_runs_on_every_call(bands_t0, monkeypatch):
     audits = []
     audit = wannier.spread_decomposition
