@@ -50,9 +50,11 @@ least one chunk each: per block, one placement of all its steps
 (`_block_steps`), one builder call, one generator pass, one batched
 eigensolve and one chain product over its chunks side by side.  So the
 eigensolves still number steps x L, but the per-call overhead is paid per
-block.  At omega = 0.05 a chunk is 5 steps x 15 momenta and 6 chunks share a
-block; a paper chunk of 24 steps is a block by itself.  Blocks are made as
-the run reaches them, so a one-period run holds one block at a time.
+block.  A paper chunk is 24 steps x 15 momenta and 5 chunks share a block,
+80 blocks per period; at omega = 0.05 a chunk is 5 steps x 15 momenta and 24
+share one.  Blocks are made as the run reaches them, so a one-period run
+holds one block at a time, and between blocks only that block's chunk
+propagators.
 The state is carried as cell-gauge Bloch components, (L, q), from
 `model._to_momenta`; each chunk applies its propagator per momentum, and all
 samples go back to sites in one `model._from_momenta` after the chunk loop.
@@ -62,8 +64,12 @@ take stacks with the matrix axes first, (q, q, step, L) here and
 on a paper block of 24 x 15 3 x 3 complex matrices it took 28 us against
 109 us for a batched `@` on the same matrices stored matrix axes last
 (timeit, 2-core VM).  Per block, the built Hamiltonians are copied into that
-layout once, and so are the eigenvectors, since eigh reads the generators
-through a view with the matrix axes last.
+layout once; the generators are formed over that copy, and the eigenvectors,
+which eigh returns matrix axes last since it reads the generators through a
+view, are copied back over it.  So a block holds at most four step-sized
+stacks at once, the Hamiltonians and three stencil arrays of the generator
+pass: under tracemalloc a block of 270 chunks at omega = 0.05 peaks at 4.1
+times its stack of step matrices.
 
 Protocols: TRADITIONAL evolves under H(t) for every cycle; ECHO flips the
 sign of the Hamiltonian on every second cycle, cancelling dynamical phases;
@@ -87,13 +93,18 @@ from .spectrum import BandSolution, _check_band, chern_number
 from .wannier import WannierState
 
 SAMPLES_PER_CYCLE = 400
-# Bloch blocks solved together in `_chunk_propagators`.  Larger blocks cut
-# per-call overhead but hold more step-sized temporaries: a one-cycle
-# comparison at omega = 0.05 peaks 3.0% higher in memory at 1,024 than per
-# chunk, and from 720, two paper chunks, a fresh process grows and trims its
-# heap on every block of a paper run (21,700 to 46,600 more page faults in a
-# two-cycle echo), which ran slower in 5 of 6 benchmark pairs at 768.
-_BLOCKS_PER_SOLVE = 512
+# Bloch blocks solved together in `_chunk_propagators`: the fewest that hold
+# five paper chunks; 24 chunks at omega = 0.05 share a block.  Larger blocks
+# cut per-call overhead but hold more step-sized temporaries: under
+# tracemalloc a one-cycle evolve at omega = 0.05 peaks at 1.5 MB here, against
+# 1.2 MB at 512 with the kernels' earlier copies and 2.9 MB at 2,048 with
+# them.  Against those earlier kernels at 512, the effective-compare
+# benchmark's peak RSS read 0.8% higher here, 0.35% at 1,536 and 1.0% at
+# 2,048, and the paper echo, whose blocks are the same here as at 2,048, ran
+# 17% to 21% faster (13% to 18% at 1,536).  From 1,536 a fresh process maps
+# and returns memory on every block of a paper run (21,200 page faults in its
+# first two-cycle echo against 940 at 512).
+_BLOCKS_PER_SOLVE = 1800
 
 
 class IntegratorError(RuntimeError):
@@ -173,10 +184,10 @@ def _probed_dt_max(params: ModelParams, builder) -> float:
     return 2.0 / float(np.max(np.abs(evals)))
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix products a[:, :, ...] @ b[:, :, ...] of two stacks laid out matrix
-    axes first, (d, d, ...)."""
-    return np.einsum("ij...,jk...->ik...", a, b)
+    axes first, (d, d, ...), into `out` if given."""
+    return np.einsum("ij...,jk...->ik...", a, b, out=out)
 
 
 def _chain_product(u: np.ndarray) -> np.ndarray:
@@ -308,13 +319,13 @@ def _block_steps(t_start: float, step: int, stride: int, chunks: int, dt: float,
 
 
 def _magnus_generators(h: np.ndarray, mids: np.ndarray, dts: np.ndarray,
-                       starts: np.ndarray) -> np.ndarray:
+                       starts: np.ndarray, overwrite_h: bool = False) -> np.ndarray:
     """Fourth-order Magnus generators of a run of steps, in one pass.
 
-    h has shape (d, d, n, ...), matrix axes first: h[:, :, i] is the Hermitian
-    H_i at the midpoint mids[i] of step i, of width dts[i]; `starts` holds the
-    first step of each smooth piece, sorted, and a chunk boundary starts a
-    piece.  Step i applies exp(-i*dts[i]*G_i) with
+    h has shape (d, d, n, ...), n >= 3, matrix axes first: h[:, :, i] is the
+    Hermitian H_i at the midpoint mids[i] of step i, of width dts[i]; `starts`
+    holds the first step of each smooth piece, sorted, and a chunk boundary
+    starts a piece.  Step i applies exp(-i*dts[i]*G_i) with
 
         G_i = H_i + (dts[i]^2/24) H''_i + i (dts[i]^2/12) [H_i, H'_i],
 
@@ -322,19 +333,22 @@ def _magnus_generators(h: np.ndarray, mids: np.ndarray, dts: np.ndarray,
     three consecutive midpoints of the piece: centred on i inside the piece,
     one-sided at its ends.  A piece of fewer than three steps keeps G_i = H_i.
     G is Hermitian, equals H for a static H, and G[-H](k) = -conj(G[H](-k))
-    whenever H(k)* = H(-k).
+    whenever H(k)* = H(-k).  G is a new array, or h itself, overwritten, with
+    `overwrite_h`.
     """
     def col(v):  # broadcast a per-step vector over the axes after the step axis
         return v.reshape(v.shape + (1,) * (h.ndim - 3))
 
-    g = h.copy()
-    bounds = np.append(starts, len(mids))
-    piece = np.searchsorted(bounds, np.arange(len(mids)), side="right") - 1
+    n = len(mids)
+    bounds = np.append(starts, n)
+    piece = np.searchsorted(bounds, np.arange(n), side="right") - 1
     lo, hi = bounds[piece], bounds[piece + 1]
-    i = np.flatnonzero(hi - lo >= 3)  # steps of pieces shorter than three keep G = H
-    c = np.clip(i, lo[i] + 1, hi[i] - 2)
+    long = hi - lo >= 3  # steps of pieces shorter than three keep G = H
+    # the middle step of each step's stencil; a step of a short piece takes
+    # any stencil in range, and its values are discarded
+    c = np.clip(np.clip(np.arange(n), lo + 1, hi - 2), 1, n - 2)
     x0, x1, x2 = mids[c - 1], mids[c], mids[c + 1]
-    # in place where the operands allow, so that a block of chunks keeps few
+    # in place and in reused buffers, so that a block of chunks keeps few
     # step-sized temporaries alive; sums and products commute, so the values
     # are those of the plain expressions
     dh = np.diff(h, axis=2)  # dh[:, :, j] = H_{j+1} - H_j
@@ -345,26 +359,68 @@ def _magnus_generators(h: np.ndarray, mids: np.ndarray, dts: np.ndarray,
     half_h2 /= col(x2 - x1)
     half_h2 -= h1
     half_h2 /= col(x2 - x0)  # H''/2
-    h1 += half_h2 * col(2 * mids[i] - x0 - x1)  # H'
-    x = _mm(h[:, :, i], h1)  # [H, H'] = x - x^dagger, both factors Hermitian
-    x -= np.conj(np.swapaxes(x, 0, 1))
+    x = half_h2 * col(2 * mids - x0 - x1)
+    h1 += x  # H'
+    _mm(h, h1, out=x)  # [H, H'] = x - x^dagger, both factors Hermitian
+    x -= np.conjugate(np.swapaxes(x, 0, 1), out=h1)
+    del h1
     x *= 1j
     x += half_h2
-    x *= col(dts[i] ** 2 / 12)
-    g[:, :, i] += x
-    return g
+    del half_h2
+    x *= col(dts ** 2 / 12)
+    g = h if overwrite_h else h.copy()
+    return np.add(g, x, out=g, where=True if long.all() else col(long))
 
 
-def _step_unitaries(g: np.ndarray, dts: np.ndarray) -> np.ndarray:
+def _step_unitaries(g: np.ndarray, dts: np.ndarray, overwrite_g: bool = False) -> np.ndarray:
     """exp(-i*dts[i]*g[:, :, i]) for Hermitian g of shape (d, d, n, ...).
 
     eigh takes the stack through a view with the matrix axes last, and the
-    eigenvectors are copied back matrix axes first for the rebuild."""
+    eigenvectors V are copied back matrix axes first for the rebuild
+    V diag(phases) V^dagger: over g itself with `overwrite_g` (g must then be
+    complex), else into a new array."""
     evals, vecs = np.linalg.eigh(np.moveaxis(g, (0, 1), (-2, -1)))
-    vecs = np.moveaxis(vecs, (-2, -1), (0, 1)).copy()
+    v = g if overwrite_g else np.empty(g.shape, dtype=vecs.dtype)
+    v[...] = np.moveaxis(vecs, (-2, -1), (0, 1))
+    del vecs
     phases = np.exp(-1j * np.moveaxis(evals, -1, 0)
                     * dts.reshape(dts.shape + (1,) * (g.ndim - 3)))
-    return _mm(vecs * phases, np.conj(np.swapaxes(vecs, 0, 1)))
+    a = v * phases
+    return _mm(a, np.swapaxes(np.conjugate(v, out=v), 0, 1))
+
+
+def _block_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: float,
+                       step: int, stride: int, chunks: int, dt: float,
+                       jump_times: np.ndarray) -> np.ndarray:
+    """Propagators of `chunks` consecutive chunks of `stride` steps from step
+    `step`, solved together, shape (chunks, L, q, q).
+
+    The block's Hamiltonians are copied once into the kernels' layout, matrix
+    axes first, (q, q, step, L); the generators are built over that copy and
+    the eigenvectors copied back into it, so a block holds at most four
+    step-sized stacks at once.  The chain product runs over the chunks side
+    by side: when all chunks have the same number of steps the step
+    unitaries are only reshaped; otherwise a chunk split by a jump has more
+    steps, and the others are padded at the end with exact identities, which
+    leave their products bit for bit as they are.
+    """
+    q, L = params.q, params.L
+    mids, dts, starts, offsets = _block_steps(t_start, step, stride, chunks, dt, jump_times)
+    h = np.moveaxis(builder.batch(params, ks, mids), (-2, -1), (0, 1)).copy()
+    steps = _step_unitaries(_magnus_generators(h, mids, dts, starts, overwrite_h=True), dts,
+                            overwrite_g=True)
+    del h
+    # u[:, :, j, m]: step j of the block's chunk m
+    sizes = np.diff(offsets, append=len(mids))
+    if np.all(sizes == sizes[0]):
+        u = steps.reshape(q, q, chunks, sizes[0], L).swapaxes(2, 3)
+    else:
+        u = np.broadcast_to(np.eye(q, dtype=complex)[:, :, None, None, None],
+                            (q, q, sizes.max(), chunks, L)).copy()
+        chunk = np.repeat(np.arange(chunks), sizes)
+        u[:, :, np.arange(len(mids)) - offsets[chunk], chunk] = steps
+    del steps
+    return np.moveaxis(_chain_product(u), (0, 1), (-2, -1))
 
 
 def _chunk_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: float,
@@ -374,28 +430,15 @@ def _chunk_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: fl
     momentum, shape (L, q, q).
 
     The chunks are solved in blocks of max(1, _BLOCKS_PER_SOLVE //
-    (stride*L)): one step placement, one builder call, one generator pass and
-    one batched eigensolve over all steps of the block, and one chain product
-    over its chunks side by side.  The block is copied once into the kernels'
-    layout, matrix axes first, (q, q, step, L), and its propagators are
-    yielded as (L, q, q) views of the product.  A chunk split by a jump has
-    more steps; the others are padded at the end with exact identities, which
-    leave their products bit for bit as they are.
+    (stride*L)) by `_block_propagators`: one step placement, one builder
+    call, one generator pass and one batched eigensolve over all steps of the
+    block, and one chain product over its chunks side by side.  Only the
+    block's propagators are held between yields.
     """
     per_block = max(1, _BLOCKS_PER_SOLVE // (stride * params.L))
-    eye = np.eye(params.q, dtype=complex)[:, :, None, None, None]
     for first in range(0, chunks, per_block):
-        n = min(per_block, chunks - first)
-        mids, dts, starts, offsets = _block_steps(t_start, first * stride, stride, n, dt,
-                                                  jump_times)
-        h = np.moveaxis(builder.batch(params, ks, mids), (-2, -1), (0, 1)).copy()
-        g = _magnus_generators(h, mids, dts, starts)
-        # u[:, :, j, m]: step j of the block's chunk m, identity past the chunk's end
-        sizes = np.diff(offsets, append=len(mids))
-        u = np.broadcast_to(eye, (params.q, params.q, sizes.max(), n, params.L)).copy()
-        chunk = np.repeat(np.arange(n), sizes)
-        u[:, :, np.arange(len(mids)) - offsets[chunk], chunk] = _step_unitaries(g, dts)
-        yield from np.moveaxis(_chain_product(u), (0, 1), (-2, -1))
+        yield from _block_propagators(params, builder, ks, t_start, first * stride, stride,
+                                      min(per_block, chunks - first), dt, jump_times)
 
 
 def evolve(

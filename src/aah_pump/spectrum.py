@@ -166,8 +166,10 @@ def berry_curvature_grid(bands: BandSolution, m: int) -> np.ndarray:
     Entry (n, i) is the phase of the oriented link product around the plaquette
     [k_n, k_{n+1}] x [t_i, t_{i+1}], with k_L = k_0 + 2*pi/q (`model._closed_k_loop`);
     the total divided by 2*pi is the integer Chern number.  Orientation
-    follows the curvature i(<d_t u|d_k u> - <d_k u|d_t u>).
+    follows the curvature i(<d_t u|d_k u> - <d_k u|d_t u>).  Raises
+    ValueError unless m lies in 0..q-1.
     """
+    _check_band(bands, m)
     _check_torus(bands)
     u = _closed_k_loop(bands.params, bands.states[m])  # (L+1, M, q)
     link_k = np.einsum("nms,nms->nm", np.conj(u[:-1]), u[1:])  # (L, M)
@@ -183,7 +185,8 @@ def chern_number(bands: BandSolution, m: int) -> int:
 
     The lattice sum is an integer on any grid, so a wrong answer looks valid;
     raises BandTouchingError when a plaquette holds a Berry flux above
-    MAX_PLAQUETTE_FLUX, where the grid does not resolve the curvature.
+    MAX_PLAQUETTE_FLUX, where the grid does not resolve the curvature, and
+    ValueError unless m lies in 0..q-1.
     """
     f = berry_curvature_grid(bands, m)
     n, i = np.unravel_index(np.argmax(np.abs(f)), f.shape)

@@ -53,9 +53,17 @@ class SpreadReport:
         return float(np.sqrt(max(self.omega, 0.0)))
 
 
+def _check_t_index(bands: BandSolution, t_index: int) -> None:
+    """Raise ValueError unless t_index indexes the solve's t_grid; -1 would
+    take the last time."""
+    if not 0 <= t_index < len(bands.t_grid):
+        raise ValueError(f"t_index must lie in 0..{len(bands.t_grid) - 1}, got {t_index}")
+
+
 def _cell_transform(bands: BandSolution, m: int, theta, t_index: int) -> np.ndarray:
     """Band m's Wannier amplitudes by cell offset from home, shape (L, q):
     w[d, s-1] = (1/L) sum_k e^{ikqd} e^{i theta(k) + iks} u_{m,s}(k)."""
+    _check_t_index(bands, t_index)
     p = bands.params
     if np.shape(theta) != (p.L,):
         raise ValueError(f"theta must have one phase per momentum, shape ({p.L},)")
@@ -82,7 +90,8 @@ def wannier_from_bloch(
 ) -> WannierState:
     """Discrete Bloch-to-Wannier transform with gauge phases e^{i theta(k)}.
 
-    Raises ValueError unless m lies in 0..q-1 and cell in 1..L."""
+    Raises ValueError unless m lies in 0..q-1, cell in 1..L and t_index in
+    0..len(t_grid)-1."""
     _check_band(bands, m)
     L = bands.params.L
     if not 1 <= cell <= L:
@@ -125,9 +134,10 @@ def mlws_gauge(bands: BandSolution, m: int, t_index: int = 0) -> np.ndarray:
 
     Shifts theta by integer multiples of kq so the cell-R Wannier state is
     centered inside cell R's site range [q(R-1)+1, q(R-1)+q].  Raises
-    ValueError unless m lies in 0..q-1.
+    ValueError unless m lies in 0..q-1 and t_index in 0..len(t_grid)-1.
     """
     _check_band(bands, m)
+    _check_t_index(bands, t_index)
     p = bands.params
     anchor = p.L // 2 + 1
     theta = parallel_transport_gauge(p, bands.states[m, :, t_index, :])
@@ -151,7 +161,8 @@ def maximally_localize(
     call runs two cell transforms per band, one to recenter its gauge and one
     to lay out its L states, and gathers the complete (q, L, N) basis, O(qLN)
     in all; the audit's N x N Gram check, O(N^3), is most of its cost.
-    Raises ValueError unless m lies in 0..q-1 and cell in 1..L.
+    Raises ValueError unless m lies in 0..q-1, cell in 1..L and t_index in
+    0..len(t_grid)-1.
     """
     p = bands.params
     _check_band(bands, m)
@@ -173,7 +184,8 @@ def wannier_basis(
     """Complete orthonormal Wannier set, shape (q, L, N): band m, cell R.
 
     By default every band carries its recentered transport gauge; `thetas`
-    (shape (q, L)) overrides the gauge per band.
+    (shape (q, L)) overrides the gauge per band.  Raises ValueError unless
+    t_index lies in 0..len(t_grid)-1.
     """
     q = bands.params.q
     if thetas is None:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,40 @@ def test_block_propagators_match_the_per_chunk_oracle(q, L, t0, dt, stride, chun
     for n, u in enumerate(blocked):
         assert np.array_equal(u, chunk_propagator(p, model.bloch_blocks, ks, t0, n * stride,
                                                   stride, dt, jump_times))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["equal_chunks", "split_chunks"])
+def test_block_solve_keeps_few_step_sized_arrays_alive(monkeypatch, split):
+    # one block of 270 five-step chunks (omega = 0.05 at paper size), in
+    # units of one stack of its step matrices: the block peaks at 4.09 stacks
+    # (the Hamiltonians and the three stencil arrays of the generator pass),
+    # _step_unitaries at 2.50 above what it is handed, and only the chunk
+    # propagators, 0.2 stacks, are held between yields.  Each bound is below
+    # what one more step-sized array alive at that point would give.
+    p = dataclasses.replace(ModelParams(), omega=0.05)
+    _, dt, stride = dynamics._step_grid(0.0, p.period, dynamics.dt_max(p), 400)
+    chunks = 270
+    jumps = dt * stride * (np.arange(0, chunks, 3) + 0.45) if split else np.empty(0)
+    stack = (chunks * stride + len(jumps)) * p.L * p.q ** 2 * 16
+    monkeypatch.setattr(dynamics, "_BLOCKS_PER_SOLVE", chunks * stride * p.L)
+    block = dynamics._chunk_propagators(p, model.bloch_blocks, model.k_grid(p), 0.0,
+                                        chunks, stride, dt, jumps)
+    tracemalloc.start()
+    try:
+        next(block)
+        held, peak = tracemalloc.get_traced_memory()
+        mids, dts, starts, _ = dynamics._block_steps(0.0, 0, stride, chunks, dt, jumps)
+        h = np.moveaxis(model.bloch_blocks_batch(p, model.k_grid(p), mids), (-2, -1), (0, 1))
+        g = dynamics._magnus_generators(h.copy(), mids, dts, starts, overwrite_h=True)
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        dynamics._step_unitaries(g, dts, overwrite_g=True)
+        step_peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * stack
+    assert held < 0.25 * stack
+    assert step_peak < 3.0 * stack
 
 
 FAST = ModelParams(V0=10.0, omega=0.2)

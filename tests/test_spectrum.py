@@ -104,6 +104,15 @@ def test_band_inversion(paper_params, bands_topology):
     np.testing.assert_allclose(f_plus, f_minus, atol=1e-9)
 
 
+@pytest.mark.parametrize("band", [-1, 3])
+@pytest.mark.parametrize("entry", [spectrum.chern_number, spectrum.berry_curvature_grid])
+def test_band_off_range_is_rejected(bands_topology, entry, band):
+    # unchecked, band -1 would give the top band's curvature and Chern number
+    # under the label -1, and band 3 end in an IndexError
+    with pytest.raises(ValueError, match="band must lie in 0..2"):
+        entry(bands_topology, band)
+
+
 def test_chern_requires_full_torus(paper_params):
     bands = spectrum.solve_bands(paper_params, np.linspace(0, paper_params.period / 2, 33))
     with pytest.raises(ValueError):

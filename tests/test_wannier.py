@@ -311,3 +311,17 @@ def test_predict_dispersion_rejects_wrapped_input():
     gamma[5] = 3.5  # jump beyond pi between neighbors
     with pytest.raises(ValueError):
         wannier.predict_dispersion(gamma, k)
+
+
+@pytest.mark.parametrize("t_index", [-1, 2])
+@pytest.mark.parametrize("entry", [
+    lambda bands, t: wannier.wannier_from_bloch(bands, 2, 9, t_index=t),
+    lambda bands, t: wannier.mlws_gauge(bands, 2, t),
+    lambda bands, t: wannier.maximally_localize(bands, 2, 9, t),
+], ids=["wannier_from_bloch", "mlws_gauge", "maximally_localize"])
+def test_t_index_off_grid_is_rejected(paper_params, entry, t_index):
+    # unchecked, t_index -1 would take the last time of the solve and 2 end
+    # in an IndexError on this two-time solve
+    bands = spectrum.solve_bands(paper_params, np.array([0.0, 0.5]))
+    with pytest.raises(ValueError, match="t_index must lie in 0..1"):
+        entry(bands, t_index)
