@@ -319,7 +319,7 @@ def _block_steps(t_start: float, step: int, stride: int, chunks: int, dt: float,
 
 
 def _magnus_generators(h: np.ndarray, mids: np.ndarray, dts: np.ndarray,
-                       starts: np.ndarray, overwrite_h: bool = False) -> np.ndarray:
+                       starts: np.ndarray) -> np.ndarray:
     """Fourth-order Magnus generators of a run of steps, in one pass.
 
     h has shape (d, d, n, ...), n >= 3, matrix axes first: h[:, :, i] is the
@@ -333,8 +333,8 @@ def _magnus_generators(h: np.ndarray, mids: np.ndarray, dts: np.ndarray,
     three consecutive midpoints of the piece: centred on i inside the piece,
     one-sided at its ends.  A piece of fewer than three steps keeps G_i = H_i.
     G is Hermitian, equals H for a static H, and G[-H](k) = -conj(G[H](-k))
-    whenever H(k)* = H(-k).  G is a new array, or h itself, overwritten, with
-    `overwrite_h`.
+    whenever H(k)* = H(-k).  G is written over h, which must be a writable
+    complex array, and returned.
     """
     def col(v):  # broadcast a per-step vector over the axes after the step axis
         return v.reshape(v.shape + (1,) * (h.ndim - 3))
@@ -368,25 +368,22 @@ def _magnus_generators(h: np.ndarray, mids: np.ndarray, dts: np.ndarray,
     x += half_h2
     del half_h2
     x *= col(dts ** 2 / 12)
-    g = h if overwrite_h else h.copy()
-    return np.add(g, x, out=g, where=True if long.all() else col(long))
+    return np.add(h, x, out=h, where=col(long))
 
 
-def _step_unitaries(g: np.ndarray, dts: np.ndarray, overwrite_g: bool = False) -> np.ndarray:
+def _step_unitaries(g: np.ndarray, dts: np.ndarray) -> np.ndarray:
     """exp(-i*dts[i]*g[:, :, i]) for Hermitian g of shape (d, d, n, ...).
 
     eigh takes the stack through a view with the matrix axes last, and the
-    eigenvectors V are copied back matrix axes first for the rebuild
-    V diag(phases) V^dagger: over g itself with `overwrite_g` (g must then be
-    complex), else into a new array."""
+    eigenvectors V are copied back matrix axes first, over g, which must be a
+    writable complex array, for the rebuild V diag(phases) V^dagger."""
     evals, vecs = np.linalg.eigh(np.moveaxis(g, (0, 1), (-2, -1)))
-    v = g if overwrite_g else np.empty(g.shape, dtype=vecs.dtype)
-    v[...] = np.moveaxis(vecs, (-2, -1), (0, 1))
+    g[...] = np.moveaxis(vecs, (-2, -1), (0, 1))  # V
     del vecs
     phases = np.exp(-1j * np.moveaxis(evals, -1, 0)
                     * dts.reshape(dts.shape + (1,) * (g.ndim - 3)))
-    a = v * phases
-    return _mm(a, np.swapaxes(np.conjugate(v, out=v), 0, 1))
+    a = g * phases
+    return _mm(a, np.swapaxes(np.conjugate(g, out=g), 0, 1))
 
 
 def _block_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: float,
@@ -399,26 +396,21 @@ def _block_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: fl
     axes first, (q, q, step, L); the generators are built over that copy and
     the eigenvectors copied back into it, so a block holds at most four
     step-sized stacks at once.  The chain product runs over the chunks side
-    by side: when all chunks have the same number of steps the step
-    unitaries are only reshaped; otherwise a chunk split by a jump has more
-    steps, and the others are padded at the end with exact identities, which
-    leave their products bit for bit as they are.
+    by side; a chunk split by a jump has more steps, and the others are
+    padded at the end with exact identities, which leave their products bit
+    for bit as they are.
     """
     q, L = params.q, params.L
     mids, dts, starts, offsets = _block_steps(t_start, step, stride, chunks, dt, jump_times)
     h = np.moveaxis(builder.batch(params, ks, mids), (-2, -1), (0, 1)).copy()
-    steps = _step_unitaries(_magnus_generators(h, mids, dts, starts, overwrite_h=True), dts,
-                            overwrite_g=True)
+    steps = _step_unitaries(_magnus_generators(h, mids, dts, starts), dts)
     del h
-    # u[:, :, j, m]: step j of the block's chunk m
+    # u[:, :, j, m]: step j of the block's chunk m, identity past the chunk's end
     sizes = np.diff(offsets, append=len(mids))
-    if np.all(sizes == sizes[0]):
-        u = steps.reshape(q, q, chunks, sizes[0], L).swapaxes(2, 3)
-    else:
-        u = np.broadcast_to(np.eye(q, dtype=complex)[:, :, None, None, None],
-                            (q, q, sizes.max(), chunks, L)).copy()
-        chunk = np.repeat(np.arange(chunks), sizes)
-        u[:, :, np.arange(len(mids)) - offsets[chunk], chunk] = steps
+    u = np.broadcast_to(np.eye(q, dtype=complex)[:, :, None, None, None],
+                        (q, q, sizes.max(), chunks, L)).copy()
+    chunk = np.repeat(np.arange(chunks), sizes)
+    u[:, :, np.arange(len(mids)) - offsets[chunk], chunk] = steps
     del steps
     return np.moveaxis(_chain_product(u), (0, 1), (-2, -1))
 

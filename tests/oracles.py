@@ -53,7 +53,7 @@ def chunk_propagator(params, builder, ks, t_start, step, stride, dt, jump_times)
     momentum, shape (L, q, q), solved for this one chunk alone."""
     mids, dts, starts = chunk_steps(t_start, step, stride, dt, jump_times)
     h = np.moveaxis(builder.batch(params, ks, mids), (-2, -1), (0, 1))
-    g = dynamics._magnus_generators(h, mids, dts, starts)
+    g = dynamics._magnus_generators(h.copy(), mids, dts, starts)
     u = dynamics._chain_product(dynamics._step_unitaries(g, dts))
     return np.moveaxis(u, (0, 1), (-2, -1))
 

@@ -210,12 +210,13 @@ def test_magnus_generator_symmetries(data, q, L, phi0, ratio, mode, sign, t0, dt
 
     h = blocks(p)
     scale = np.max(np.abs(h))
-    g = dynamics._magnus_generators(h, mids, dts, starts)
+    g = dynamics._magnus_generators(h.copy(), mids, dts, starts)
     np.testing.assert_allclose(g, np.conj(np.swapaxes(g, 0, 1)), rtol=0,
                                atol=1e-12 * scale)
     # a static H has no derivatives, so G is H itself
     static = np.broadcast_to(h[:, :, :1], h.shape)
-    assert np.array_equal(dynamics._magnus_generators(static, mids, dts, starts), static)
+    assert np.array_equal(dynamics._magnus_generators(static.copy(), mids, dts, starts),
+                          static)
     # G[-H](k) = -conj(G[H](-k)): what lets an echo-reversed period reuse the
     # forward one
     g_flipped = dynamics._magnus_generators(blocks(flipped), mids, dts, starts)
@@ -246,7 +247,7 @@ def test_magnus_generator_exact_for_quadratic_h(d, seed, t0, dt, stride, jumps):
         if hi - lo < 3:
             expected[lo:hi] = h[lo:hi]
     # the kernels take the matrix axes first, (d, d, steps)
-    g = dynamics._magnus_generators(np.moveaxis(h, 0, -1), mids, dts, starts)
+    g = dynamics._magnus_generators(np.moveaxis(h, 0, -1).copy(), mids, dts, starts)
     scale = np.max(np.abs(h)) * (1 + np.max(np.abs(t)))
     np.testing.assert_allclose(g, np.moveaxis(expected, 0, -1), rtol=0, atol=1e-9 * scale)
 
@@ -364,10 +365,10 @@ def test_block_solve_keeps_few_step_sized_arrays_alive(monkeypatch, split):
         held, peak = tracemalloc.get_traced_memory()
         mids, dts, starts, _ = dynamics._block_steps(0.0, 0, stride, chunks, dt, jumps)
         h = np.moveaxis(model.bloch_blocks_batch(p, model.k_grid(p), mids), (-2, -1), (0, 1))
-        g = dynamics._magnus_generators(h.copy(), mids, dts, starts, overwrite_h=True)
+        g = dynamics._magnus_generators(h.copy(), mids, dts, starts)
         tracemalloc.reset_peak()
         entry = tracemalloc.get_traced_memory()[0]
-        dynamics._step_unitaries(g, dts, overwrite_g=True)
+        dynamics._step_unitaries(g, dts)
         step_peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
