@@ -13,9 +13,11 @@ step costs one Hamiltonian and one eigensolve, as a midpoint step does.  A
 stencil never reaches across a jump of H (`jump_times`), and a smooth piece
 of fewer than three steps keeps G = H.  Because every Hamiltonian here is
 translation invariant on the ring, the unitary factorizes over the L
-momentum blocks, so steps are computed by batched q x q eigendecompositions
-in the Bloch basis; this is the same unitary as the dense real-space path
-`evolve_dense`, which builds G from N x N matrices with the same stencils.
+momentum blocks, so steps are computed in the Bloch basis from batched
+eigensolves of q x q generators by `model._hermitian_eigh`, the package's one
+eigensolver of Hermitian stacks; this is the same unitary as the dense
+real-space path `evolve_dense`, which builds G from N x N matrices with the
+same stencils and solves them with the same eigensolver.
 A Bloch builder is called as builder(params, k, t) and carries its
 time-batched form builder.batch(params, k, ts), which `evolve` calls once
 per block of sample chunks it solves; `dt_max` probes the per-time form once
@@ -26,10 +28,10 @@ matrix axes last, (..., q, q); the step kernels take them first.
 The step cap is dt_max = 2/max_t ||H(t)||_2; a run is `samples` chunks of
 at least three equal whole steps within it, 400 chunks of 24 steps (9,600
 steps) per cycle at paper parameters.  Each step is exactly unitary, so the
-norm drifts only by round-off, linear in the step count: 3.1e-13 over two
-paper cycles.  Measured against a run at cap/8, the final state of one paper
-cycle from site 27 is off by 1.5e-6 (uniform tunneling) and 2.0e-6 (sine),
-5.9e-6 at omega=0.05; the exponential midpoint rule at its cap of
+norm drifts only by round-off, linear in the step count: 1.7e-12 over two
+paper echo cycles.  Measured against a run at cap/8, the final state of one
+paper cycle from site 27 is off by 1.5e-6 (uniform tunneling) and 2.0e-6
+(sine), 5.9e-6 at omega=0.05; the exponential midpoint rule at its cap of
 0.5/max||H||, four times as many steps, was off by 1.8e-5, 1.8e-5 and 8.0e-5.
 The error falls about 16x per halving of dt.  dP(2T) and D_W(2T) of the paper
 runs and criterion 08's values agree with the midpoint rule's to 2e-6.
@@ -42,16 +44,22 @@ G[-H](k) = -conj(G[H](-k)); `model._reversed_k` indexes -k, as it does for
 the paired band solve of `spectrum.solve_bands`.  A paper cycle is 144,000
 3 x 3 eigensolves (9,600 steps x 15 momenta), and a two-cycle run costs the
 same.  Against solving every period afresh, two-cycle paper runs differ by at
-most 6.5e-13 in the state (echo; 3.6e-13 traditional), 3.7e-13 in delta_p
-and 1.3e-11 in D_W.  Spans that are not a whole number n >= 2 of periods, or
+most 3.7e-12 in the state (echo; 2.0e-12 traditional), 3.9e-13 in delta_p
+and 9.0e-14 in D_W.  Spans that are not a whole number n >= 2 of periods, or
 whose sample count is not a multiple of n, solve every step.  The chunks
 solved are taken in blocks of about _BLOCKS_PER_SOLVE Bloch blocks, at
 least one chunk each: per block, one placement of all its steps
 (`_block_steps`), one builder call, one generator pass, one batched
 eigensolve and one chain product over its chunks side by side.  So the
 eigensolves still number steps x L, but the per-call overhead is paid per
-block.  A paper chunk is 24 steps x 15 momenta and 5 chunks share a block,
-80 blocks per period; at omega = 0.05 a chunk is 5 steps x 15 momenta and 24
+block.  The eigensolve reduces each generator to a real symmetric
+tridiagonal matrix by one Householder reflection (q = 3) and a diagonal
+phase, and hands that real stack to one `np.linalg.eigh` call: on a paper
+block of 1,800 3 x 3 generators `_step_unitaries` took 3.1 to 3.3 us per
+matrix against 4.5 to 5.0 us with a complex Hermitian eigh of the
+generators, whose eigh alone took 3.3 to 4.3 us (medians of 15, 2-core VM).
+A paper chunk is 24 steps x 15 momenta and 5 chunks share a block, 80
+blocks per period; at omega = 0.05 a chunk is 5 steps x 15 momenta and 24
 share one.  Blocks are made as the run reaches them, so a one-period run
 holds one block at a time, and between blocks only that block's chunk
 propagators.
@@ -64,12 +72,12 @@ take stacks with the matrix axes first, (q, q, step, L) here and
 on a paper block of 24 x 15 3 x 3 complex matrices it took 28 us against
 109 us for a batched `@` on the same matrices stored matrix axes last
 (timeit, 2-core VM).  Per block, the built Hamiltonians are copied into that
-layout once; the generators are formed over that copy, and the eigenvectors,
-which eigh returns matrix axes last since it reads the generators through a
-view, are copied back over it.  So a block holds at most four step-sized
-stacks at once, the Hamiltonians and three stencil arrays of the generator
-pass: under tracemalloc a block of 270 chunks at omega = 0.05 peaks at 4.1
-times its stack of step matrices.
+layout once; the generators are formed over that copy, and the eigensolve
+reduces them there and writes the eigenvectors over them.  So a block holds
+at most four step-sized stacks at once, the Hamiltonians and three stencil
+arrays of the generator pass: under tracemalloc a block of 270 chunks at
+omega = 0.05 peaks at 4.1 times its stack of step matrices, and
+`_step_unitaries` at 2.5 stacks above the generators it is handed.
 
 Protocols: TRADITIONAL evolves under H(t) for every cycle; ECHO flips the
 sign of the Hamiltonian on every second cycle, cancelling dynamical phases;
@@ -86,25 +94,14 @@ from enum import Enum
 
 import numpy as np
 
-from .model import (ModelParams, TunnelingMode, _from_momenta, _k_loop_increments, _reversed_k,
-                    _to_momenta, bloch_blocks, k_grid)
+from .model import (_BLOCKS_PER_SOLVE, ModelParams, TunnelingMode, _from_momenta,
+                    _hermitian_eigh, _k_loop_increments, _reversed_k, _to_momenta,
+                    bloch_blocks, k_grid)
 from .observables import position_moments
 from .spectrum import BandSolution, _check_band, chern_number
 from .wannier import WannierState
 
 SAMPLES_PER_CYCLE = 400
-# Bloch blocks solved together in `_chunk_propagators`: the fewest that hold
-# five paper chunks; 24 chunks at omega = 0.05 share a block.  Larger blocks
-# cut per-call overhead but hold more step-sized temporaries: under
-# tracemalloc a one-cycle evolve at omega = 0.05 peaks at 1.5 MB here, against
-# 1.2 MB at 512 with the kernels' earlier copies and 2.9 MB at 2,048 with
-# them.  Against those earlier kernels at 512, the effective-compare
-# benchmark's peak RSS read 0.8% higher here, 0.35% at 1,536 and 1.0% at
-# 2,048, and the paper echo, whose blocks are the same here as at 2,048, ran
-# 17% to 21% faster (13% to 18% at 1,536).  From 1,536 a fresh process maps
-# and returns memory on every block of a paper run (21,200 page faults in its
-# first two-cycle echo against 940 at 512).
-_BLOCKS_PER_SOLVE = 1800
 
 
 class IntegratorError(RuntimeError):
@@ -374,16 +371,13 @@ def _magnus_generators(h: np.ndarray, mids: np.ndarray, dts: np.ndarray,
 def _step_unitaries(g: np.ndarray, dts: np.ndarray) -> np.ndarray:
     """exp(-i*dts[i]*g[:, :, i]) for Hermitian g of shape (d, d, n, ...).
 
-    eigh takes the stack through a view with the matrix axes last, and the
-    eigenvectors V are copied back matrix axes first, over g, which must be a
+    `model._hermitian_eigh` writes the eigenvectors V over g, which must be a
     writable complex array, for the rebuild V diag(phases) V^dagger."""
-    evals, vecs = np.linalg.eigh(np.moveaxis(g, (0, 1), (-2, -1)))
-    g[...] = np.moveaxis(vecs, (-2, -1), (0, 1))  # V
-    del vecs
+    evals, vecs = _hermitian_eigh(g)
     phases = np.exp(-1j * np.moveaxis(evals, -1, 0)
                     * dts.reshape(dts.shape + (1,) * (g.ndim - 3)))
-    a = g * phases
-    return _mm(a, np.swapaxes(np.conjugate(g, out=g), 0, 1))
+    a = vecs * phases
+    return _mm(a, np.swapaxes(np.conjugate(vecs, out=vecs), 0, 1))
 
 
 def _block_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: float,
@@ -394,8 +388,8 @@ def _block_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: fl
 
     The block's Hamiltonians are copied once into the kernels' layout, matrix
     axes first, (q, q, step, L); the generators are built over that copy and
-    the eigenvectors copied back into it, so a block holds at most four
-    step-sized stacks at once.  The chain product runs over the chunks side
+    the eigensolve writes the eigenvectors over them, so a block holds at
+    most four step-sized stacks at once.  The chain product runs over the chunks side
     by side; a chunk split by a jump has more steps, and the others are
     padded at the end with exact identities, which leave their products bit
     for bit as they are.
@@ -615,9 +609,7 @@ def accumulate_phases(params: ModelParams, bands: BandSolution, m: int) -> Phase
     _check_band(bands, m)
     if not bands.spans_period():
         raise ValueError("phase accumulation needs a t-grid covering one period")
-    links_t = np.einsum(
-        "nms,nms->nm", np.conj(bands.states[m, :, :-1, :]), bands.states[m, :, 1:, :]
-    )  # (L, M-1)
+    links_t = np.vecdot(bands.states[m, :, :-1], bands.states[m, :, 1:])  # (L, M-1)
     moduli = np.abs(links_t)
     if np.min(moduli) < 0.99:
         n, i = np.unravel_index(np.argmin(moduli), moduli.shape)

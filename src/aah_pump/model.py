@@ -34,6 +34,11 @@ Divided by sqrt(L) it gives the cell-gauge Bloch components c_n of
 psi_{qc+s} = sum_n e^{ik_n qc} c_n,s / sqrt(L).  `_closed_k_loop` closes the
 momentum loop with u(k_0 + 2*pi/q) = diag(`bz_wrap_phases`) u(k_0), and
 `_k_loop_increments` steps around it, principal branch at the seam.
+
+Eigensolver: `_hermitian_eigh` diagonalizes every stack of Hermitian blocks
+in the package, the band solves of `spectrum.solve_bands` and the Magnus
+steps of `dynamics`, through one real `np.linalg.eigh` call per stack; both
+solve about `_BLOCKS_PER_SOLVE` blocks per call.
 """
 
 from __future__ import annotations
@@ -295,3 +300,87 @@ def _k_loop_increments(values: np.ndarray, wrap_all: bool = False) -> np.ndarray
         return np.angle(np.exp(1j * inc))
     inc[-1] = np.angle(np.exp(1j * inc[-1]))
     return inc
+
+
+# Bloch blocks per batched eigensolve, the one budget that governs both block
+# solvers: `dynamics` solves this many step blocks of its chunks together, and
+# `spectrum.solve_bands` this many (k, t) blocks per slice of its t-grid.  For
+# the Magnus blocks it is the fewest that hold five paper chunks; 24 chunks at
+# omega = 0.05 share a block.  Larger blocks cut per-call overhead but hold
+# more step-sized temporaries: under tracemalloc a one-cycle evolve at
+# omega = 0.05 peaks at 1.5 MB here, against 1.2 MB at 512 with the step
+# kernels' earlier copies and 2.9 MB at 2,048 with them.  Against those
+# earlier kernels at 512, the effective-compare benchmark's peak RSS read 0.8%
+# higher here, 0.35% at 1,536 and 1.0% at 2,048, and the paper echo, whose
+# blocks are the same here as at 2,048, ran 17% to 21% faster (13% to 18% at
+# 1,536).  From 1,536 a fresh process maps and returns memory on every block
+# of a paper run (21,200 page faults in its first two-cycle echo against 940
+# at 512).
+_BLOCKS_PER_SOLVE = 1800
+
+
+def _hermitian_eigh(h: np.ndarray) -> tuple:
+    """Eigenvalues and eigenvectors of a Hermitian stack laid out matrix axes
+    first, (d, d, ...), from one real `np.linalg.eigh` call.
+
+    d - 2 Householder reflections P_j = I - tau_j v_j v_j^dagger, each a
+    rank-2 update of the trailing block, bring every matrix to Hermitian
+    tridiagonal form (Golub & Van Loan, Matrix Computations, sec. 8.3); the
+    diagonal phases D, with D_{j+1} = D_j times the phase of subdiagonal
+    entry j, make it the real symmetric tridiagonal T = D^dagger Q^dagger H Q D,
+    Q = P_0 ... P_{d-3}, and eigh's eigenvectors W of T give V = Q D W.  A
+    column that is already reduced takes no reflection, and a zero subdiagonal
+    entry, as where a sine-modulated bond vanishes, the phase 1.  V is written
+    over h, which must be a writable complex array, with h[:, m] the
+    eigenvector of eigenvalue m; the eigenvalues, ascending, have shape
+    (..., d).  The largest temporaries are T and W, real, each half the size
+    of h, and the (d-1) x d update of the last back-transformation step.
+    """
+    d = h.shape[0]
+    reflectors = []
+    for j in range(d - 2):
+        x = h[j + 1:, j]  # the column below the diagonal, reduced to (alpha, 0, ...)
+        tail = np.sum(x[1:].real ** 2 + x[1:].imag ** 2, axis=0)
+        reflect = tail > 0
+        r0 = np.abs(x[0])
+        norm = np.sqrt(r0 * r0 + tail)
+        minus_alpha = np.divide(x[0], r0, out=np.ones_like(x[0]), where=r0 > 0) * norm
+        tau = np.divide(1.0, norm * (norm + r0), out=np.zeros_like(norm), where=reflect)
+        v = x.copy()
+        v[0] += minus_alpha  # x - alpha e_0, without cancellation
+        # P A P = A - v w^dagger - w v^dagger on the trailing block A, with
+        # w = p - (tau/2)(v^dagger p) v and p = tau A v
+        a = h[j + 1:, j + 1:]
+        w = tau * np.einsum("rc...,c...->r...", a, v)
+        w -= 0.5 * tau * np.einsum("r...,r...->...", v.conj(), w).real * v
+        # conjugations in place: a broadcast product with a fresh temporary
+        # operand runs several times slower
+        vw = np.multiply(v[:, None], np.conjugate(w, out=w))
+        a -= vw
+        a -= np.swapaxes(np.conjugate(vw, out=vw), 0, 1)
+        del w, vw
+        np.negative(minus_alpha, out=x[0], where=reflect)
+        x[1:] = 0
+        np.conjugate(x, out=h[j, j + 1:])
+        reflectors.append((j, v, tau))
+    sub = np.moveaxis(np.diagonal(h, -1), -1, 0)  # (d-1, ...)
+    r = np.abs(sub)
+    delta = np.ones((d,) + r.shape[1:], dtype=complex)
+    np.divide(sub, r, out=delta[1:], where=r > 0)
+    for j in range(1, d - 1):
+        delta[j + 1] *= delta[j]
+    # the lower triangle, which eigh reads
+    i = np.arange(d)
+    t = np.zeros(h.shape[2:] + (d, d))
+    t[..., i, i] = np.diagonal(h).real
+    t[..., i[1:], i[:-1]] = np.moveaxis(r, 0, -1)
+    evals, w = np.linalg.eigh(t)
+    del t
+    np.multiply(np.moveaxis(w, (-2, -1), (0, 1)), delta[:, None], out=h)
+    del w
+    for j, v, tau in reversed(reflectors):
+        rows = h[j + 1:]
+        s = np.einsum("r...,rc...->c...", v.conj(), rows)
+        v *= tau
+        rows -= np.multiply(v[:, None], s)
+    return evals, h

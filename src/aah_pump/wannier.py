@@ -106,7 +106,7 @@ def _link_overlaps(params: ModelParams, u: np.ndarray) -> np.ndarray:
     """Overlaps <u_n|u_{n+1}> around the momentum loop, the last linking the
     top of the zone back to k_0 + 2*pi/q."""
     ext = _closed_k_loop(params, u)
-    return np.einsum("ns,ns->n", np.conj(ext[:-1]), ext[1:])
+    return np.vecdot(ext[:-1], ext[1:])
 
 
 def parallel_transport_gauge(params: ModelParams, u: np.ndarray) -> np.ndarray:

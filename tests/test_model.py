@@ -200,3 +200,59 @@ def test_site_to_momentum_map(q, L, seed):
     np.testing.assert_allclose(model._from_momenta(y), x, rtol=0, atol=1e-14)
     literal = np.einsum("jns,ij->ins", np.conj(bloch_frame(p)), x.reshape(2, -1))
     np.testing.assert_allclose(y / np.sqrt(L), literal, rtol=0, atol=1e-13)
+
+
+def _hermitian_stack(rng, d, batch, kind, zeroed):
+    """A Hermitian (d, d, *batch) stack of the given kind: complex or real with
+    couplings zeroed at the rate `zeroed`, diagonal with repeated entries, or
+    a random unitary frame of a spectrum with repeated eigenvalues."""
+    shape = batch + (d, d)
+    if kind == "degenerate":
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        frame = np.linalg.qr(z)[0]
+        levels = rng.choice([-1.0, 0.0, 2.0], size=batch + (d,))
+        h = (frame * levels[..., None, :]) @ np.conj(np.swapaxes(frame, -1, -2))
+        h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+    elif kind == "diagonal":
+        h = np.zeros(shape, dtype=complex)
+        h[..., np.arange(d), np.arange(d)] = rng.choice([-1.0, 0.0, 2.0], size=batch + (d,))
+    else:
+        a = rng.normal(size=shape) + (1j * rng.normal(size=shape) if kind == "complex" else 0j)
+        a = np.triu(np.where(rng.random(shape) >= zeroed, a, 0), 1)
+        h = a + np.conj(np.swapaxes(a, -1, -2))
+        h[..., np.arange(d), np.arange(d)] = rng.normal(size=batch + (d,))
+    return np.moveaxis(h, (-2, -1), (0, 1)).copy()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(d=st.integers(2, 6), batch=st.tuples(st.integers(1, 4), st.integers(1, 3)),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.01, 100.0),
+       kind=st.sampled_from(["complex", "real", "diagonal", "degenerate"]),
+       zeroed=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_hermitian_eigh_is_one_real_eigh(d, batch, seed, scale, kind, zeroed):
+    # zeroed couplings give zero columns and zero subdiagonals, which take no
+    # reflection and the phase 1
+    h = scale * _hermitian_stack(np.random.default_rng(seed), d, batch, kind, zeroed)
+    ml = np.moveaxis(h, (0, 1), (-2, -1))
+    expected = np.linalg.eigvalsh(ml)
+    norm = np.max(np.abs(expected))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append((np.isrealobj(a), math.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kwargs)
+
+    buffer = h.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", counting_eigh)
+        evals, vecs = model._hermitian_eigh(buffer)
+    assert calls == [(True, math.prod(batch))]
+    assert vecs is buffer
+    np.testing.assert_allclose(evals, expected, rtol=0, atol=1e-13 * norm)
+    v = np.moveaxis(vecs, (0, 1), (-2, -1))
+    v_dagger = np.conj(np.swapaxes(v, -1, -2))
+    np.testing.assert_allclose(v_dagger @ v, np.broadcast_to(np.eye(d), v.shape),
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose((v * evals[..., None, :]) @ v_dagger, ml, rtol=0,
+                               atol=1e-13 * norm)
