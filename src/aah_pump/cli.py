@@ -227,8 +227,8 @@ def _run_flatness(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
 
 def _run_phases(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
     band = cfg.band if cfg.band is not None else params.q - 1
-    t_grid = np.linspace(0.0, params.period, cfg.n_t_phases + 1)
-    rec = dynamics.accumulate_phases(params, spectrum.solve_bands(params, t_grid), band)
+    bands = spectrum.solve_bands(params, spectrum.default_topology_grid(params, cfg.n_t_phases))
+    rec = dynamics.accumulate_phases(params, bands, band)
     _write_table(outdir / "phases.tsv",
                  f"cycle phases and momentum-resolved shifts for band {band}",
                  {"k": rec.k_grid, "gamma_b": rec.gamma_b, "gamma_d": rec.gamma_d,

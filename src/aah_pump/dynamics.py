@@ -95,11 +95,10 @@ from enum import Enum
 import numpy as np
 
 from .model import (_BLOCKS_PER_SOLVE, ModelParams, TunnelingMode, _from_momenta,
-                    _hermitian_eigh, _k_loop_increments, _reversed_k, _to_momenta,
-                    bloch_blocks, k_grid)
+                    _hermitian_eigh, _k_derivative, _reversed_k, _to_momenta,
+                    bloch_blocks, k_grid, real_space_hamiltonian)
 from .observables import position_moments
 from .spectrum import BandSolution, _check_band, chern_number
-from .wannier import WannierState
 
 SAMPLES_PER_CYCLE = 400
 
@@ -131,7 +130,6 @@ class PumpTrajectory:
     density: np.ndarray  # (S, N)
     delta_p: np.ndarray  # (S,) cells, relative to the first sample
     d_w: np.ndarray  # (S,) sites
-    protocol: Protocol | None
     params: ModelParams
     dt: float
     norm_drift: float
@@ -152,8 +150,8 @@ class PhaseRecord:
     gamma_b: np.ndarray  # Berry phase per k
     gamma_d: np.ndarray  # dynamical phase per k
     gamma: np.ndarray  # total
-    x_b: np.ndarray  # -d(gamma_b)/dk
-    x_d: np.ndarray  # -d(gamma_d)/dk
+    x_b: np.ndarray  # -d(gamma_b)/dk, by `model._k_derivative`
+    x_d: np.ndarray  # -d(gamma_d)/dk, by `model._k_derivative`
     xi: np.ndarray  # x_b - q*C
 
 
@@ -201,9 +199,7 @@ def _chain_product(u: np.ndarray) -> np.ndarray:
 
 
 def _resolve_initial(params: ModelParams, initial) -> np.ndarray:
-    if isinstance(initial, WannierState):
-        vec = initial.amplitudes
-    elif isinstance(initial, (int, np.integer)):
+    if isinstance(initial, (int, np.integer)):
         if not 1 <= initial <= params.n_sites:
             raise ValueError(f"initial site must lie in 1..{params.n_sites}")
         vec = np.zeros(params.n_sites, dtype=complex)
@@ -240,8 +236,8 @@ def _step_grid(t_start: float, t_end: float, dt: float, samples: int) -> tuple:
     return stride * samples, span / (stride * samples), stride
 
 
-def _trajectory(params: ModelParams, times, states, dt: float, norm_drift: float,
-                protocol: Protocol | None) -> PumpTrajectory:
+def _trajectory(params: ModelParams, times, states, dt: float,
+                norm_drift: float) -> PumpTrajectory:
     """Density, cell shift and width of sampled states; raises IntegratorError
     on norm drift beyond 1e-8."""
     if norm_drift > 1e-8:
@@ -254,7 +250,6 @@ def _trajectory(params: ModelParams, times, states, dt: float, norm_drift: float
         density=density,
         delta_p=(mean_x - mean_x[0]) / params.q,
         d_w=d_w,
-        protocol=protocol,
         params=params,
         dt=dt,
         norm_drift=norm_drift,
@@ -456,7 +451,8 @@ def evolve(
     otherwise).
     Under `protocol` ECHO the sign of the Hamiltonian is reversed on every
     second period counted from t_start, which needs such a span with n even
-    (ValueError otherwise); the other protocols only label the trajectory.
+    (ValueError otherwise); the other protocols do not change how `evolve`
+    propagates.
     Raises IntegratorError on norm drift beyond 1e-8 and SeamDensityError if
     any sampled density at the ring seam (sites 1 or N) exceeds
     `seam_threshold` (pass None to disable the seam check); the initial
@@ -510,7 +506,7 @@ def evolve(
     states[0] = psi0
     norm_drift = float(np.max(np.abs(np.linalg.norm(states[1:], axis=1) - 1.0)))
     sample_times = t_start + (stride * np.arange(samples + 1)) * dt
-    traj = _trajectory(params, sample_times, states, dt, norm_drift, protocol)
+    traj = _trajectory(params, sample_times, states, dt, norm_drift)
     _check_seam(traj.seam_density_max, seam_threshold)
     return traj
 
@@ -535,8 +531,6 @@ def evolve_dense(
     density may sit at the seam.  Every step is solved; nothing is reused
     across periods, and `hamiltonian` is taken to be smooth (no jump times).
     """
-    from .model import real_space_hamiltonian
-
     builder = hamiltonian or real_space_hamiltonian
     n_steps, dt, stride = _step_grid(t_start, t_end, dt, samples)
     psi = _resolve_initial(params, initial)
@@ -552,7 +546,7 @@ def evolve_dense(
         sample_states.append(psi)
         sample_times.append(t_start + (step + stride) * dt)
         norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
-    return _trajectory(params, sample_times, sample_states, dt, norm_drift, None)
+    return _trajectory(params, sample_times, sample_states, dt, norm_drift)
 
 
 def _protocol_params(params: ModelParams, protocol: Protocol) -> ModelParams:
@@ -576,15 +570,14 @@ def run_protocol(
 ) -> PumpTrajectory:
     """Run a named pumping protocol for n_cycles periods.
 
-    `initial` is a 1-based site index, a WannierState, or a normalized
-    N-vector.  ECHO requires an even n_cycles and reverses the Hamiltonian
-    sign on every second cycle; SUPPRESSED forces sine-modulated tunneling.
-    The run is one `evolve` call over [0, n_cycles*T].
+    `initial` is a 1-based site index or a normalized N-vector, such as the
+    amplitudes of a WannierState.  ECHO reverses the Hamiltonian sign on
+    every second cycle, so `evolve` rejects an odd n_cycles; SUPPRESSED forces
+    sine-modulated tunneling.  The run is one `evolve` call over
+    [0, n_cycles*T].
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be positive")
-    if protocol is Protocol.ECHO and n_cycles % 2:
-        raise ValueError("the echo protocol needs an even number of cycles")
     params = _protocol_params(params, protocol)
     return evolve(
         params, initial, 0.0, n_cycles * params.period, dt=dt,
@@ -593,18 +586,16 @@ def run_protocol(
     )
 
 
-def _centered_k_derivative(values: np.ndarray, dk: float, wrap_all: bool) -> np.ndarray:
-    inc = _k_loop_increments(values, wrap_all)
-    return (inc + np.roll(inc, 1)) / (2.0 * dk)
-
-
 def accumulate_phases(params: ModelParams, bands: BandSolution, m: int) -> PhaseRecord:
     """Berry and dynamical phases of band m over one cycle, per momentum.
 
     gamma_d integrates -E_m(k,t) dt by the trapezoid rule; gamma_b is the discrete
     Berry phase of the closed time loop (sum of link phases, which is gauge
-    invariant).  X_b and X_d are centered momentum derivatives of the unwrapped
-    phases; xi = X_b - q*C_m.  Raises ValueError unless m lies in 0..q-1.
+    invariant).  X_b = -d(gamma_b)/dk and X_d = -d(gamma_d)/dk are the spectral
+    derivatives `model._k_derivative` of the phases unwrapped along k, the
+    derivative `wannier.predict_dispersion` takes, so var(X_b + X_d) is its
+    predicted Omega_D; xi = X_b - q*C_m.  Raises ValueError unless m lies in
+    0..q-1.
     """
     _check_band(bands, m)
     if not bands.spans_period():
@@ -622,9 +613,8 @@ def accumulate_phases(params: ModelParams, bands: BandSolution, m: int) -> Phase
     gamma_b = np.unwrap(np.angle(np.exp(-1j * np.sum(np.angle(links_t), axis=1))))
     gamma_d = -np.trapezoid(bands.energies[m], bands.t_grid, axis=-1)
 
-    dk = bands.k_grid[1] - bands.k_grid[0]
-    x_b = -_centered_k_derivative(gamma_b, dk, wrap_all=True)
-    x_d = -_centered_k_derivative(gamma_d, dk, wrap_all=False)
+    x_b = -_k_derivative(gamma_b, bands.k_grid)
+    x_d = -_k_derivative(gamma_d, bands.k_grid)
     c_m = chern_number(bands, m)
     return PhaseRecord(
         k_grid=bands.k_grid,

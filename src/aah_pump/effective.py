@@ -28,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from .dynamics import SAMPLES_PER_CYCLE, Protocol, dt_max, run_protocol
 from .model import (HoppingTable, ModelParams, bloch_from_table, hopping_table,
                     ring_from_table)
 
@@ -224,8 +225,6 @@ def compare_effective(
     Returns (full, effective, fidelity): two trajectories with aligned
     sample grids and the final-state overlap modulus squared.
     """
-    from .dynamics import SAMPLES_PER_CYCLE, dt_max, run_protocol, Protocol
-
     samples = samples_per_cycle or SAMPLES_PER_CYCLE
     if dt is None:
         dt = min(dt_max(params), dt_max(params, effective_bloch_blocks))

@@ -32,8 +32,11 @@ every grid momentum k_n = 2*pi*w_n/(qL) as one FFT over cells, whose slot
 w_n mod L holds momentum n (`_k_wavenumbers`); `_from_momenta` inverts it.
 Divided by sqrt(L) it gives the cell-gauge Bloch components c_n of
 psi_{qc+s} = sum_n e^{ik_n qc} c_n,s / sqrt(L).  `_closed_k_loop` closes the
-momentum loop with u(k_0 + 2*pi/q) = diag(`bz_wrap_phases`) u(k_0), and
-`_k_loop_increments` steps around it, principal branch at the seam.
+momentum loop with u(k_0 + 2*pi/q) = diag(`bz_wrap_phases`) u(k_0),
+`_k_loop_increments` steps around it, principal branch at the seam, and
+`_k_derivative` differentiates a phase around it spectrally, the one
+k-derivative of the package (the cycle-phase profiles of
+`dynamics.accumulate_phases` and `wannier.predict_dispersion`).
 
 Eigensolver: `_hermitian_eigh` diagonalizes every stack of Hermitian blocks
 in the package, the band solves of `spectrum.solve_bands` and the Magnus
@@ -291,15 +294,26 @@ def _closed_k_loop(params: ModelParams, u: np.ndarray) -> np.ndarray:
     return np.concatenate([u, u[:1] * bz_wrap_phases(params)], axis=0)
 
 
-def _k_loop_increments(values: np.ndarray, wrap_all: bool = False) -> np.ndarray:
+def _k_loop_increments(values: np.ndarray) -> np.ndarray:
     """Increments values[n+1] - values[n] around the momentum loop, the last
-    from k_{L-1} back to k_0.  The seam increment takes the principal branch;
-    with `wrap_all`, for phases defined modulo 2*pi, every increment does."""
+    from k_{L-1} back to k_0, which takes the principal branch."""
     inc = np.append(np.diff(values), values[0] - values[-1])
-    if wrap_all:
-        return np.angle(np.exp(1j * inc))
     inc[-1] = np.angle(np.exp(1j * inc[-1]))
     return inc
+
+
+def _k_derivative(values: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """d(values)/dk on the momentum grid `k`, for a phase unwrapped along the
+    grid: the derivative matched to the discrete Fourier sums of the Wannier
+    transform.  The winding around the loop (a multiple of 2*pi, with the seam
+    increment on its principal branch) is removed as a linear ramp, the
+    periodic remainder is differentiated by FFT, and the ramp slope is
+    restored."""
+    dk = k[1] - k[0]
+    slope = np.sum(_k_loop_increments(values)) / (len(values) * dk)
+    residual = values - slope * (k - k[0])  # periodic over the zone
+    freqs = 2.0 * np.pi * np.fft.fftfreq(len(values), d=dk)
+    return np.real(np.fft.ifft(1j * freqs * np.fft.fft(residual))) + slope
 
 
 # Bloch blocks per batched eigensolve, the one budget that governs both block

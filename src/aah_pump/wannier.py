@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _closed_k_loop, _from_momenta, _k_loop_increments
+from .model import (ModelParams, _closed_k_loop, _from_momenta, _k_derivative,
+                    _k_loop_increments)
 from .observables import position_moments
 from .spectrum import BandSolution, BandTouchingError, _check_band
 
@@ -240,29 +241,21 @@ def spread_decomposition(state: WannierState, basis: np.ndarray) -> SpreadReport
 def predict_dispersion(gamma: np.ndarray, k_grid: np.ndarray) -> float:
     """Gauge-dependent spread acquired over a cycle from the phase profile.
 
-    Computes the variance of -d(gamma)/dk over the momentum grid.  Because
-    the Wannier transform is a discrete Fourier sum, the matching derivative
-    is spectral: the winding across the zone (a multiple of 2*pi from the
-    Berry phase) is removed as a linear ramp, the periodic remainder is
-    differentiated by FFT, and the ramp slope is restored.  The seam link
-    uses the principal-branch increment; raises if any neighboring increment
-    reaches pi, i.e. the input was not unwrapped.
+    Computes the variance of X = -d(gamma)/dk over the momentum grid, with
+    the spectral derivative `model._k_derivative` that also gives the X_b and
+    X_d of `dynamics.accumulate_phases`; it matches the discrete Fourier sum
+    of the Wannier transform.  Raises if any neighboring increment, the seam
+    link's on its principal branch, reaches pi, i.e. the input was not
+    unwrapped.
     """
     gamma = np.asarray(gamma, dtype=float)
     k = np.asarray(k_grid, dtype=float)
     if gamma.shape != k.shape:
         raise ValueError("gamma and k_grid must have matching shapes")
-    length = len(gamma)
-    dk = k[1] - k[0]
-    inc = _k_loop_increments(gamma)
-    if np.max(np.abs(inc)) >= np.pi:
+    if np.max(np.abs(_k_loop_increments(gamma))) >= np.pi:
         raise ValueError(
             "gamma is not unwrapped: adjacent increments reach pi; "
             "refine the grid or unwrap the input"
         )
-    slope = np.sum(inc) / (length * dk)
-    residual = gamma - slope * (k - k[0])  # periodic over the zone
-    freqs = 2.0 * np.pi * np.fft.fftfreq(length, d=dk)
-    d_residual = np.real(np.fft.ifft(1j * freqs * np.fft.fft(residual)))
-    x = -(d_residual + slope)
+    x = -_k_derivative(gamma, k)
     return float(np.mean((x - np.mean(x)) ** 2))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from aah_pump import dynamics, effective, model, observables, spectrum
+from aah_pump import dynamics, effective, model, observables, spectrum, wannier
 from aah_pump.dynamics import Protocol
 from aah_pump.model import ModelParams, Sign, TunnelingMode
 from oracles import bloch_states_real_space, chunk_propagator, chunk_steps
@@ -101,7 +101,7 @@ def test_initial_state_validation(paper_params):
 
 
 def test_echo_needs_even_cycles(paper_params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="echo"):
         dynamics.run_protocol(paper_params, Protocol.ECHO, 3, 27)
     # evolve reverses the sign per whole period, so it needs an even number of
     # them, each with the same samples: odd, fractional, samples not divisible
@@ -528,6 +528,22 @@ def test_accumulate_phases_means(paper_params, bands_phases):
     assert abs(np.mean(rec.x_d)) < 1e-3 * np.max(np.abs(rec.x_d))
     assert np.mean(rec.x_b) == pytest.approx(paper_params.q * rec.chern, abs=1e-2)
     assert np.max(np.abs(rec.x_d)) > 10 * np.max(np.abs(rec.xi))
+
+
+def test_phase_profiles_share_the_predicted_dispersion(paper_params, paper_params_sine,
+                                                      bands_phases):
+    # X_b and X_d take the k-derivative that predict_dispersion takes, so the
+    # variance of their sum is its Omega_D, in both tunneling modes
+    sine_bands = spectrum.solve_bands(paper_params_sine, bands_phases.t_grid)
+    for params, bands in ((paper_params, bands_phases), (paper_params_sine, sine_bands)):
+        rec = dynamics.accumulate_phases(params, bands, 2)
+        predicted = wannier.predict_dispersion(rec.gamma, rec.k_grid)
+        assert np.var(rec.x_b + rec.x_d) == pytest.approx(predicted, rel=1e-9, abs=0)
+    # the derivative is exact on a winding phase with a first-harmonic ripple
+    for q, L in ((3, 15), (3, 16), (4, 9), (5, 30)):
+        k = model.k_grid(ModelParams(q=q, L=L))
+        got = model._k_derivative(q * k + 0.3 * np.sin(q * k), k)
+        np.testing.assert_allclose(got, q + 0.3 * q * np.cos(q * k), rtol=0, atol=1e-12)
 
 
 def test_accumulate_phases_flat_band_artificial_input(paper_params):

@@ -22,6 +22,13 @@ def _sublattice_sites(params, subs):
 
 
 REGION_SUBSPACE = {Region.I: (1, 2), Region.II: (2, 3), Region.III: (3, 1)}
+# the phase intervals of each region over one period of phi
+REGION_INTERVALS = {
+    Region.I: [(0.0, np.pi / 6), (5 * np.pi / 6, 7 * np.pi / 6),
+               (11 * np.pi / 6, 2 * np.pi)],
+    Region.II: [(np.pi / 6, np.pi / 2), (7 * np.pi / 6, 3 * np.pi / 2)],
+    Region.III: [(np.pi / 2, 5 * np.pi / 6), (3 * np.pi / 2, 11 * np.pi / 6)],
+}
 
 
 def engine_couplings(params, t, region):
@@ -143,18 +150,12 @@ def check_against_closed_forms(params, t, rel=1e-10):
 def criterion_07_draws():
     """The 200 (params, region) draws of acceptance criterion 07."""
     rng = np.random.default_rng(2024)
-    intervals = {
-        Region.I: [(0.0, np.pi / 6), (5 * np.pi / 6, 7 * np.pi / 6),
-                   (11 * np.pi / 6, 2 * np.pi)],
-        Region.II: [(np.pi / 6, np.pi / 2), (7 * np.pi / 6, 3 * np.pi / 2)],
-        Region.III: [(np.pi / 2, 5 * np.pi / 6), (3 * np.pi / 2, 11 * np.pi / 6)],
-    }
-    regions = list(intervals)
+    regions = list(REGION_INTERVALS)
     modes = [TunnelingMode.UNIFORM, TunnelingMode.SINE_MODULATED]
     draws = 0
     while draws < 200:
         region = regions[draws % 3]
-        lo, hi = intervals[region][rng.integers(len(intervals[region]))]
+        lo, hi = REGION_INTERVALS[region][rng.integers(len(REGION_INTERVALS[region]))]
         v0 = rng.uniform(5.0, 100.0)
         p = ModelParams(J=rng.uniform(0.01, 0.1) * v0, V0=v0,
                         phi0=rng.uniform(lo, hi), tunneling_mode=modes[draws % 2])
@@ -255,17 +256,11 @@ def test_engine_matches_closed_forms_all_regions(mode):
 def test_engine_matches_closed_forms_random_draws():
     # 200 random (phi, V0, J) draws with |J/V0| <= 0.1 across all regions
     rng = np.random.default_rng(42)
-    intervals = {
-        Region.I: [(0.0, np.pi / 6), (5 * np.pi / 6, 7 * np.pi / 6),
-                   (11 * np.pi / 6, 2 * np.pi)],
-        Region.II: [(np.pi / 6, np.pi / 2), (7 * np.pi / 6, 3 * np.pi / 2)],
-        Region.III: [(np.pi / 2, 5 * np.pi / 6), (3 * np.pi / 2, 11 * np.pi / 6)],
-    }
-    regions = list(intervals)
+    regions = list(REGION_INTERVALS)
     modes = [TunnelingMode.UNIFORM, TunnelingMode.SINE_MODULATED]
     for draw in range(200):
         region = regions[draw % 3]
-        lo, hi = intervals[region][rng.integers(len(intervals[region]))]
+        lo, hi = REGION_INTERVALS[region][rng.integers(len(REGION_INTERVALS[region]))]
         phi = rng.uniform(lo, hi)
         v0 = rng.uniform(5.0, 100.0)
         j = rng.uniform(0.01, 0.1) * v0
