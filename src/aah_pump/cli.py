@@ -7,14 +7,15 @@ a JSON manifest recording every resolved parameter, grid size, tolerance,
 and invariant check, with `status` "ok".  A run stopped by a typed library
 error still writes a manifest, with `status` "failed" and the error's type
 and message.  Runs are deterministic: identical configurations produce
-bit-identical files.
+bit-identical files.  The CLI restates no library bound: a check of a bound
+the library enforces reads its constant and passes exactly when it did not raise.
 
 A pump run takes its model from its protocol (`dynamics._protocol_params`):
 a suppressed run uses sine-modulated tunneling whatever `tunneling_mode`
 says, so its initial MLWS, its MLWS references, its Chern numbers and its
 manifest's model all come from the sine chain.  One t = 0 band solve serves
-the initial MLWS and the references, and one topology-grid solve serves all
-Chern numbers of a run.
+the initial MLWS and the references, one Wannier basis audited once, and one
+topology-grid solve serves all Chern numbers of a run.
 
 Config files use `key = value` lines (# comments allowed); any CLI flag
 overrides the file.  The value `none` is taken only by the fields that default
@@ -43,14 +44,14 @@ _FLOAT_FMT = "%.17g"
 @dataclass
 class RunConfig:
     experiment: str
-    J: float = 1.0
-    V0: float = 30.0
-    p: int = 1
-    q: int = 3
-    phi0: float = 0.0
-    omega: float = 0.01
-    L: int = 15
-    tunneling_mode: str = "uniform"
+    J: float = ModelParams.J
+    V0: float = ModelParams.V0
+    p: int = ModelParams.p
+    q: int = ModelParams.q
+    phi0: float = ModelParams.phi0
+    omega: float = ModelParams.omega
+    L: int = ModelParams.L
+    tunneling_mode: str = ModelParams.tunneling_mode.value
     n_cycles: int | None = None
     initial_site: int | None = None
     initial_mlws_band: int | None = None
@@ -193,7 +194,7 @@ def _run_bands(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
     gap = bands.min_gap()
     _manifest(outdir, cfg, params, {
         "grids": {"n_t": cfg.n_t, "n_k": params.L},
-        "invariant_checks": {"min_gap": _check(gap, gap > 1e-6 * abs(params.V0))},
+        "invariant_checks": {"min_gap": _check(gap, gap > spectrum.GAP_TOLERANCE * abs(params.V0))},
     })
 
 
@@ -257,8 +258,9 @@ def _run_pump(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
     bands0 = spectrum.solve_bands(params, np.array([0.0]))
     initial, initial_label = _resolve_initial(cfg, params, bands0)
     traj = dynamics.run_protocol(params, protocol, n_cycles, initial, dt=cfg.dt)
-    refs = [wannier.maximally_localize(bands0, params.q - 1, cell)[0].amplitudes
-            for cell in range(1, params.L + 1)]
+    top = params.q - 1
+    basis = wannier.wannier_basis(bands0)
+    wannier.spread_decomposition(wannier.WannierState(basis[top, 0], top, 1), basis)
     t_over = traj.times / params.period
     pops = observables.band_population(traj.states, spectrum.solve_bands(params, traj.times))
     _write_table(outdir / "observables.tsv",
@@ -272,22 +274,22 @@ def _run_pump(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
     _write_table(outdir / "density_rows.tsv", "row axis of density.tsv", {"t_over_T": t_over})
     _write_table(outdir / "density_cols.tsv", "column axis of density.tsv",
                  {"site": np.arange(1, params.n_sites + 1)})
-    top = pops[:, params.q - 1]
-    band_min = float(np.min(top))
+    band_min = float(np.min(pops[:, top]))
     bands = _topology_bands(cfg, params)
     _manifest(outdir, cfg, params, {
         "delta_p_final_cells": float(traj.delta_p[-1]),
         "d_w_final_sites": float(traj.d_w[-1]),
         "d_w_max_sites": float(np.max(traj.d_w)),
         "projections_final": {f"mlws_cell{cell}": float(np.abs(np.vdot(ref, traj.final_state)) ** 2)
-                              for cell, ref in enumerate(refs, 1)},
+                              for cell, ref in enumerate(basis[top], 1)},
         "invariant_checks": {
-            "norm_drift": _check(traj.norm_drift, traj.norm_drift < 1e-8),
-            "seam_density_max": _check(traj.seam_density_max, traj.seam_density_max <= 1e-3),
+            "norm_drift": _check(traj.norm_drift, traj.norm_drift <= dynamics.MAX_NORM_DRIFT),
+            "seam_density_max": _check(traj.seam_density_max,
+                                       traj.seam_density_max <= dynamics.MAX_SEAM_DENSITY),
             # `final` is the end-of-run population, reported beside the minimum
             # over the run, which the check bounds
             "min_highest_band_population": {**_check(band_min, band_min >= 0.99),
-                                            "final": float(top[-1])},
+                                            "final": float(pops[-1, top])},
         },
         "integrator": {"dt": traj.dt, "samples": len(traj.times),
                        "rule": "fourth-order Magnus (one exact unitary per step from "
@@ -317,6 +319,7 @@ def _run_effective_compare(cfg: RunConfig, params: ModelParams, outdir: Path) ->
                  {"t_over_T": t_over, "delta_p_cells": eff.delta_p, "d_w_sites": eff.d_w})
     dp_diff = np.abs(full.delta_p - eff.delta_p)
     dw_diff = np.abs(full.d_w - eff.d_w)
+    bound = dynamics.MAX_NORM_DRIFT
     _write_table(outdir / "discrepancy.tsv",
                  "pointwise differences between the two trajectories",
                  {"t_over_T": t_over, "abs_delta_p_diff": dp_diff, "abs_d_w_diff": dw_diff})
@@ -329,8 +332,8 @@ def _run_effective_compare(cfg: RunConfig, params: ModelParams, outdir: Path) ->
         "note": "the effective generator is piecewise in the modulation "
                 "phase and discontinuous at region boundaries",
         "invariant_checks": {
-            "norm_drift_full": _check(full.norm_drift, full.norm_drift < 1e-8),
-            "norm_drift_effective": _check(eff.norm_drift, eff.norm_drift < 1e-8),
+            "norm_drift_full": _check(full.norm_drift, full.norm_drift <= bound),
+            "norm_drift_effective": _check(eff.norm_drift, eff.norm_drift <= bound),
         },
     })
 

@@ -101,6 +101,8 @@ from .observables import position_moments
 from .spectrum import BandSolution, _check_band, chern_number
 
 SAMPLES_PER_CYCLE = 400
+MAX_NORM_DRIFT = 1e-8  # IntegratorError past this drift of a sampled norm from one
+MAX_SEAM_DENSITY = 1e-3  # SeamDensityError past this sampled density on site 1 or N
 
 
 class IntegratorError(RuntimeError):
@@ -208,7 +210,7 @@ def _resolve_initial(params: ModelParams, initial) -> np.ndarray:
         vec = np.asarray(initial, dtype=complex)
     if vec.shape != (params.n_sites,):
         raise ValueError(f"initial state must have {params.n_sites} components")
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
+    if abs(np.linalg.norm(vec) - 1.0) > MAX_NORM_DRIFT:
         raise ValueError("initial state is not normalized")
     return vec
 
@@ -236,16 +238,17 @@ def _step_grid(t_start: float, t_end: float, dt: float, samples: int) -> tuple:
     return stride * samples, span / (stride * samples), stride
 
 
-def _trajectory(params: ModelParams, times, states, dt: float,
-                norm_drift: float) -> PumpTrajectory:
-    """Density, cell shift and width of sampled states; raises IntegratorError
-    on norm drift beyond 1e-8."""
-    if norm_drift > 1e-8:
-        raise IntegratorError(f"norm drift {norm_drift:.3e} exceeds 1e-8")
+def _trajectory(params: ModelParams, t_start: float, stride: int, dt: float,
+                states) -> PumpTrajectory:
+    """Samples at t_start + stride*i*dt, i = 0, 1, ..., with density, cell shift
+    and width; IntegratorError if max_{i>=1} | ||states[i]|| - 1 | > MAX_NORM_DRIFT."""
     states = np.asarray(states)
+    norm_drift = float(np.max(np.abs(np.linalg.norm(states[1:], axis=1) - 1.0)))
+    if norm_drift > MAX_NORM_DRIFT:
+        raise IntegratorError(f"norm drift {norm_drift:.3e} exceeds {MAX_NORM_DRIFT:.0e}")
     density, mean_x, d_w = position_moments(states)
     return PumpTrajectory(
-        times=np.asarray(times),
+        times=t_start + (stride * np.arange(len(states))) * dt,
         states=states,
         density=density,
         delta_p=(mean_x - mean_x[0]) / params.q,
@@ -430,7 +433,7 @@ def evolve(
     dt: float | None = None,
     samples: int = SAMPLES_PER_CYCLE,
     bloch_builder=None,
-    seam_threshold: float = 1e-3,
+    seam_threshold: float = MAX_SEAM_DENSITY,
     protocol: Protocol | None = None,
     jump_times=(),
 ) -> PumpTrajectory:
@@ -453,10 +456,11 @@ def evolve(
     second period counted from t_start, which needs such a span with n even
     (ValueError otherwise); the other protocols do not change how `evolve`
     propagates.
-    Raises IntegratorError on norm drift beyond 1e-8 and SeamDensityError if
-    any sampled density at the ring seam (sites 1 or N) exceeds
-    `seam_threshold` (pass None to disable the seam check); the initial
-    state is checked before anything is propagated.
+    Raises IntegratorError on norm drift beyond MAX_NORM_DRIFT and
+    SeamDensityError if any sampled density at the ring seam (sites 1 or N)
+    exceeds `seam_threshold`, MAX_SEAM_DENSITY by default (pass None to
+    disable the seam check); the initial state is checked before anything is
+    propagated.
     """
     psi0 = _resolve_initial(params, initial)
     _check_seam(np.abs(psi0[[0, -1]]) ** 2, seam_threshold)
@@ -504,9 +508,7 @@ def evolve(
 
     states = (_from_momenta(sampled) * root_l).reshape(samples + 1, -1)
     states[0] = psi0
-    norm_drift = float(np.max(np.abs(np.linalg.norm(states[1:], axis=1) - 1.0)))
-    sample_times = t_start + (stride * np.arange(samples + 1)) * dt
-    traj = _trajectory(params, sample_times, states, dt, norm_drift)
+    traj = _trajectory(params, t_start, stride, dt, states)
     _check_seam(traj.seam_density_max, seam_threshold)
     return traj
 
@@ -534,19 +536,15 @@ def evolve_dense(
     builder = hamiltonian or real_space_hamiltonian
     n_steps, dt, stride = _step_grid(t_start, t_end, dt, samples)
     psi = _resolve_initial(params, initial)
-    sample_states = [psi]
-    sample_times = [t_start]
-    norm_drift = 0.0
+    states = [psi]
     for step in range(0, n_steps, stride):
         mids, dts, starts, _ = _block_steps(t_start, step, stride, 1, dt, np.empty(0))
         h = np.stack([builder(params, t) for t in mids], axis=2)
         u = _step_unitaries(_magnus_generators(h, mids, dts, starts), dts)
         for u_step in np.moveaxis(u, 2, 0):
             psi = u_step @ psi
-        sample_states.append(psi)
-        sample_times.append(t_start + (step + stride) * dt)
-        norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
-    return _trajectory(params, sample_times, sample_states, dt, norm_drift)
+        states.append(psi)
+    return _trajectory(params, t_start, stride, dt, states)
 
 
 def _protocol_params(params: ModelParams, protocol: Protocol) -> ModelParams:
@@ -565,7 +563,7 @@ def run_protocol(
     dt: float | None = None,
     samples_per_cycle: int = SAMPLES_PER_CYCLE,
     bloch_builder=None,
-    seam_threshold: float = 1e-3,
+    seam_threshold: float = MAX_SEAM_DENSITY,
     jump_times=(),
 ) -> PumpTrajectory:
     """Run a named pumping protocol for n_cycles periods.
@@ -574,7 +572,7 @@ def run_protocol(
     amplitudes of a WannierState.  ECHO reverses the Hamiltonian sign on
     every second cycle, so `evolve` rejects an odd n_cycles; SUPPRESSED forces
     sine-modulated tunneling.  The run is one `evolve` call over
-    [0, n_cycles*T].
+    [0, n_cycles*T] under MAX_NORM_DRIFT and `seam_threshold`.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be positive")

@@ -218,20 +218,19 @@ def compare_effective(
     initial,
     n_cycles: int = 1,
     dt: float | None = None,
-    samples_per_cycle: int | None = None,
+    samples_per_cycle: int = SAMPLES_PER_CYCLE,
 ):
     """Pump under the full Hamiltonian and under H_T from the same state.
 
     Returns (full, effective, fidelity): two trajectories with aligned
     sample grids and the final-state overlap modulus squared.
     """
-    samples = samples_per_cycle or SAMPLES_PER_CYCLE
     if dt is None:
         dt = min(dt_max(params), dt_max(params, effective_bloch_blocks))
     full = run_protocol(params, Protocol.TRADITIONAL, n_cycles, initial,
-                        dt=dt, samples_per_cycle=samples)
+                        dt=dt, samples_per_cycle=samples_per_cycle)
     eff = run_protocol(params, Protocol.TRADITIONAL, n_cycles, initial,
-                       dt=dt, samples_per_cycle=samples,
+                       dt=dt, samples_per_cycle=samples_per_cycle,
                        bloch_builder=effective_bloch_blocks,
                        jump_times=region_boundaries(params, 0.0, n_cycles * params.period))
     fid = float(np.abs(np.vdot(full.final_state, eff.final_state)) ** 2)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import _to_momenta
+from .model import _to_momenta, cell_to_site_gauge
 from .spectrum import BandSolution
 
 
@@ -32,12 +32,11 @@ def band_population(states: np.ndarray, bands: BandSolution) -> np.ndarray:
     With site j = qc + s (s = 1..q), <psi_m(k)|state> is
     sum_s conj(u_{m,s}(k)) e^{-iks} sum_c e^{-ikqc} state_{qc+s} / sqrt(L):
     the cell-axis map `model._to_momenta` of the states' (M, L, q) reshape,
-    then a contraction per k.
+    the phases e^{-iks} of `model.cell_to_site_gauge`, then a contraction per k.
     """
     p = bands.params
     cells = _to_momenta(np.reshape(states, (-1, p.L, p.q)))  # (M, L, q)
-    s = np.arange(1, p.q + 1)
-    cells = cells * np.exp(-1j * np.outer(bands.k_grid, s)) / np.sqrt(p.L)
+    cells = cell_to_site_gauge(p, bands.k_grid, cells) / np.sqrt(p.L)
     # conjugate overlaps, of equal moduli, spare a copy of the band states
     amps = np.einsum("mkis,iks->imk", bands.states, np.conj(cells))
     return np.sum(np.abs(amps) ** 2, axis=2)

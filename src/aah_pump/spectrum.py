@@ -41,6 +41,7 @@ from .model import (_BLOCKS_PER_SOLVE, ModelParams, _closed_k_loop, _hermitian_e
 # two bands) to pi into one plaquette; on the paper grid (L = 15, 240 times)
 # the largest plaquette flux is 0.044.
 MAX_PLAQUETTE_FLUX = np.pi / 4
+GAP_TOLERANCE = 1e-6  # BandTouchingError at a gap this small, in units of |V0|
 
 
 class BandTouchingError(RuntimeError):
@@ -96,8 +97,10 @@ def _check_band(bands: BandSolution, m: int) -> None:
         raise ValueError(f"band must lie in 0..{bands.n_bands - 1}, got {m}")
 
 
-def default_topology_grid(params: ModelParams, n_t: int = 240) -> np.ndarray:
-    """Closed time grid with n_t intervals covering one full period."""
+def default_topology_grid(params: ModelParams, n_t: int) -> np.ndarray:
+    """Closed time grid with n_t >= 1 intervals covering one full period."""
+    if n_t < 1:
+        raise ValueError(f"n_t must be at least 1, got {n_t}")
     return np.linspace(0.0, params.period, n_t + 1)
 
 
@@ -112,9 +115,9 @@ def solve_bands(params: ModelParams, t_grid: np.ndarray) -> BandSolution:
     self-conjugate k = 0 and, for even L, k = pi/q, and each solution also
     fills its partner.  The t-grid is solved in slices of about
     `model._BLOCKS_PER_SOLVE` blocks.  Raises BandTouchingError if any
-    inter-band gap drops below 1e-6 * |V0|.
+    inter-band gap drops to GAP_TOLERANCE * |V0|.
     """
-    gap_tolerance = 1e-6 * abs(params.V0)
+    gap_tolerance = GAP_TOLERANCE * abs(params.V0)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     ks = k_grid(params)
     q, rev = params.q, _reversed_k(params.L)

@@ -49,10 +49,6 @@ class SpreadReport:
     omega_D: float
     center: float  # <X> in sites
 
-    @property
-    def d_w(self) -> float:
-        return float(np.sqrt(max(self.omega, 0.0)))
-
 
 def _check_t_index(bands: BandSolution, t_index: int) -> None:
     """Raise ValueError unless t_index indexes the solve's t_grid; -1 would

@@ -70,7 +70,7 @@ def test_criterion_03_echo_relocalization(
     ), (
         "the echo residual width is bounded below by the band-geometry "
         "dispersion 4*mean(xi^2) plus the initial-state band contamination: "
-        "sqrt(4*mean(xi^2)) = 0.2747 sites from accumulate_phases on the "
+        "sqrt(4*mean(xi^2)) = 0.2830 sites from accumulate_phases on the "
         "4097-point grid, already above the 0.05*max limit of 0.207; "
         "see the criterion 03 item under 'Tier-1 red' in ROADMAP.md"
     )

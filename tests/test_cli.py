@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aah_pump import cli, wannier
+from aah_pump import cli, dynamics, spectrum, wannier
 
 # omega=0.1 makes a pump run ten times shorter, but the ramp is then not
 # adiabatic (dP is about -0.24 traditional and -0.37 suppressed, and the dense
@@ -186,6 +186,8 @@ def test_failed_run_leaves_manifest(tmp_path, capsys):
     ("pump-echo", "initial_mlws_band=-1"),
     ("pump-echo", "initial_mlws_cell=0"),
     ("pump-echo", "initial_mlws_cell=16"),
+    ("bands", "n_t=0"),
+    ("phases", "n_t_phases=-1"),
 ])
 def test_out_of_range_input_leaves_failed_manifest(tmp_path, capsys, experiment, override):
     # each is rejected by the library before any propagation, and the run
@@ -223,6 +225,16 @@ def test_pump_echo_smoke(tmp_path):
     assert set(projections) == {f"mlws_cell{c}" for c in range(1, 16)}
     assert all(0.0 <= value <= 1.0 for value in projections.values())
     assert sum(projections.values()) <= 1.0 + 1e-12
+    # each is |<W(c)|psi_final>|^2 with W(c) the top band's MLWS of cell c,
+    # to the bit, and psi_final the final state of the same run
+    cfg = cli.RunConfig(experiment="pump-echo", omega=0.1)
+    params = cfg.model_params()
+    initial, _ = cli._resolve_initial(cfg, params)
+    final = dynamics.run_protocol(params, dynamics.Protocol.ECHO, 2, initial).final_state
+    bands0 = spectrum.solve_bands(params, np.array([0.0]))
+    for cell in range(1, params.L + 1):
+        mlws = wannier.maximally_localize(bands0, 2, cell)[0].amplitudes
+        assert projections[f"mlws_cell{cell}"] == float(np.abs(np.vdot(mlws, final)) ** 2)
 
 
 def test_pump_suppressed_smoke(tmp_path):

@@ -33,6 +33,8 @@ def test_fast_path_matches_dense_reference(paper_params):
                            seam_threshold=None)
     dense = dynamics.evolve_dense(paper_params, psi, 0.0, 1.5, dt=fast.dt, samples=4)
     np.testing.assert_allclose(fast.states, dense.states, atol=1e-12)
+    # both propagators sample on the one grid of `dynamics._trajectory`
+    assert np.array_equal(dense.times, fast.times)
 
 
 def test_samples_at_exact_fractions_of_the_span(paper_params):

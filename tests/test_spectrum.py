@@ -40,6 +40,14 @@ def test_band_touching_raises():
         spectrum.solve_bands(p, grid)
 
 
+@pytest.mark.parametrize("n_t", [0, -1])
+def test_topology_grid_needs_an_interval(n_t):
+    # n_t = 0 would give a single time, which covers no period, and n_t = -1
+    # no time at all
+    with pytest.raises(ValueError, match="n_t"):
+        spectrum.default_topology_grid(ModelParams(), n_t)
+
+
 def test_chern_refuses_band_closing_between_grid_points():
     # for even q the two middle bands of the uniform chain touch at Dirac
     # points, which the grid misses; the lattice sum still returns integers
