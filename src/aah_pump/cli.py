@@ -125,6 +125,13 @@ def _topology_bands(cfg: RunConfig, params: ModelParams) -> spectrum.BandSolutio
     return spectrum.solve_bands(params, spectrum.default_topology_grid(params, cfg.n_t))
 
 
+def _chern_numbers(cfg: RunConfig, params: ModelParams) -> list:
+    """The Chern number of every band on the topology grid; the band solve is
+    not kept."""
+    bands = _topology_bands(cfg, params)
+    return [spectrum.chern_number(bands, m) for m in range(params.q)]
+
+
 def _write_table(path: Path, header: str, columns: dict) -> None:
     """Equal-length columns, keyed by name, under a commented header."""
     np.savetxt(path, np.column_stack(list(columns.values())), fmt=_FLOAT_FMT,
@@ -199,8 +206,7 @@ def _run_bands(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
 
 
 def _run_chern(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
-    bands = _topology_bands(cfg, params)
-    cherns = [spectrum.chern_number(bands, m) for m in range(params.q)]
+    cherns = _chern_numbers(cfg, params)
     _write_table(outdir / "chern.tsv", "Chern numbers per band",
                  {"band": np.arange(params.q), "chern": np.asarray(cherns)})
     print("Chern numbers:", tuple(cherns))
@@ -255,6 +261,9 @@ def _run_pump(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
     n_cycles = cfg.n_cycles if cfg.n_cycles is not None else (
         2 if protocol is Protocol.ECHO else 1)
     params = dynamics._protocol_params(params, protocol)
+    # the topology grid is checked before anything is propagated, and no table
+    # is written before every library step has returned
+    cherns = _chern_numbers(cfg, params)
     bands0 = spectrum.solve_bands(params, np.array([0.0]))
     initial, initial_label = _resolve_initial(cfg, params, bands0)
     traj = dynamics.run_protocol(params, protocol, n_cycles, initial, dt=cfg.dt)
@@ -275,7 +284,6 @@ def _run_pump(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
     _write_table(outdir / "density_cols.tsv", "column axis of density.tsv",
                  {"site": np.arange(1, params.n_sites + 1)})
     band_min = float(np.min(pops[:, top]))
-    bands = _topology_bands(cfg, params)
     _manifest(outdir, cfg, params, {
         "delta_p_final_cells": float(traj.delta_p[-1]),
         "d_w_final_sites": float(traj.d_w[-1]),
@@ -296,11 +304,14 @@ def _run_pump(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
                                "the midpoint Hamiltonian and its derivatives from "
                                "three midpoints of the chunk); the chunk propagators "
                                "of one period serve every period, conjugated at -k "
-                               "on echo-reversed periods"},
+                               "on echo-reversed periods; when the steps per period "
+                               "are a multiple of q and not all distinct, the steps "
+                               "of the first q-th of the period, translated by "
+                               "p^-1 mod q sites per q-th, give the rest"},
         "protocol": protocol.value,
         "n_cycles": n_cycles,
         "initial_state": initial_label,
-        "chern": [spectrum.chern_number(bands, m) for m in range(params.q)],
+        "chern": cherns,
         "note": "delta_p is reported in unit cells; quantized transport "
                 "compares delta_p per cycle against the band Chern number",
     })

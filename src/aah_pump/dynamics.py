@@ -37,32 +37,59 @@ The error falls about 16x per halving of dt.  dP(2T) and D_W(2T) of the paper
 runs and criterion 08's values agree with the midpoint rule's to 2e-6.
 
 Cost model: a run pays for one period of eigensolves, however many periods
-it spans.  H(t + T) = H(t), so the chunk propagators of the first period
-serve every later one; and the cell-gauge blocks satisfy H(k)* = H(-k), so
-a sign-reversed period applies conj(U_chunk(-k)) of the forward one, since
-G[-H](k) = -conj(G[H](-k)); `model._reversed_k` indexes -k, as it does for
-the paired band solve of `spectrum.solve_bands`.  A paper cycle is 144,000
-3 x 3 eigensolves (9,600 steps x 15 momenta), and a two-cycle run costs the
-same.  Against solving every period afresh, two-cycle paper runs differ by at
-most 3.7e-12 in the state (echo; 2.0e-12 traditional), 3.9e-13 in delta_p
-and 9.0e-14 in D_W.  Spans that are not a whole number n >= 2 of periods, or
-whose sample count is not a multiple of n, solve every step.  The chunks
-solved are taken in blocks of about _BLOCKS_PER_SOLVE Bloch blocks, at
-least one chunk each: per block, one placement of all its steps
-(`_block_steps`), one builder call, one generator pass, one batched
-eigensolve and one chain product over its chunks side by side.  So the
-eigensolves still number steps x L, but the per-call overhead is paid per
-block.  The eigensolve reduces each generator to a real symmetric
-tridiagonal matrix by one Householder reflection (q = 3) and a diagonal
-phase, and hands that real stack to one `np.linalg.eigh` call: on a paper
-block of 1,800 3 x 3 generators `_step_unitaries` took 3.1 to 3.3 us per
-matrix against 4.5 to 5.0 us with a complex Hermitian eigh of the
-generators, whose eigh alone took 3.3 to 4.3 us (medians of 15, 2-core VM).
-A paper chunk is 24 steps x 15 momenta and 5 chunks share a block, 80
-blocks per period; at omega = 0.05 a chunk is 5 steps x 15 momenta and 24
-share one.  Blocks are made as the run reaches them, so a one-period run
-holds one block at a time, and between blocks only that block's chunk
-propagators.
+it spans, and the chain's own Hamiltonian for one q-th of one.  H(t + T) =
+H(t), so the chunk propagators of the first period serve every later one;
+and the cell-gauge blocks satisfy H(k)* = H(-k), so a sign-reversed period
+applies conj(U_chunk(-k)) of the forward one, since G[-H](k) =
+-conj(G[H](-k)); `model._reversed_k` indexes -k, as it does for the paired
+band solve of `spectrum.solve_bands`.  Against solving every period afresh,
+two-cycle paper runs differed by at most 3.7e-12 in the state (echo; 2.0e-12
+traditional), 3.9e-13 in delta_p and 9.0e-14 in D_W.  Spans that are not a
+whole number n >= 1 of periods, or whose sample count is not a multiple of
+n, solve every step.
+Within a period the chain repeats up to a lattice translation: the drive
+enters only as 2*pi*beta*j + phi(t), so H(t + T/q) is H(t) translated by
+p^-1 mod q sites, and `model._translated` carries blocks, step unitaries and
+their products r q-ths ahead.  A step of the period is thus the image of a
+step of its first q-th, solved with its own stencil (forward, central or
+backward, by its place in its chunk), and `_period_propagators` solves each
+distinct (step, stencil) of the first q-th once.  It does so when `evolve`
+propagates the chain itself (no `bloch_builder`, no `jump_times`) over
+whole periods whose steps per period are a multiple of q, unless every
+step of the period is distinct (`_qth_stencils`).  A paper period is 400
+chunks of 24 steps, 3,200 steps per q-th, each central in some image; the
+q-th edges fall 8 steps into a chunk, so 400 of them also take a forward
+and 400 a backward stencil: 4,000 distinct steps, 60,000 3 x 3 eigensolves
+instead of 144,000, and a two-cycle run costs the same.  Three steps per
+chunk, as at omega = 0.1, can put every stencil on every step; such a q-th
+would save no eigensolve and cost more generators.  Against solving every
+step of the period, the paper runs' states differ by at most 3.6e-12,
+delta_p by 2.5e-11 and D_W by 1.6e-11.  Every other run solves each step of
+its first period with `_chunk_propagators`: a given builder (H_T, or any
+wrapper of the chain), jumps, partial spans, and step counts that are not a
+multiple of q, such as effective-compare's 2,000 steps per period at
+omega = 0.05.
+Both solves take blocks of about _BLOCKS_PER_SOLVE Bloch blocks.  A block
+of `_chunk_propagators` is at least one chunk: one placement of all its
+steps (`_block_steps`), one builder call, one generator pass, one batched
+eigensolve and one chain product over its chunks side by side.  A paper
+chunk is 24 steps x 15 momenta and 5 chunks share a block, 80 blocks per
+period; at omega = 0.05 a chunk is 5 steps x 15 momenta and 24 share one.
+These blocks are made as the run reaches them, so a one-period run holds
+one block at a time, and between blocks only that block's chunk
+propagators.  A block of the q-th solve forms about _BLOCKS_PER_SOLVE
+generators (68 steps of a paper q-th, 48 blocks), solves them and folds
+them into the chunk propagators of all q images before the next block; so
+it holds the period's propagators (samples x L x q x q, 0.82 MB at paper
+parameters, which a run of two or more periods keeps in any case) and one
+block.  Under tracemalloc a paper one-cycle run peaks at 2.4 MB against
+1.5 MB solving every step, and a two-cycle echo at 2.7 MB in both.
+The eigensolve reduces each generator to a real symmetric tridiagonal
+matrix by one Householder reflection (q = 3) and a diagonal phase, and
+hands that real stack to one `np.linalg.eigh` call: on a paper block of
+1,800 3 x 3 generators `_step_unitaries` took 3.1 to 3.3 us per matrix
+against 4.5 to 5.0 us with a complex Hermitian eigh of the generators,
+whose eigh alone took 3.3 to 4.3 us (medians of 15, 2-core VM).
 The state is carried as cell-gauge Bloch components, (L, q), from
 `model._to_momenta`; each chunk applies its propagator per momentum, and all
 samples go back to sites in one `model._from_momenta` after the chunk loop.
@@ -96,7 +123,7 @@ import numpy as np
 
 from .model import (_BLOCKS_PER_SOLVE, ModelParams, TunnelingMode, _from_momenta,
                     _hermitian_eigh, _k_derivative, _reversed_k, _to_momenta,
-                    bloch_blocks, k_grid, real_space_hamiltonian)
+                    _translated, bloch_blocks, k_grid, real_space_hamiltonian)
 from .observables import position_moments
 from .spectrum import BandSolution, _check_band, chern_number
 
@@ -261,13 +288,13 @@ def _trajectory(params: ModelParams, t_start: float, stride: int, dt: float,
 
 
 def _whole_periods(params: ModelParams, t_start: float, t_end: float, samples: int) -> int:
-    """n if [t_start, t_end] is n >= 2 whole periods, to rounding, and
-    `samples` is a multiple of n; otherwise 1."""
+    """n if [t_start, t_end] is n >= 1 whole periods, to rounding, and
+    `samples` is a multiple of n; otherwise 0."""
     span = t_end - t_start
     n = int(np.rint(span / params.period))
-    if n >= 2 and abs(span - n * params.period) <= 1e-12 * span and samples % n == 0:
+    if n >= 1 and abs(span - n * params.period) <= 1e-12 * span and samples % n == 0:
         return n
-    return 1
+    return 0
 
 
 def _check_periodic_jumps(jump_times: np.ndarray, t_start: float, t_end: float,
@@ -378,6 +405,21 @@ def _step_unitaries(g: np.ndarray, dts: np.ndarray) -> np.ndarray:
     return _mm(a, np.swapaxes(np.conjugate(vecs, out=vecs), 0, 1))
 
 
+def _run_products(steps: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Ordered products of the runs of consecutive steps of a (d, d, n, ...)
+    stack that start at the sorted `offsets` (offsets[0] = 0), shape
+    (d, d, len(offsets), ...).  The runs are laid side by side for one
+    `_chain_product`, the shorter ones padded at the end with exact
+    identities, which leave their products bit for bit as they are."""
+    d, n = steps.shape[0], steps.shape[2]
+    sizes = np.diff(offsets, append=n)
+    eye = np.eye(d, dtype=complex).reshape((d, d) + (1,) * (steps.ndim - 1))
+    u = np.broadcast_to(eye, (d, d, sizes.max(), len(offsets)) + steps.shape[3:]).copy()
+    run = np.repeat(np.arange(len(offsets)), sizes)
+    u[:, :, np.arange(n) - offsets[run], run] = steps
+    return _chain_product(u)
+
+
 def _block_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: float,
                        step: int, stride: int, chunks: int, dt: float,
                        jump_times: np.ndarray) -> np.ndarray:
@@ -387,24 +429,14 @@ def _block_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: fl
     The block's Hamiltonians are copied once into the kernels' layout, matrix
     axes first, (q, q, step, L); the generators are built over that copy and
     the eigensolve writes the eigenvectors over them, so a block holds at
-    most four step-sized stacks at once.  The chain product runs over the chunks side
-    by side; a chunk split by a jump has more steps, and the others are
-    padded at the end with exact identities, which leave their products bit
-    for bit as they are.
+    most four step-sized stacks at once.  `_run_products` multiplies the
+    chunks side by side; a chunk split by a jump has more steps.
     """
-    q, L = params.q, params.L
     mids, dts, starts, offsets = _block_steps(t_start, step, stride, chunks, dt, jump_times)
     h = np.moveaxis(builder.batch(params, ks, mids), (-2, -1), (0, 1)).copy()
     steps = _step_unitaries(_magnus_generators(h, mids, dts, starts), dts)
     del h
-    # u[:, :, j, m]: step j of the block's chunk m, identity past the chunk's end
-    sizes = np.diff(offsets, append=len(mids))
-    u = np.broadcast_to(np.eye(q, dtype=complex)[:, :, None, None, None],
-                        (q, q, sizes.max(), chunks, L)).copy()
-    chunk = np.repeat(np.arange(chunks), sizes)
-    u[:, :, np.arange(len(mids)) - offsets[chunk], chunk] = steps
-    del steps
-    return np.moveaxis(_chain_product(u), (0, 1), (-2, -1))
+    return np.moveaxis(_run_products(steps, offsets), (0, 1), (-2, -1))
 
 
 def _chunk_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: float,
@@ -423,6 +455,106 @@ def _chunk_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: fl
     for first in range(0, chunks, per_block):
         yield from _block_propagators(params, builder, ks, t_start, first * stride, stride,
                                       min(per_block, chunks - first), dt, jump_times)
+
+
+def _qth_unitaries(params: ModelParams, ks: np.ndarray, t_start: float, first: int,
+                   needed: np.ndarray, dt: float) -> tuple:
+    """(u, index): the unitaries, shape (q, q, needed.sum(), L), of the chain's
+    steps first, first+1, ... of width dt from t_start under the stencils
+    that `needed`, (steps, 3), marks as forward, central and backward, and
+    index[i, c], the entry of u of step first+i under stencil c.
+
+    The central steps are one smooth piece from the step before the first to
+    the step after the last, and each one-sided step is a three-step piece of
+    its own, whose first or last step it is; one `_magnus_generators` pass
+    gives them all, so H is built from two midpoints before the first step
+    to two after the last, as far as a stencil reaches.
+    """
+    step, stencil = np.nonzero(needed)
+    edge = stencil != 1
+    run = np.arange(len(needed) + 2)  # steps first-1 .. first+len(needed)
+    sel = np.concatenate([run, ((step[edge] + 1 - stencil[edge])[:, None]
+                                + np.arange(3)).ravel()])
+    mids = t_start + (first + sel - 0.5) * dt
+    dts = np.full(len(sel), dt)
+    starts = np.append(0, len(run) + 3 * np.arange(np.count_nonzero(edge)))
+    pos = np.where(edge, len(run) + 3 * (np.cumsum(edge) - 1) + stencil, step + 1)
+    h = np.moveaxis(bloch_blocks.batch(params, ks, mids), (-2, -1), (0, 1)).copy()
+    g = np.take(_magnus_generators(h, mids, dts, starts), pos, axis=2)
+    del h
+    index = np.zeros(needed.shape, dtype=int)
+    index[step, stencil] = np.arange(len(step))
+    return _step_unitaries(g, dts[pos]), index
+
+
+def _stencils(steps: np.ndarray, stride: int) -> np.ndarray:
+    """The Magnus stencil of each step of a run of `stride`-step chunks from
+    step 0: 0 forward at a chunk's start, 2 backward at its end, 1 central."""
+    pos = steps % stride
+    return 1 - (pos == 0) + (pos == stride - 1)
+
+
+def _qth_stencils(q: int, chunks: int, stride: int) -> np.ndarray | None:
+    """needed[i, c], shape (m, 3): whether some step of a period of `chunks`
+    chunks of `stride` steps, m steps per q-th, is step i of its q-th with
+    stencil c.  None when the steps are not a multiple of q, or when every
+    step of the period is distinct (three steps per chunk can put every
+    stencil on every step), so that solving one q-th saves nothing."""
+    n_steps = chunks * stride
+    if n_steps % q:
+        return None
+    n = np.arange(n_steps)
+    needed = np.zeros((n_steps // q, 3), dtype=bool)
+    needed[n % (n_steps // q), _stencils(n, stride)] = True
+    return needed if np.count_nonzero(needed) < n_steps else None
+
+
+def _period_propagators(params: ModelParams, ks: np.ndarray, t_start: float, stride: int,
+                        dt: float, needed: np.ndarray) -> np.ndarray:
+    """Propagators of the chunks of one period of the chain from t_start,
+    shape (chunks, L, q, q), from the steps of its first q-th that
+    `_qth_stencils` marks as `needed`.
+
+    With m steps per q-th, step r*m + i of the period is the image under
+    `model._translated` (r q-ths) of step i solved with the stencil of step
+    r*m + i.  Each distinct (step, stencil) is solved once, by
+    `_qth_unitaries`, in blocks of steps of the first q-th that form about
+    _BLOCKS_PER_SOLVE generators, as a block of `_chunk_propagators` does.
+    The period is cut at chunk and q-th edges into segments, each in one
+    chunk and one q-th; each block is folded, image by image, into the
+    products of the segments its steps fall in, so only these products
+    outlive a block.  A chunk cut by a q-th edge multiplies its segments at
+    the end.
+    """
+    q, L = params.q, params.L
+    m = len(needed)
+    n_steps = q * m
+    chunks = n_steps // stride
+    cuts = np.arange(n_steps)
+    cuts = cuts[(cuts % stride == 0) | (cuts % m == 0)]  # the first step of each segment
+    chunk = cuts // stride
+    last = np.diff(chunk, append=chunks) > 0  # the last segment of each chunk
+    # the last segment of chunk c has slot c, the others slots from `chunks` on
+    slot = np.where(last, chunk, chunks + np.cumsum(~last) - 1)
+    products = np.broadcast_to(np.eye(q, dtype=complex), (len(cuts), L, q, q)).copy()
+    # each step is formed once and each one-sided stencil three times
+    per_step = L * (1 + 3 * np.count_nonzero(needed[:, ::2]) / m)
+    per_block = max(1, int(_BLOCKS_PER_SOLVE / per_step))
+    for first in range(0, m, per_block):
+        i = np.arange(first, min(first + per_block, m))
+        u, index = _qth_unitaries(params, ks, t_start, first, needed[i], dt)
+        for r in range(q):
+            steps = r * m + i
+            slots = slot[np.searchsorted(cuts, steps, side="right") - 1]
+            runs = np.flatnonzero(np.diff(slots, prepend=-1))
+            taken = index[i - first, _stencils(steps, stride)]
+            prods = _run_products(np.take(u, taken, axis=2), runs)
+            prods = _translated(params, np.moveaxis(prods, (0, 1), (-2, -1)), ks, r)
+            products[slots[runs]] = prods @ products[slots[runs]]
+        del u, prods  # before the next block is solved
+    for g in np.flatnonzero(~last)[::-1]:  # later segments first
+        products[chunk[g]] = products[chunk[g]] @ products[slot[g]]
+    return products[:chunks]
 
 
 def evolve(
@@ -446,12 +578,17 @@ def evolve(
     stencil reaches across it, since a step across a jump has an error of
     first order in dt.
 
-    The chunk propagators are solved a block of chunks at a time, with one
-    `builder.batch` call and one batched eigensolve per block.  A span of
-    n >= 2 whole periods with `samples` a multiple of n solves the chunk
-    propagators of its first period only, keeps them and applies them to
-    every period, so its jumps must repeat with the period (ValueError
-    otherwise).
+    A span of n >= 2 whole periods with `samples` a multiple of n solves the
+    chunk propagators of its first period only, keeps them and applies them
+    to every period, so its jumps must repeat with the period (ValueError
+    otherwise).  The chain's own Hamiltonian (no `bloch_builder`, no
+    `jump_times`) over whole periods whose steps per period are a multiple
+    of q solves only the first q-th of its period, each distinct (step,
+    stencil) once, 4,000 of 9,600 steps at paper parameters, and holds that
+    period's chunk propagators, unless all its steps are distinct (see the
+    module's cost model).  Any other run solves its chunk propagators a
+    block of chunks at a time, with one `builder.batch` call and one batched
+    eigensolve per block.  The two solves agree to rounding.
     Under `protocol` ECHO the sign of the Hamiltonian is reversed on every
     second period counted from t_start, which needs such a span with n even
     (ValueError otherwise); the other protocols do not change how `evolve`
@@ -471,7 +608,8 @@ def evolve(
     elif dt > cap * (1 + 1e-12):
         raise ValueError(f"dt={dt} exceeds dt_max={cap:.6e}")
     _, dt, stride = _step_grid(t_start, t_end, dt, samples)
-    n_periods = _whole_periods(params, t_start, t_end, samples)
+    whole = _whole_periods(params, t_start, t_end, samples)
+    n_periods = max(whole, 1)
     echo = protocol is Protocol.ECHO
     if echo and n_periods % 2:
         raise ValueError("the echo protocol needs an even number of whole periods, "
@@ -487,23 +625,27 @@ def evolve(
     sampled[0] = _to_momenta(psi0.reshape(params.L, params.q)) / root_l
 
     per_period = samples // n_periods
-    propagators = _chunk_propagators(params, builder, ks, t_start, per_period, stride, dt,
-                                     jump_times)
-    # the first period's chunk propagators, kept only when later periods reuse them
-    first_period = (np.empty((per_period, params.L, params.q, params.q), dtype=complex)
-                    if n_periods > 1 else None)
+    needed = (_qth_stencils(params.q, per_period, stride)
+              if bloch_builder is None and not len(jump_times) and whole else None)
+    if needed is not None:
+        propagators = _period_propagators(params, ks, t_start, stride, dt, needed)
+    else:
+        propagators = _chunk_propagators(params, builder, ks, t_start, per_period, stride,
+                                         dt, jump_times)
+        if n_periods > 1:  # kept, since later periods reuse them
+            propagators = np.fromiter(
+                propagators, np.dtype((complex, (params.L, params.q, params.q))), per_period)
+    first_period = iter(propagators)
     for chunk in range(samples):
         period, i = divmod(chunk, per_period)
         if period == 0:
-            u_chunk = next(propagators)
-            if first_period is not None:
-                first_period[i] = u_chunk
+            u_chunk = next(first_period)
         elif echo and period % 2:
             # H(k)* = H(-k), so the reversed step exp(+iH(k)dt) is the
             # conjugate of the forward step at -k
-            u_chunk = np.conj(first_period[i, reversed_k])
+            u_chunk = np.conj(propagators[i, reversed_k])
         else:
-            u_chunk = first_period[i]
+            u_chunk = propagators[i]
         sampled[chunk + 1] = np.einsum("nij,nj->ni", u_chunk, sampled[chunk])
 
     states = (_from_momenta(sampled) * root_l).reshape(samples + 1, -1)

@@ -23,7 +23,9 @@ q-periodic, each quasi-momentum k of the ring gives a q x q Hermitian block.
 `bloch_blocks` returns the cell-gauge matrices (plain intra-cell bonds,
 wrap bond carrying e^{ikq}); the diagonal map w_s = e^{iks} u_s converts its
 eigenvectors to the site-phase periodic parts used by the Wannier and Berry
-machinery (see `spectrum.solve_bands`).
+machinery (see `spectrum.solve_bands`).  A q-th of a period later the chain
+is itself translated by p^-1 mod q sites, and `_translated` carries its
+blocks there, so `dynamics` solves one q-th of a pump period.
 
 Site-to-momentum map, the one place the package goes between sites and
 momenta: with site j = qc + s (cells c = 0..L-1, sublattices s = 1..q) and a
@@ -270,6 +272,31 @@ def bloch_blocks_batch(params: ModelParams, k: np.ndarray, ts: np.ndarray) -> np
 bloch_blocks.batch = bloch_blocks_batch
 
 
+def _translated(params: ModelParams, h: np.ndarray, k: np.ndarray, r: int) -> np.ndarray:
+    """Cell-gauge blocks h(t) of the chain, shape (..., len(k), q, q), carried
+    to h(t + r*T/q); the same map carries a step unitary or a product of them.
+
+    The drive enters only as 2*pi*beta*j + phi(t), and phi(t + T/q) = phi(t) +
+    2*pi/q = phi(t) + 2*pi*beta*a with a = p^-1 mod q, so V_j and bond j at
+    t + T/q are V_{j+a} and bond j+a at t: H(t + T/q)[j, j'] = H(t)[j+a, j'+a],
+    for both tunneling modes, both signs and any phi0.  On the Bloch state
+    psi_{qc+s+1} = e^{ikqc} u_s (0-based s) the translation by b sites reads
+    u_s -> d_s u_{(s+b) mod q}, with d_s = e^{ikq} where s + b >= q and 1
+    otherwise, so
+
+        H_k(t + T/q)[s, s'] = d_s H_k(t)[(s+a) mod q, (s'+a) mod q] conj(d_s').
+
+    r q-ths translate by r*a sites; a whole cell of it multiplies every
+    component by e^{ikq} and cancels, so b = r*a mod q.
+    """
+    q = params.q
+    b = r * pow(params.p, -1, q) % q
+    s = np.arange(q)
+    d = np.where(s + b >= q, np.exp(1j * q * np.asarray(k))[:, None], 1.0)  # (len(k), q)
+    perm = (s + b) % q
+    return d[:, :, None] * h[..., perm[:, None], perm] * np.conj(d)[:, None, :]
+
+
 def cell_to_site_gauge(params: ModelParams, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Convert cell-gauge eigenvectors w to site-phase periodic parts u.
 
@@ -317,7 +344,8 @@ def _k_derivative(values: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 # Bloch blocks per batched eigensolve, the one budget that governs both block
-# solvers: `dynamics` solves this many step blocks of its chunks together, and
+# solvers: `dynamics` solves this many step blocks of its chunks together (or
+# forms this many generators of a q-th of a period), and
 # `spectrum.solve_bands` this many (k, t) blocks per slice of its t-grid.  For
 # the Magnus blocks it is the fewest that hold five paper chunks; 24 chunks at
 # omega = 0.05 share a block.  Larger blocks cut per-call overhead but hold

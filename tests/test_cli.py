@@ -199,6 +199,22 @@ def test_out_of_range_input_leaves_failed_manifest(tmp_path, capsys, experiment,
     assert manifest["error"]["type"] == "ValueError"
 
 
+def test_pump_run_checks_its_grid_before_propagating(tmp_path, capsys, monkeypatch):
+    # the topology grid is built and its Chern numbers taken before the run
+    # propagates, so a bad n_t leaves a failed manifest and no data table
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("the run propagated before its grid was checked")
+
+    monkeypatch.setattr(dynamics, "run_protocol", no_propagation)
+    assert cli.main(["pump-echo", "--outdir", str(tmp_path), "--set", "n_t=0"]) == 1
+    assert "run failed" in capsys.readouterr().err
+    manifest = read_manifest(tmp_path, "pump-echo")
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "ValueError"
+    assert "n_t" in manifest["error"]["message"]
+    assert not list((tmp_path / "pump-echo").glob("*.tsv"))
+
+
 def test_vanishing_link_leaves_failed_manifest(tmp_path, capsys, monkeypatch):
     # an MLWS start needs the transport gauge; with every k-link zero it raises
     # BandTouchingError before any dynamics, and the run must record it

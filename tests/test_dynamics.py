@@ -154,6 +154,31 @@ def test_bloch_blocks_reversal_and_periodicity(data, q, L, phi0, ratio, mode, si
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), q=st.integers(2, 5), L=st.integers(3, 8),
+       phi0=st.floats(-np.pi, np.pi), ratio=st.floats(0.01, 2.0),
+       mode=st.sampled_from(TunnelingMode), sign=st.sampled_from(Sign),
+       t=st.floats(0.0, 700.0), r=st.integers(0, 6))
+def test_bloch_blocks_translation_covariance(data, q, L, phi0, ratio, mode, sign, t, r):
+    # the premise of solving one q-th of a period: r q-ths later the chain is
+    # itself translated by r*a sites, a = p^-1 mod q, and its Bloch blocks are
+    # carried there by `model._translated`
+    p_num = data.draw(st.integers(1, q - 1).filter(lambda n: math.gcd(n, q) == 1))
+    p = ModelParams(J=ratio * 10.0, V0=10.0, p=p_num, q=q, phi0=phi0, L=L,
+                    tunneling_mode=mode, sign=sign)
+    later = t + r * p.period / q
+    shift = r * pow(p_num, -1, q)
+    dense = model.real_space_hamiltonian(p, t)
+    np.testing.assert_allclose(np.roll(dense, (-shift, -shift), axis=(0, 1)),
+                               model.real_space_hamiltonian(p, later),
+                               rtol=0, atol=1e-12 * np.max(np.abs(dense)))
+    ks = model.k_grid(p)
+    h = model.bloch_blocks_batch(p, ks, np.array([t, t + 55.5]))
+    np.testing.assert_allclose(model._translated(p, h, ks, r),
+                               model.bloch_blocks_batch(p, ks, np.array([later, later + 55.5])),
+                               rtol=0, atol=1e-12 * np.max(np.abs(h)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(L=st.integers(3, 8), phi0=st.floats(-np.pi, np.pi), ratio=st.floats(0.01, 0.1),
        mode=st.sampled_from(TunnelingMode), sign=st.sampled_from(Sign),
        t=st.floats(0.0, 700.0))
@@ -418,8 +443,8 @@ def test_period_reuse_matches_per_period_chain(case, protocol):
     np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("protocol", [Protocol.TRADITIONAL, Protocol.ECHO])
-def test_two_cycle_run_solves_one_period(monkeypatch, protocol):
+def _count_eigensolves(monkeypatch) -> list:
+    """The number of matrices of every `np.linalg.eigh` call from now on."""
     solved = []
     eigh = np.linalg.eigh
 
@@ -428,9 +453,16 @@ def test_two_cycle_run_solves_one_period(monkeypatch, protocol):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return solved
+
+
+@pytest.mark.parametrize("protocol", [Protocol.TRADITIONAL, Protocol.ECHO])
+def test_two_cycle_run_solves_one_period(monkeypatch, protocol):
+    solved = _count_eigensolves(monkeypatch)
     traj = dynamics.run_protocol(FAST, protocol, 2, 27, samples_per_cycle=10,
                                  seam_threshold=None)
     steps = round((traj.times[-1] - traj.times[0]) / traj.dt)
+    assert (steps // 2) % FAST.q  # so the period is solved step by step
     assert sum(solved) == steps // 2 * FAST.L
 
 
@@ -450,10 +482,165 @@ def test_evolve_builds_a_block_of_chunks_per_call(n_cycles):
                                  samples_per_cycle=10, bloch_builder=builder,
                                  seam_threshold=None)
     stride = round(FAST.period / traj.dt) // 10
+    assert (10 * stride) % FAST.q  # so the period is solved step by step
     per_block = max(1, dynamics._BLOCKS_PER_SOLVE // (stride * FAST.L))
     assert 1 < per_block < 10  # one call per chunk would be told apart
     assert len(calls) == math.ceil(10 / per_block)
     assert sum(calls) == 10 * stride
+
+
+def _chain_as_builder():
+    """The chain's own builder behind a wrapper, which `evolve` solves step by
+    step, as it does any builder it is given."""
+    def builder(params, k, t):
+        return model.bloch_blocks(params, k, t)
+
+    builder.batch = model.bloch_blocks_batch
+    return builder
+
+
+# (params, samples per period, steps per sample); the steps per period are a
+# multiple of q, so `evolve` solves one q-th of each period.  m is the steps
+# per q-th; where m % stride != 0 the q-th edges cut chunks, and where a
+# sample spans q-ths a chunk has segments in several of them
+QTH_CASES = {
+    "q3_cut_chunks": (ModelParams(V0=10.0, omega=0.2), 10, 21),  # m = 70
+    "q3_whole_chunks": (ModelParams(V0=10.0, omega=0.2), 12, 18),  # m = 72
+    "q3_stride3_whole_chunks": (ModelParams(V0=10.0, omega=0.2, phi0=0.7), 72, 3),  # m = 72
+    "q3_stride4_whole_chunks": (ModelParams(V0=10.0, omega=0.2, L=4), 60, 4),  # m = 80
+    "q4_stride4_cut_chunks": (ModelParams(V0=10.0, p=1, q=4, L=4, omega=0.2), 55, 4),  # m = 55
+    "q4_p3_even_L_sine": (ModelParams(V0=10.0, p=3, q=4, L=4, omega=0.2, phi0=0.4,
+                                      tunneling_mode=TunnelingMode.SINE_MODULATED), 10, 24),
+    "q5_p2_minus": (ModelParams(V0=10.0, p=2, q=5, L=3, omega=0.2, phi0=-1.0,
+                                sign=Sign.MINUS), 14, 15),  # m = 42
+    "q5_samples_span_qths": (ModelParams(V0=10.0, p=1, q=5, L=3, omega=0.2), 2, 105),
+}
+
+
+def _distinct_steps(n_steps, stride, q):
+    """The (step of the first q-th, stencil) pairs of a period of n_steps: step
+    n is step n % m of its q-th, forward at a chunk's start, backward at its
+    end and central inside."""
+    m = n_steps // q
+
+    def stencil(pos):
+        return "forward" if pos == 0 else "backward" if pos == stride - 1 else "central"
+
+    return len({(n % m, stencil(n % stride)) for n in range(n_steps)})
+
+
+@pytest.mark.parametrize("protocol, cycles", [(Protocol.TRADITIONAL, 1), (Protocol.ECHO, 2)])
+@pytest.mark.parametrize("case", QTH_CASES)
+def test_qth_solve_matches_the_step_by_step_solve_and_dense(monkeypatch, case, protocol,
+                                                            cycles):
+    params, samples, stride = QTH_CASES[case]
+    dt = params.period / (samples * stride)  # below dt_max = 2/||H|| >= 2/(V0 + 2J)
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=params.n_sites) + 1j * rng.normal(size=params.n_sites)
+    psi /= np.linalg.norm(psi)
+    solved = _count_eigensolves(monkeypatch)
+    fast = dynamics.run_protocol(params, protocol, cycles, psi, dt=dt,
+                                 samples_per_cycle=samples, seam_threshold=None)
+    assert round(params.period / fast.dt) == samples * stride
+    distinct = _distinct_steps(samples * stride, stride, params.q)
+    assert distinct < samples * stride
+    assert sum(solved) == distinct * params.L  # one q-th was solved
+    chain = dynamics.run_protocol(params, protocol, cycles, psi, dt=dt,
+                                  samples_per_cycle=samples, seam_threshold=None,
+                                  bloch_builder=_chain_as_builder())
+    assert np.array_equal(fast.times, chain.times)
+    np.testing.assert_allclose(fast.states, chain.states, rtol=0, atol=1e-12)
+    if protocol is Protocol.TRADITIONAL:
+        dense = dynamics.evolve_dense(params, psi, 0.0, params.period, dt, samples=samples)
+        np.testing.assert_allclose(fast.states, dense.states, rtol=0, atol=1e-12)
+
+
+def test_a_qth_that_saves_nothing_is_not_solved(monkeypatch):
+    # three steps per chunk with m % 3 != 0 put every stencil on every step of
+    # the q-th, so the period is solved step by step, as with a builder given
+    params, samples, stride = ModelParams(V0=10.0, omega=0.2, phi0=0.7), 70, 3  # m = 70
+    dt = params.period / (samples * stride)
+    assert _distinct_steps(samples * stride, stride, params.q) == samples * stride
+    solved = _count_eigensolves(monkeypatch)
+    plain = dynamics.evolve(params, 16, 0.0, params.period, dt=dt, samples=samples)
+    assert sum(solved) == samples * stride * params.L
+    chain = dynamics.evolve(params, 16, 0.0, params.period, dt=dt, samples=samples,
+                            bloch_builder=_chain_as_builder())
+    assert np.array_equal(plain.states, chain.states)
+
+
+def test_qth_solve_reads_the_builder_a_tracer_swaps_in(monkeypatch):
+    # a tracer replaces `dynamics.bloch_blocks` by a wrapper that carries the
+    # batch form; the run must build through it and stay bit-identical
+    params, samples, stride = QTH_CASES["q3_cut_chunks"]
+    dt = params.period / (samples * stride)
+    plain = dynamics.evolve(params, 16, 0.0, params.period, dt=dt, samples=samples)
+    built = []
+
+    def batch(params, k, ts):
+        built.append(len(ts))
+        return model.bloch_blocks_batch(params, k, ts)
+
+    wrapper = _chain_as_builder()
+    wrapper.batch = batch
+    monkeypatch.setattr(dynamics, "bloch_blocks", wrapper)
+    traced = dynamics.evolve(params, 16, 0.0, params.period, dt=dt, samples=samples)
+    assert 0 < sum(built) < samples * stride  # one q-th, built through the wrapper
+    assert np.array_equal(traced.states, plain.states)
+    assert np.array_equal(traced.times, plain.times)
+
+
+def test_paper_runs_solve_one_qth_of_a_period(monkeypatch, paper_params):
+    # 3,200 steps per q-th, each central in some image; q-th edges fall 8 steps
+    # into a 24-step chunk, so forward and backward stencils sit at the 400
+    # steps i = 0 and i = 7 (mod 8): 4,000 distinct steps of 15 momenta
+    solved = _count_eigensolves(monkeypatch)
+    traj = dynamics.run_protocol(paper_params, Protocol.TRADITIONAL, 1, 27)
+    assert round(paper_params.period / traj.dt) == 9600
+    assert sum(solved) == 4000 * paper_params.L
+    solved.clear()
+    dynamics.run_protocol(paper_params, Protocol.ECHO, 2, 27)
+    assert sum(solved) == 4000 * paper_params.L
+    # FAST's 170 steps per period are not a multiple of q: every step is solved
+    solved.clear()
+    traj = dynamics.evolve(FAST, 27, 0.0, FAST.period, samples=10, seam_threshold=None)
+    steps = round(FAST.period / traj.dt)
+    assert steps % FAST.q
+    assert sum(solved) == steps * FAST.L
+
+
+def test_qth_solve_holds_the_period_and_one_block(monkeypatch, paper_params):
+    # a paper period solve holds its segment products, the period's chunk
+    # propagators and at most q-1 more, throughout, and on top of them one
+    # block at a time: its Hamiltonians and the three stencil arrays of the
+    # generator pass, four stacks of the largest generator stack B a block
+    # forms, as in `_chunk_propagators`.  The bound allows one stack more, for
+    # numpy's iteration buffers (two of 8,192 complex elements, 256 KB, one B
+    # at paper size) and the bookkeeping of steps; every other stage of a
+    # block (the eigensolve, the folding of q images) holds less.  A first
+    # solve runs untraced, so that numpy's one-time allocations are not counted.
+    p = paper_params
+    _, dt, stride = dynamics._step_grid(0.0, p.period, dynamics.dt_max(p), 400)
+    needed = dynamics._qth_stencils(p.q, 400, stride)
+    ks = model.k_grid(p)
+    dynamics._period_propagators(p, ks, 0.0, stride, dt, needed)
+    stacks = []
+    generators = dynamics._magnus_generators
+
+    def recording(h, *args):
+        stacks.append(h.nbytes)
+        return generators(h, *args)
+
+    monkeypatch.setattr(dynamics, "_magnus_generators", recording)
+    tracemalloc.start()
+    try:
+        u = dynamics._period_propagators(p, ks, 0.0, stride, dt, needed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    segments = (400 + p.q - 1) * p.L * p.q ** 2 * 16
+    assert u.shape == (400, p.L, p.q, p.q)
+    assert peak < segments + 5 * max(stacks)
 
 
 def test_suppressed_forces_sine(traj_suppressed_1c):
