@@ -20,7 +20,9 @@ residual loop phase uniformly, which makes the discrete Berry connection
 k-uniform.  The spread splits into a gauge-invariant part Omega_I
 (inter-band matrix elements of X) and a gauge-dependent part Omega_D
 (intra-band, off-home-cell elements); Omega_D vanishes for the maximally
-localized state.
+localized state.  The audit of a basis uses the same translation: the
+members must be exact translates of the cell-1 states, so the Gram matrix
+is block-circulant and its q cell-1 rows, O(qN^2), hold every entry.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (ModelParams, _closed_k_loop, _from_momenta, _k_derivative,
                     _k_loop_increments)
@@ -157,7 +160,8 @@ def maximally_localize(
     gauge; the spread audit over the full basis runs on every call.  Each
     call runs two cell transforms per band, one to recenter its gauge and one
     to lay out its L states, and gathers the complete (q, L, N) basis, O(qLN)
-    in all; the audit's N x N Gram check, O(N^3), is most of its cost.
+    in all; the audit adds an exact translate check, O(N^2), and q rows of
+    the Gram matrix, O(qN^2).
     Raises ValueError unless m lies in 0..q-1, cell in 1..L and t_index in
     0..len(t_grid)-1.
     """
@@ -181,12 +185,17 @@ def wannier_basis(
     """Complete orthonormal Wannier set, shape (q, L, N): band m, cell R.
 
     By default every band carries its recentered transport gauge; `thetas`
-    (shape (q, L)) overrides the gauge per band.  Raises ValueError unless
-    t_index lies in 0..len(t_grid)-1.
+    (shape (q, L)) overrides the gauge per band.  Each band's L rows are
+    gathered unchanged from one cell transform, so they are exact translates,
+    as `spread_decomposition` requires.
+    Raises ValueError unless thetas has shape (q, L) and t_index lies in
+    0..len(t_grid)-1.
     """
-    q = bands.params.q
+    q, L = bands.params.q, bands.params.L
     if thetas is None:
         thetas = [mlws_gauge(bands, m, t_index) for m in range(q)]
+    elif np.shape(thetas) != (q, L):
+        raise ValueError(f"thetas must hold one phase per band and momentum, shape ({q}, {L})")
     return np.stack([_band_wannier_states(bands, m, thetas[m], t_index) for m in range(q)])
 
 
@@ -197,15 +206,37 @@ def spread_decomposition(state: WannierState, basis: np.ndarray) -> SpreadReport
     Omega_D the same within the state's own band excluding its home cell;
     Omega is the squared width of `observables.position_moments`, taken about
     the centre, and must equal their sum.
-    Raises if the basis is not a complete orthonormal set, or if its
-    (state.band, state.cell) member differs from the state (the sums are
-    only meaningful for a member of the basis family).
+    The basis must be a set of translates, as `wannier_basis` lays it out:
+    member (m, R) equals member (m, 1) moved by q(R-1) sites, bit for bit.
+    Its Gram matrix is then block-circulant, and the q rows of cell 1,
+    O(qN^2), give the deviation from orthonormality of all N x N entries.
+    Raises ValueError if state.band lies outside 0..q-1 or state.cell
+    outside 1..L, if the basis is not a complete orthonormal set of
+    translates, or if its (state.band, state.cell) member differs from the
+    state (the sums are only meaningful for a member of the basis family).
     """
     q_bands, L, n = basis.shape
     if q_bands * L != n:
         raise ValueError("Wannier basis is incomplete: need q*L states on N = q*L sites")
+    if not 0 <= state.band < q_bands:
+        raise ValueError(f"state.band must lie in 0..{q_bands - 1}, got {state.band}")
+    if not 1 <= state.cell <= L:
+        raise ValueError(f"state.cell must lie in 1..{L}, got {state.cell}")
+    # by cell c, row R-1 is row 0 at cell (c - R + 1) mod L: window L - R + 1
+    # of row 0's doubled cell axis, read as a view
+    cells = basis.reshape(q_bands, L, L, q_bands)
+    doubled = np.concatenate([cells[:, 0], cells[:, 0]], axis=1)  # (q, 2L, q)
+    windows = sliding_window_view(doubled, L, axis=1)  # [m, i, s, c] = doubled[m, i+c, s]
+    if not np.array_equal(cells, windows[:, L:0:-1].swapaxes(2, 3)):
+        raise ValueError(
+            "Wannier basis is not a set of cell translates: every member must "
+            "equal its band's cell-1 state moved by q sites per cell")
     flat = basis.reshape(q_bands * L, n)
-    gram_dev = np.max(np.abs(flat @ flat.conj().T - np.eye(n)))
+    # <W_m(1)|W_m'(R')>; entry ((m,R),(m',R')) sums the same products as
+    # ((m,1),(m',R'-R+1)), so these rows bound the whole Gram matrix
+    gram = np.conj(basis[:, 0]) @ flat.T
+    gram[np.arange(q_bands), np.arange(q_bands) * L] -= 1.0
+    gram_dev = np.max(np.abs(gram))
     if gram_dev > 1e-10:
         raise ValueError(f"Wannier basis is not orthonormal: Gram deviation {gram_dev:.3e}")
 

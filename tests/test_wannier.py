@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,103 @@ def test_spread_rejects_incomplete_basis(bands_t0, mlws9):
     basis = wannier.wannier_basis(bands_t0)
     with pytest.raises(ValueError):
         wannier.spread_decomposition(state, basis[:2])
+
+
+def _translates(cell1: np.ndarray) -> np.ndarray:
+    """A (q, L, N) basis whose cell-R members are the cell-1 states (q, N)
+    moved by q(R-1) sites, laid out as `wannier.wannier_basis` does."""
+    q = len(cell1)
+    L = cell1.shape[-1] // q
+    return np.stack([np.roll(cell1, q * r, axis=-1) for r in range(L)], axis=1)
+
+
+def _full_gram_deviation(basis: np.ndarray) -> float:
+    n = basis.shape[-1]
+    flat = basis.reshape(n, n)
+    return float(np.max(np.abs(flat @ flat.conj().T - np.eye(n))))
+
+
+def test_paper_basis_is_its_cell_one_translates(bands_t0):
+    basis = wannier.wannier_basis(bands_t0)
+    assert np.array_equal(_translates(basis[:, 0]), basis)
+
+
+@pytest.mark.parametrize("scale, accepted", [(1 + 2e-10, False), (1 + 2e-11, True)])
+def test_spread_orthonormality_bound_matches_full_gram(bands_t0, scale, accepted):
+    # the diagonal moves by about 2*(scale - 1): 4e-10 is past the 1e-10
+    # bound and 4e-11 inside it, by the full N x N Gram product as well
+    scaled = wannier.wannier_basis(bands_t0) * scale
+    assert (_full_gram_deviation(scaled) <= 1e-10) is accepted
+    state = wannier.WannierState(amplitudes=scaled[2, 8], band=2, cell=9)
+    if accepted:
+        wannier.spread_decomposition(state, scaled)
+    else:
+        with pytest.raises(ValueError, match="not orthonormal"):
+            wannier.spread_decomposition(state, scaled)
+
+
+def test_spread_rejects_translates_that_are_not_orthonormal(bands_t0):
+    # band 1's cell-1 state mixed with band 0's: still unit norm and a set of
+    # translates, but no longer orthogonal to band 0
+    cell1 = wannier.wannier_basis(bands_t0)[:, 0].copy()
+    mixed = cell1[1] + 0.1 * cell1[0]
+    cell1[1] = mixed / np.linalg.norm(mixed)
+    basis = _translates(cell1)
+    assert _full_gram_deviation(basis) > 1e-10
+    state = wannier.WannierState(amplitudes=basis[2, 8], band=2, cell=9)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        wannier.spread_decomposition(state, basis)
+
+
+def test_spread_rejects_basis_that_is_not_translates(bands_t0):
+    # one ulp off in one entry of band 1's cell-5 member: orthonormal to
+    # rounding, but its Gram matrix is no longer block-circulant
+    basis = wannier.wannier_basis(bands_t0)
+    z = basis[1, 4, 10]
+    basis[1, 4, 10] = complex(np.nextafter(z.real, np.inf), z.imag)
+    assert _full_gram_deviation(basis) <= 1e-10
+    state = wannier.WannierState(amplitudes=basis[2, 8], band=2, cell=9)
+    with pytest.raises(ValueError, match="not a set of cell translates"):
+        wannier.spread_decomposition(state, basis)
+
+
+def test_spread_audit_allocates_less_than_one_gram_matrix():
+    p = ModelParams(L=120)
+    bands = spectrum.solve_bands(p, np.array([0.0]))
+    basis = wannier.wannier_basis(bands)
+    state = wannier.WannierState(amplitudes=basis[2, 59], band=2, cell=60)
+    tracemalloc.start()
+    try:
+        wannier.spread_decomposition(state, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.n_sites ** 2 * np.dtype(complex).itemsize  # 2.07 MB at N = 360
+
+
+@pytest.mark.parametrize("band, cell, message", [
+    (-1, 9, "state.band must lie in 0..2"),
+    (3, 9, "state.band must lie in 0..2"),
+    (2, 0, "state.cell must lie in 1..15"),
+    (2, 16, "state.cell must lie in 1..15"),
+    (-1, 0, "state.band must lie in 0..2"),
+])
+def test_spread_rejects_band_or_cell_off_range(bands_t0, band, cell, message):
+    # the amplitudes are the member an unchecked index would pick, so band -1
+    # and cell 0 would pass the member check as band 2 and cell 15
+    basis = wannier.wannier_basis(bands_t0)
+    p = bands_t0.params
+    amps = basis[band % p.q, (cell - 1) % p.L]
+    with pytest.raises(ValueError, match=message):
+        wannier.spread_decomposition(
+            wannier.WannierState(amplitudes=amps, band=band, cell=cell), basis)
+
+
+@pytest.mark.parametrize("shape", [(2, 15), (4, 15), (3, 14), (15,)])
+def test_wannier_basis_rejects_thetas_off_shape(bands_t0, shape):
+    # unchecked, two bands' thetas end in an IndexError and four are cut to three
+    with pytest.raises(ValueError, match=r"thetas must .* shape \(3, 15\)"):
+        wannier.wannier_basis(bands_t0, thetas=np.zeros(shape))
 
 
 def test_theta_reproduces_returned_state(bands_t0, mlws9):
