@@ -101,19 +101,32 @@ def _coerce(field_name: str, value: str):
     return value
 
 
-def _resolve_initial(cfg: RunConfig, params: ModelParams, bands0=None):
-    """The start of a run on `params`, a site or an MLWS, and its label; an
-    MLWS comes from `bands0`, the t = 0 band solve, solved here if not given."""
+def _resolve_initial(cfg: RunConfig, params: ModelParams, basis=None):
+    """The start of a run on `params`, a site or an MLWS, and its label.  An
+    MLWS is a member of `basis`, the run's audited Wannier basis at t = 0
+    (`_mlws_basis`), made here if not given."""
     if cfg.initial_mlws_band is None and cfg.initial_mlws_cell is None:
         site = cfg.initial_site if cfg.initial_site is not None else site_index(
             _default_cell(params), params.q, params.q)
         return site, f"site {site}"
     band = cfg.initial_mlws_band if cfg.initial_mlws_band is not None else params.q - 1
     cell = cfg.initial_mlws_cell if cfg.initial_mlws_cell is not None else _default_cell(params)
-    if bands0 is None:
-        bands0 = spectrum.solve_bands(params, np.array([0.0]))
-    state, _, _ = wannier.maximally_localize(bands0, band, cell)
-    return state.amplitudes, f"mlws band={band} cell={cell}"
+    if not 0 <= band < params.q:
+        raise ValueError(f"initial_mlws_band must lie in 0..{params.q - 1}, got {band}")
+    if not 1 <= cell <= params.L:
+        raise ValueError(f"initial_mlws_cell must lie in 1..{params.L}, got {cell}")
+    if basis is None:
+        basis = _mlws_basis(spectrum.solve_bands(params, np.array([0.0])))
+    return basis[band, cell - 1], f"mlws band={band} cell={cell}"
+
+
+def _mlws_basis(bands0: spectrum.BandSolution) -> np.ndarray:
+    """The Wannier basis of the t = 0 band solve `bands0`, audited once by
+    `wannier.spread_decomposition` on its top band's cell-1 member."""
+    basis = wannier.wannier_basis(bands0)
+    top = bands0.params.q - 1
+    wannier.spread_decomposition(wannier.WannierState(basis[top, 0], top, 1), basis)
+    return basis
 
 
 def _default_cell(params: ModelParams) -> int:
@@ -264,12 +277,10 @@ def _run_pump(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
     # the topology grid is checked before anything is propagated, and no table
     # is written before every library step has returned
     cherns = _chern_numbers(cfg, params)
-    bands0 = spectrum.solve_bands(params, np.array([0.0]))
-    initial, initial_label = _resolve_initial(cfg, params, bands0)
+    basis = _mlws_basis(spectrum.solve_bands(params, np.array([0.0])))
+    initial, initial_label = _resolve_initial(cfg, params, basis)
     traj = dynamics.run_protocol(params, protocol, n_cycles, initial, dt=cfg.dt)
     top = params.q - 1
-    basis = wannier.wannier_basis(bands0)
-    wannier.spread_decomposition(wannier.WannierState(basis[top, 0], top, 1), basis)
     t_over = traj.times / params.period
     pops = observables.band_population(traj.states, spectrum.solve_bands(params, traj.times))
     _write_table(outdir / "observables.tsv",
@@ -302,12 +313,13 @@ def _run_pump(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
         "integrator": {"dt": traj.dt, "samples": len(traj.times),
                        "rule": "fourth-order Magnus (one exact unitary per step from "
                                "the midpoint Hamiltonian and its derivatives from "
-                               "three midpoints of the chunk); the chunk propagators "
-                               "of one period serve every period, conjugated at -k "
-                               "on echo-reversed periods; when the steps per period "
-                               "are a multiple of q and not all distinct, the steps "
-                               "of the first q-th of the period, translated by "
-                               "p^-1 mod q sites per q-th, give the rest"},
+                               "three midpoints of its smooth piece, which ends only "
+                               "at the period's edges); the chunk propagators of one "
+                               "period serve every period, conjugated at -k on "
+                               "echo-reversed periods; when the steps per period are "
+                               "a multiple of q, the steps of the first q-th of the "
+                               "period, translated by p^-1 mod q sites per q-th, "
+                               "give the rest"},
         "protocol": protocol.value,
         "n_cycles": n_cycles,
         "initial_state": initial_label,

@@ -8,20 +8,24 @@ exp(-i*h*G) of one Hermitian generator
 
 with H, H' and H'' at the step's midpoint.  H is built there; H' and H''
 come from the quadratic through that midpoint and its two neighbours in the
-same sample chunk, central inside the chunk and one-sided at its ends, so a
+same smooth piece, central inside the piece and one-sided at its ends, so a
 step costs one Hamiltonian and one eigensolve, as a midpoint step does.  A
-stencil never reaches across a jump of H (`jump_times`), and a smooth piece
-of fewer than three steps keeps G = H.  Because every Hamiltonian here is
+piece breaks only where H may not be smooth: at the ends of the solved span,
+at the period edges of a whole-period span (where the echo flips the sign
+of H) and at the jumps of H (`jump_times`), where a step is split; a piece
+of fewer than three steps keeps G = H.  How the steps are grouped, into
+samples or into solve blocks, changes no stencil, so the state does not
+depend on how many samples are recorded.  Because every Hamiltonian here is
 translation invariant on the ring, the unitary factorizes over the L
 momentum blocks, so steps are computed in the Bloch basis from batched
 eigensolves of q x q generators by `model._hermitian_eigh`, the package's one
 eigensolver of Hermitian stacks; this is the same unitary as the dense
 real-space path `evolve_dense`, which builds G from N x N matrices with the
-same stencils and solves them with the same eigensolver.
+same pieces and solves them with the same eigensolver.
 A Bloch builder is called as builder(params, k, t) and carries its
 time-batched form builder.batch(params, k, ts), which `evolve` calls once
-per block of sample chunks it solves; `dt_max` probes the per-time form once
-per (params, builder).  `model.bloch_blocks` and
+per block of steps it solves; `dt_max` probes the per-time form once per
+(params, builder).  `model.bloch_blocks` and
 `effective.effective_bloch_blocks` are the two builders.  Both return the
 matrix axes last, (..., q, q); the step kernels take them first.
 
@@ -30,7 +34,7 @@ at least three equal whole steps within it, 400 chunks of 24 steps (9,600
 steps) per cycle at paper parameters.  Each step is exactly unitary, so the
 norm drifts only by round-off, linear in the step count: 1.7e-12 over two
 paper echo cycles.  Measured against a run at cap/8, the final state of one
-paper cycle from site 27 is off by 1.5e-6 (uniform tunneling) and 2.0e-6
+paper cycle from site 27 is off by 1.5e-6 (uniform tunneling) and 1.9e-6
 (sine), 5.9e-6 at omega=0.05; the exponential midpoint rule at its cap of
 0.5/max||H||, four times as many steps, was off by 1.8e-5, 1.8e-5 and 8.0e-5.
 The error falls about 16x per halving of dt.  dP(2T) and D_W(2T) of the paper
@@ -44,46 +48,37 @@ applies conj(U_chunk(-k)) of the forward one, since G[-H](k) =
 -conj(G[H](-k)); `model._reversed_k` indexes -k, as it does for the paired
 band solve of `spectrum.solve_bands`.  Against solving every period afresh,
 two-cycle paper runs differed by at most 3.7e-12 in the state (echo; 2.0e-12
-traditional), 3.9e-13 in delta_p and 9.0e-14 in D_W.  Spans that are not a
-whole number n >= 1 of periods, or whose sample count is not a multiple of
-n, solve every step.
+traditional; 4.2e-12 with sine tunneling).  Spans that are not a whole
+number n >= 1 of periods, or whose sample count is not a multiple of n,
+solve every step of the span.
 Within a period the chain repeats up to a lattice translation: the drive
 enters only as 2*pi*beta*j + phi(t), so H(t + T/q) is H(t) translated by
 p^-1 mod q sites, and `model._translated` carries blocks, step unitaries and
-their products r q-ths ahead.  A step of the period is thus the image of a
-step of its first q-th, solved with its own stencil (forward, central or
-backward, by its place in its chunk), and `_period_propagators` solves each
-distinct (step, stencil) of the first q-th once.  It does so when `evolve`
-propagates the chain itself (no `bloch_builder`, no `jump_times`) over
-whole periods whose steps per period are a multiple of q, unless every
-step of the period is distinct (`_qth_stencils`).  A paper period is 400
-chunks of 24 steps, 3,200 steps per q-th, each central in some image; the
-q-th edges fall 8 steps into a chunk, so 400 of them also take a forward
-and 400 a backward stencil: 4,000 distinct steps, 60,000 3 x 3 eigensolves
-instead of 144,000, and a two-cycle run costs the same.  Three steps per
-chunk, as at omega = 0.1, can put every stencil on every step; such a q-th
-would save no eigensolve and cost more generators.  Against solving every
-step of the period, the paper runs' states differ by at most 3.6e-12,
-delta_p by 2.5e-11 and D_W by 1.6e-11.  Every other run solves each step of
-its first period with `_chunk_propagators`: a given builder (H_T, or any
-wrapper of the chain), jumps, partial spans, and step counts that are not a
-multiple of q, such as effective-compare's 2,000 steps per period at
-omega = 0.05.
-Both solves take blocks of about _BLOCKS_PER_SOLVE Bloch blocks.  A block
-of `_chunk_propagators` is at least one chunk: one placement of all its
-steps (`_block_steps`), one builder call, one generator pass, one batched
-eigensolve and one chain product over its chunks side by side.  A paper
-chunk is 24 steps x 15 momenta and 5 chunks share a block, 80 blocks per
-period; at omega = 0.05 a chunk is 5 steps x 15 momenta and 24 share one.
-These blocks are made as the run reaches them, so a one-period run holds
-one block at a time, and between blocks only that block's chunk
-propagators.  A block of the q-th solve forms about _BLOCKS_PER_SOLVE
-generators (68 steps of a paper q-th, 48 blocks), solves them and folds
-them into the chunk propagators of all q images before the next block; so
-it holds the period's propagators (samples x L x q x q, 0.82 MB at paper
-parameters, which a run of two or more periods keeps in any case) and one
-block.  Under tracemalloc a paper one-cycle run peaks at 2.4 MB against
-1.5 MB solving every step, and a two-cycle echo at 2.7 MB in both.
+their products r q-ths ahead.  With m steps per q-th, step r*m + i of the
+period, with its central stencil, is thus the image of step i of the first
+q-th; only the period's first step (forward stencil) and last (backward)
+are not, and they are solved as step 0 and, imaged q-1 q-ths ahead, step
+m-1 of the first q-th.  `_period_propagators` does so when `evolve`
+propagates the chain itself (no `bloch_builder`, no `jump_times`) over whole
+periods whose steps per period are a multiple of q: a paper period is
+3,202 distinct steps, 48,030 3 x 3 eigensolves instead of 144,000, and a
+two-cycle run costs the same.  Against solving every step of the period,
+the paper runs' states differ by at most 6.5e-12, delta_p by 2.4e-11 and
+D_W by 1.5e-11.  Every other run solves each step of its first period, or
+of its span: a given builder (H_T, or any wrapper of the chain), jumps,
+partial spans, and step counts that are not a multiple of q, such as
+effective-compare's 2,000 steps per period at omega = 0.05.
+Either unit is solved by the one `_period_propagators`, in blocks of
+_BLOCKS_PER_SOLVE // L consecutive steps (120 at L = 15: 80 blocks per
+paper period, 27 per q-th).  A block places its steps on the run's one grid,
+split at jumps, builds H through one `builder.batch` call at them and at one
+neighbouring step on each side of an interior block edge, makes one
+generator pass and one batched eigensolve, and folds its step unitaries,
+image by image, into the products of the chunk segments they fall in (a
+chunk that a q-th edge cuts has two).  So a run holds its period's propagators
+(samples x L x q x q, 0.86 MB at paper parameters) and one block at a time.
+Under tracemalloc a paper one-cycle run peaks at 2.4 MB, a two-cycle echo at
+2.7 MB and a one-cycle run at omega = 0.05 at 2.4 MB.
 The eigensolve reduces each generator to a real symmetric tridiagonal
 matrix by one Householder reflection (q = 3) and a diagonal phase, and
 hands that real stack to one `np.linalg.eigh` call: on a paper block of
@@ -102,9 +97,10 @@ on a paper block of 24 x 15 3 x 3 complex matrices it took 28 us against
 layout once; the generators are formed over that copy, and the eigensolve
 reduces them there and writes the eigenvectors over them.  So a block holds
 at most four step-sized stacks at once, the Hamiltonians and three stencil
-arrays of the generator pass: under tracemalloc a block of 270 chunks at
-omega = 0.05 peaks at 4.1 times its stack of step matrices, and
-`_step_unitaries` at 2.5 stacks above the generators it is handed.
+arrays of the generator pass: under tracemalloc a one-block solve of 270
+chunks at omega = 0.05 peaks at 4.3 times its stack of step matrices, its
+chunk propagators included, and `_step_unitaries` at 2.5 stacks above the
+generators it is handed.
 
 Protocols: TRADITIONAL evolves under H(t) for every cycle; ECHO flips the
 sign of the Hamiltonian on every second cycle, cancelling dynamical phases;
@@ -254,8 +250,9 @@ def _check_seam(density, seam_threshold: float | None) -> None:
 def _step_grid(t_start: float, t_end: float, dt: float, samples: int) -> tuple:
     """(n_steps, dt, stride): `samples` chunks of `stride` >= 3 whole steps no
     longer than dt > 0 (ValueError otherwise, NaN too) over [t_start, t_end];
-    sample i falls at t_start + i*span/samples.  Three steps per chunk give
-    every step the three midpoints its Magnus stencil needs."""
+    sample i falls at t_start + i*span/samples.  At least three steps per
+    chunk give every span and every period the three midpoints a Magnus
+    stencil needs."""
     span = t_end - t_start
     if span <= 0 or samples < 1:
         raise ValueError("need t_end > t_start and at least one sample")
@@ -311,33 +308,42 @@ def _check_periodic_jumps(jump_times: np.ndarray, t_start: float, t_end: float,
                          "propagators cannot serve the others")
 
 
-def _block_steps(t_start: float, step: int, stride: int, chunks: int, dt: float,
+def _place_steps(t_start: float, dt: float, first: int, last: int,
                  jump_times: np.ndarray) -> tuple:
-    """(mids, dts, starts, offsets) of `chunks` consecutive chunks of `stride`
-    steps from step `step` on: the midpoints and widths of their steps, the
-    first step of each smooth piece and the first step of each chunk.
+    """(mids, dts, starts, steps) of steps first..last-1 of the grid of width
+    dt from t_start: the midpoints and widths of its rows, the first row of
+    each smooth piece, sorted (a row may repeat, which a piece search
+    ignores), and the grid step of each row.
 
-    Every chunk boundary starts a piece, and so does a jump of H: a step across
-    it is split there, and a jump within 1e-9*dt of a step edge starts the
-    piece at that edge, so that no sliver of a step, whose midpoint could fall
-    on either side of the jump, joins a stencil.  A jump is placed from the
-    start of its own chunk, so each chunk's steps are those it has alone.
-    `starts` may repeat an entry, which a piece search ignores.
+    The span is one piece but where H may jump: a step across a jump is split
+    there into two rows (once, if the jump is listed twice), and a jump within
+    1e-9*dt of a step edge starts the piece at that edge, so that no sliver of
+    a step, whose midpoint could fall on either side of the jump, joins a
+    stencil.
     """
-    first = step + stride * np.arange(chunks)[:, None]  # first step of each chunk
-    pos = (jump_times - t_start) / dt - first  # (chunks, jumps): steps from each chunk start
-    inside = (pos > 1e-9) & (pos < stride - 1e-9)
-    chunk, jump = np.nonzero(inside)
+    grid = t_start + np.arange(first, last + 1) * dt
+    pos = (jump_times - t_start) / dt - first  # in steps from the span start
+    inside = (pos > 1e-9) & (pos < last - first - 1e-9)
     pos = pos[inside]
     on_edge = np.abs(pos - np.rint(pos)) <= 1e-9
-    cuts = np.where(on_edge, t_start + (first[chunk, 0] + np.rint(pos)) * dt,
-                    jump_times[jump])
-    edges = np.sort(np.concatenate([t_start + (step + np.arange(chunks * stride + 1)) * dt,
-                                    cuts[~on_edge]]))
-    sizes = stride + np.bincount(chunk[~on_edge], minlength=chunks)
-    offsets = np.cumsum(sizes) - sizes
-    starts = np.sort(np.concatenate([offsets, np.searchsorted(edges, cuts)]))
-    return 0.5 * (edges[1:] + edges[:-1]), np.diff(edges), starts, offsets
+    cuts = np.where(on_edge, t_start + (first + np.rint(pos)) * dt, jump_times[inside])
+    edges = np.sort(np.concatenate([grid, cuts[~on_edge]]))
+    edges = edges[np.append(True, np.diff(edges) > 0)]
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    starts = np.sort(np.append(0, np.searchsorted(edges, cuts)))
+    return mids, np.diff(edges), starts, first + np.searchsorted(grid, mids) - 1
+
+
+def _stencil_centres(rows: np.ndarray, n: int, starts: np.ndarray) -> tuple:
+    """(c, long) of the given rows of a run of n >= 3 steps whose smooth
+    pieces start at the sorted `starts`: the middle row of each one's
+    three-midpoint stencil, centred inside its piece and one-sided at its
+    ends, and whether its piece has the three steps a stencil needs.  A row
+    of a shorter piece gets some stencil in range."""
+    bounds = np.append(starts, n)
+    piece = np.searchsorted(bounds, rows, side="right") - 1
+    lo, hi = bounds[piece], bounds[piece + 1]
+    return np.clip(np.clip(rows, lo + 1, hi - 2), 1, n - 2), hi - lo >= 3
 
 
 def _magnus_generators(h: np.ndarray, mids: np.ndarray, dts: np.ndarray,
@@ -346,33 +352,26 @@ def _magnus_generators(h: np.ndarray, mids: np.ndarray, dts: np.ndarray,
 
     h has shape (d, d, n, ...), n >= 3, matrix axes first: h[:, :, i] is the
     Hermitian H_i at the midpoint mids[i] of step i, of width dts[i]; `starts`
-    holds the first step of each smooth piece, sorted, and a chunk boundary
-    starts a piece.  Step i applies exp(-i*dts[i]*G_i) with
+    holds the first step of each smooth piece, sorted.  Step i applies
+    exp(-i*dts[i]*G_i) with
 
         G_i = H_i + (dts[i]^2/24) H''_i + i (dts[i]^2/12) [H_i, H'_i],
 
     where H' and H'' are the derivatives at mids[i] of the quadratic through
-    three consecutive midpoints of the piece: centred on i inside the piece,
-    one-sided at its ends.  A piece of fewer than three steps keeps G_i = H_i.
-    G is Hermitian, equals H for a static H, and G[-H](k) = -conj(G[H](-k))
-    whenever H(k)* = H(-k).  G is written over h, which must be a writable
-    complex array, and returned.
+    three consecutive midpoints of the piece (`_stencil_centres`): centred on
+    i inside the piece, one-sided at its ends.  A piece of fewer than three
+    steps keeps G_i = H_i.  G is Hermitian, equals H for a static H, and
+    G[-H](k) = -conj(G[H](-k)) whenever H(k)* = H(-k).  G is written over h,
+    which must be a writable complex array, and returned.
     """
     def col(v):  # broadcast a per-step vector over the axes after the step axis
         return v.reshape(v.shape + (1,) * (h.ndim - 3))
 
-    n = len(mids)
-    bounds = np.append(starts, n)
-    piece = np.searchsorted(bounds, np.arange(n), side="right") - 1
-    lo, hi = bounds[piece], bounds[piece + 1]
-    long = hi - lo >= 3  # steps of pieces shorter than three keep G = H
-    # the middle step of each step's stencil; a step of a short piece takes
-    # any stencil in range, and its values are discarded
-    c = np.clip(np.clip(np.arange(n), lo + 1, hi - 2), 1, n - 2)
+    c, long = _stencil_centres(np.arange(len(mids)), len(mids), starts)
     x0, x1, x2 = mids[c - 1], mids[c], mids[c + 1]
-    # in place and in reused buffers, so that a block of chunks keeps few
-    # step-sized temporaries alive; sums and products commute, so the values
-    # are those of the plain expressions
+    # in place and in reused buffers, so that a block keeps few step-sized
+    # temporaries alive; sums and products commute, so the values are those
+    # of the plain expressions
     dh = np.diff(h, axis=2)  # dh[:, :, j] = H_{j+1} - H_j
     h1 = dh[:, :, c - 1]
     h1 /= col(x1 - x0)
@@ -420,137 +419,92 @@ def _run_products(steps: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return _chain_product(u)
 
 
-def _block_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: float,
-                       step: int, stride: int, chunks: int, dt: float,
-                       jump_times: np.ndarray) -> np.ndarray:
-    """Propagators of `chunks` consecutive chunks of `stride` steps from step
-    `step`, solved together, shape (chunks, L, q, q).
+def _block_generators(build, mids: np.ndarray, dts: np.ndarray, starts: np.ndarray,
+                      rows: np.ndarray) -> np.ndarray:
+    """Magnus generators of the sorted `rows` of a run of steps whose smooth
+    pieces start at `starts`, shape (d, d, len(rows), ...).
 
-    The block's Hamiltonians are copied once into the kernels' layout, matrix
-    axes first, (q, q, step, L); the generators are built over that copy and
-    the eigensolve writes the eigenvectors over them, so a block holds at
-    most four step-sized stacks at once.  `_run_products` multiplies the
-    chunks side by side; a chunk split by a jump has more steps.
+    H = build(times), laid out (d, d, len(times), ...), is built at the rows
+    from one before the first stencil centre to one after the last, one
+    neighbouring row beyond a block edge inside a piece and none beyond a
+    piece's end, and one `_magnus_generators` pass runs over them; each
+    stencil is then the one a pass over the whole run gives.
     """
-    mids, dts, starts, offsets = _block_steps(t_start, step, stride, chunks, dt, jump_times)
-    h = np.moveaxis(builder.batch(params, ks, mids), (-2, -1), (0, 1)).copy()
-    steps = _step_unitaries(_magnus_generators(h, mids, dts, starts), dts)
-    del h
-    return np.moveaxis(_run_products(steps, offsets), (0, 1), (-2, -1))
+    c = _stencil_centres(rows, len(mids), starts)[0]
+    lo, hi = c.min() - 1, c.max() + 2
+    inner = np.append(0, starts[(starts > lo) & (starts < hi)] - lo)
+    g = _magnus_generators(build(mids[lo:hi]), mids[lo:hi], dts[lo:hi], inner)
+    return np.take(g, rows - lo, axis=2)
 
 
-def _chunk_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: float,
-                       chunks: int, stride: int, dt: float, jump_times: np.ndarray):
-    """Yield, in order, the propagators of chunks 0..chunks-1 of `stride`
-    steps from t_start, each the product of its Magnus step unitaries per
-    momentum, shape (L, q, q).
+def _period_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: float,
+                        dt: float, stride: int, chunks: int, jump_times: np.ndarray,
+                        images: int) -> np.ndarray:
+    """Propagators of `chunks` chunks of `stride` steps of width dt from
+    t_start, shape (chunks, L, q, q): per momentum, the product of the Magnus
+    step unitaries of each chunk, whose steps are one smooth piece but where
+    H jumps (`_place_steps`).
 
-    The chunks are solved in blocks of max(1, _BLOCKS_PER_SOLVE //
-    (stride*L)) by `_block_propagators`: one step placement, one builder
-    call, one generator pass and one batched eigensolve over all steps of the
-    block, and one chain product over its chunks side by side.  Only the
-    block's propagators are held between yields.
-    """
-    per_block = max(1, _BLOCKS_PER_SOLVE // (stride * params.L))
-    for first in range(0, chunks, per_block):
-        yield from _block_propagators(params, builder, ks, t_start, first * stride, stride,
-                                      min(per_block, chunks - first), dt, jump_times)
-
-
-def _qth_unitaries(params: ModelParams, ks: np.ndarray, t_start: float, first: int,
-                   needed: np.ndarray, dt: float) -> tuple:
-    """(u, index): the unitaries, shape (q, q, needed.sum(), L), of the chain's
-    steps first, first+1, ... of width dt from t_start under the stencils
-    that `needed`, (steps, 3), marks as forward, central and backward, and
-    index[i, c], the entry of u of step first+i under stencil c.
-
-    The central steps are one smooth piece from the step before the first to
-    the step after the last, and each one-sided step is a three-step piece of
-    its own, whose first or last step it is; one `_magnus_generators` pass
-    gives them all, so H is built from two midpoints before the first step
-    to two after the last, as far as a stencil reaches.
-    """
-    step, stencil = np.nonzero(needed)
-    edge = stencil != 1
-    run = np.arange(len(needed) + 2)  # steps first-1 .. first+len(needed)
-    sel = np.concatenate([run, ((step[edge] + 1 - stencil[edge])[:, None]
-                                + np.arange(3)).ravel()])
-    mids = t_start + (first + sel - 0.5) * dt
-    dts = np.full(len(sel), dt)
-    starts = np.append(0, len(run) + 3 * np.arange(np.count_nonzero(edge)))
-    pos = np.where(edge, len(run) + 3 * (np.cumsum(edge) - 1) + stencil, step + 1)
-    h = np.moveaxis(bloch_blocks.batch(params, ks, mids), (-2, -1), (0, 1)).copy()
-    g = np.take(_magnus_generators(h, mids, dts, starts), pos, axis=2)
-    del h
-    index = np.zeros(needed.shape, dtype=int)
-    index[step, stencil] = np.arange(len(step))
-    return _step_unitaries(g, dts[pos]), index
-
-
-def _stencils(steps: np.ndarray, stride: int) -> np.ndarray:
-    """The Magnus stencil of each step of a run of `stride`-step chunks from
-    step 0: 0 forward at a chunk's start, 2 backward at its end, 1 central."""
-    pos = steps % stride
-    return 1 - (pos == 0) + (pos == stride - 1)
-
-
-def _qth_stencils(q: int, chunks: int, stride: int) -> np.ndarray | None:
-    """needed[i, c], shape (m, 3): whether some step of a period of `chunks`
-    chunks of `stride` steps, m steps per q-th, is step i of its q-th with
-    stencil c.  None when the steps are not a multiple of q, or when every
-    step of the period is distinct (three steps per chunk can put every
-    stencil on every step), so that solving one q-th saves nothing."""
-    n_steps = chunks * stride
-    if n_steps % q:
-        return None
-    n = np.arange(n_steps)
-    needed = np.zeros((n_steps // q, 3), dtype=bool)
-    needed[n % (n_steps // q), _stencils(n, stride)] = True
-    return needed if np.count_nonzero(needed) < n_steps else None
-
-
-def _period_propagators(params: ModelParams, ks: np.ndarray, t_start: float, stride: int,
-                        dt: float, needed: np.ndarray) -> np.ndarray:
-    """Propagators of the chunks of one period of the chain from t_start,
-    shape (chunks, L, q, q), from the steps of its first q-th that
-    `_qth_stencils` marks as `needed`.
-
-    With m steps per q-th, step r*m + i of the period is the image under
-    `model._translated` (r q-ths) of step i solved with the stencil of step
-    r*m + i.  Each distinct (step, stencil) is solved once, by
-    `_qth_unitaries`, in blocks of steps of the first q-th that form about
-    _BLOCKS_PER_SOLVE generators, as a block of `_chunk_propagators` does.
-    The period is cut at chunk and q-th edges into segments, each in one
-    chunk and one q-th; each block is folded, image by image, into the
-    products of the segments its steps fall in, so only these products
-    outlive a block.  A chunk cut by a q-th edge multiplies its segments at
-    the end.
+    The steps are solved from a unit: all of them when images = 1; when
+    images = q, for the chain's own H over one period of q*m steps, the
+    first q-th, whose step i, r q-ths ahead, is the image under
+    `model._translated` of step r*m + i.  Its steps take the central stencil
+    of the period's piece, and two more solves give step 0 the forward
+    stencil of the period's first step and step m-1 the backward one of the
+    period's last (image q-1).  The unit is solved in blocks of about
+    _BLOCKS_PER_SOLVE Bloch blocks.  A block places its steps, and two more
+    on each side as far as the piece goes, which fixes each one's stencil as
+    in a pass over the whole run; then it makes one `_block_generators` call,
+    with one `builder.batch` call, and one `_step_unitaries` call.  The steps
+    are cut at chunk and q-th edges into segments, each in one chunk and one
+    q-th; each block is folded, image by image, into the products of the
+    segments its steps fall in, so only these products outlive a block.  A
+    chunk cut by a q-th edge multiplies its segments at the end.
     """
     q, L = params.q, params.L
-    m = len(needed)
-    n_steps = q * m
-    chunks = n_steps // stride
-    cuts = np.arange(n_steps)
+    m = chunks * stride // images  # steps per image
+    cuts = np.arange(images * m)
     cuts = cuts[(cuts % stride == 0) | (cuts % m == 0)]  # the first step of each segment
     chunk = cuts // stride
     last = np.diff(chunk, append=chunks) > 0  # the last segment of each chunk
     # the last segment of chunk c has slot c, the others slots from `chunks` on
     slot = np.where(last, chunk, chunks + np.cumsum(~last) - 1)
     products = np.broadcast_to(np.eye(q, dtype=complex), (len(cuts), L, q, q)).copy()
-    # each step is formed once and each one-sided stencil three times
-    per_step = L * (1 + 3 * np.count_nonzero(needed[:, ::2]) / m)
-    per_block = max(1, int(_BLOCKS_PER_SOLVE / per_step))
-    for first in range(0, m, per_block):
-        i = np.arange(first, min(first + per_block, m))
-        u, index = _qth_unitaries(params, ks, t_start, first, needed[i], dt)
-        for r in range(q):
-            steps = r * m + i
-            slots = slot[np.searchsorted(cuts, steps, side="right") - 1]
-            runs = np.flatnonzero(np.diff(slots, prepend=-1))
-            taken = index[i - first, _stencils(steps, stride)]
-            prods = _run_products(np.take(u, taken, axis=2), runs)
-            prods = _translated(params, np.moveaxis(prods, (0, 1), (-2, -1)), ks, r)
-            products[slots[runs]] = prods @ products[slots[runs]]
+
+    def build(ts):  # the kernels' layout, matrix axes first, (q, q, step, L)
+        return np.moveaxis(builder.batch(params, ks, ts), (-2, -1), (0, 1)).copy()
+
+    per_block = max(1, _BLOCKS_PER_SOLVE // L)
+    for s in range(0, m, per_block):
+        e = min(s + per_block, m)
+        # the period's piece runs on past the ends of a q-th; after it, the
+        # period's first and last step as the ends of three-step pieces
+        first, final = images > 1 and s == 0, images > 1 and e == m
+        spans = [(s - 2, e + 2) if images > 1 else (max(s - 2, 0), min(e + 2, m))]
+        spans += [(0, 3)] * first + [(m - 3, m)] * final
+        placed = [_place_steps(t_start, dt, lo, hi, jump_times) for lo, hi in spans]
+        offsets = np.cumsum([0] + [len(x[0]) for x in placed])
+        mids, dts, steps = (np.concatenate([x[i] for x in placed]) for i in (0, 1, 3))
+        starts = np.concatenate([x[2] + o for x, o in zip(placed, offsets)])
+        rows = np.flatnonzero((steps[:offsets[1]] >= s) & (steps[:offsets[1]] < e))
+        takes = [rows] * images  # the rows of each image's steps, in order
+        solved = rows
+        if first:  # image 0 starts with the forward step
+            takes[0] = np.append(offsets[1], rows[1:])
+            solved = np.append(solved, offsets[1])
+        if final:  # image q-1 ends with the backward step
+            takes[-1] = np.append(rows[:-1], offsets[-1] - 1)
+            solved = np.append(solved, offsets[-1] - 1)
+        u = _step_unitaries(_block_generators(build, mids, dts, starts, solved), dts[solved])
+        for r, taken in enumerate(takes):
+            segs = slot[np.searchsorted(cuts, r * m + steps[taken], side="right") - 1]
+            runs = np.flatnonzero(np.diff(segs, prepend=-1))
+            at = np.searchsorted(solved, taken)
+            prods = _run_products(u if len(at) == len(solved) else np.take(u, at, axis=2), runs)
+            prods = np.moveaxis(prods, (0, 1), (-2, -1))
+            if r:  # image r lies r q-ths ahead of the unit
+                prods = _translated(params, prods, ks, r)
+            products[segs[runs]] = prods @ products[segs[runs]]
         del u, prods  # before the next block is solved
     for g in np.flatnonzero(~last)[::-1]:  # later segments first
         products[chunk[g]] = products[chunk[g]] @ products[slot[g]]
@@ -581,14 +535,14 @@ def evolve(
     A span of n >= 2 whole periods with `samples` a multiple of n solves the
     chunk propagators of its first period only, keeps them and applies them
     to every period, so its jumps must repeat with the period (ValueError
-    otherwise).  The chain's own Hamiltonian (no `bloch_builder`, no
-    `jump_times`) over whole periods whose steps per period are a multiple
-    of q solves only the first q-th of its period, each distinct (step,
-    stencil) once, 4,000 of 9,600 steps at paper parameters, and holds that
-    period's chunk propagators, unless all its steps are distinct (see the
-    module's cost model).  Any other run solves its chunk propagators a
-    block of chunks at a time, with one `builder.batch` call and one batched
-    eigensolve per block.  The two solves agree to rounding.
+    otherwise); a Magnus piece breaks at its period edges.  The chain's own
+    Hamiltonian (no `bloch_builder`, no `jump_times`) over whole periods
+    whose steps per period are a multiple of q solves only the first q-th of
+    its period and two steps more, 3,202 of 9,600 steps at paper parameters;
+    any other run solves every step of its first period, or of its span (see
+    the module's cost model).  Both are one `_period_propagators` solve, a
+    block of steps at a time, with one `builder.batch` call and one batched
+    eigensolve per block, and they agree to rounding.
     Under `protocol` ECHO the sign of the Hamiltonian is reversed on every
     second period counted from t_start, which needs such a span with n even
     (ValueError otherwise); the other protocols do not change how `evolve`
@@ -625,22 +579,13 @@ def evolve(
     sampled[0] = _to_momenta(psi0.reshape(params.L, params.q)) / root_l
 
     per_period = samples // n_periods
-    needed = (_qth_stencils(params.q, per_period, stride)
-              if bloch_builder is None and not len(jump_times) and whole else None)
-    if needed is not None:
-        propagators = _period_propagators(params, ks, t_start, stride, dt, needed)
-    else:
-        propagators = _chunk_propagators(params, builder, ks, t_start, per_period, stride,
-                                         dt, jump_times)
-        if n_periods > 1:  # kept, since later periods reuse them
-            propagators = np.fromiter(
-                propagators, np.dtype((complex, (params.L, params.q, params.q))), per_period)
-    first_period = iter(propagators)
+    qth = (bloch_builder is None and not len(jump_times) and whole
+           and per_period * stride % params.q == 0)
+    propagators = _period_propagators(params, builder, ks, t_start, dt, stride, per_period,
+                                      jump_times, params.q if qth else 1)
     for chunk in range(samples):
-        period, i = divmod(chunk, per_period)
-        if period == 0:
-            u_chunk = next(first_period)
-        elif echo and period % 2:
+        i = chunk % per_period
+        if echo and chunk // per_period % 2:
             # H(k)* = H(-k), so the reversed step exp(+iH(k)dt) is the
             # conjugate of the forward step at -k
             u_chunk = np.conj(propagators[i, reversed_k])
@@ -666,24 +611,35 @@ def evolve_dense(
 ) -> PumpTrajectory:
     """Reference propagator using dense N x N matrices.
 
-    The same fourth-order Magnus steps as `evolve`, built chunk by chunk with
-    the same stencils, so the two agree to rounding; kept for cross-validation
-    and for Hamiltonian builders without a Bloch-block form.  It skips two
-    checks of `evolve` on purpose: the dt cap, because `dt_max` probes the
-    Bloch builder and a dense `hamiltonian` may have no Bloch form to probe;
-    and the seam check, because it is a reference for arbitrary states, whose
-    density may sit at the seam.  Every step is solved; nothing is reused
-    across periods, and `hamiltonian` is taken to be smooth (no jump times).
+    The same fourth-order Magnus steps as `evolve`, with the same pieces:
+    the span is one, broken at its period edges when it is n >= 1 whole
+    periods with `samples` a multiple of n; each chunk's steps are built and
+    solved together, with a neighbouring step on each side that lies in the
+    same piece.  So the two agree to rounding.  It is kept for
+    cross-validation and for Hamiltonian builders without a Bloch-block form.
+    It skips two checks of `evolve` on purpose: the dt cap, because `dt_max`
+    probes the Bloch builder and a dense `hamiltonian` may have no Bloch form
+    to probe; and the seam check, because it is a reference for arbitrary
+    states, whose density may sit at the seam.  Every step is solved; nothing
+    is reused across periods, and `hamiltonian` is taken to be smooth (no
+    jump times).
     """
     builder = hamiltonian or real_space_hamiltonian
     n_steps, dt, stride = _step_grid(t_start, t_end, dt, samples)
+    # a piece breaks at each period edge, as where `evolve` reuses a period
+    n_periods = max(_whole_periods(params, t_start, t_end, samples), 1)
+    period_edges = t_start + np.arange(1, n_periods) * ((t_end - t_start) / n_periods)
+    mids, dts, starts, _ = _place_steps(t_start, dt, 0, n_steps, period_edges)
     psi = _resolve_initial(params, initial)
     states = [psi]
-    for step in range(0, n_steps, stride):
-        mids, dts, starts, _ = _block_steps(t_start, step, stride, 1, dt, np.empty(0))
-        h = np.stack([builder(params, t) for t in mids], axis=2)
-        u = _step_unitaries(_magnus_generators(h, mids, dts, starts), dts)
-        for u_step in np.moveaxis(u, 2, 0):
+
+    def build(ts):
+        return np.stack([builder(params, t) for t in ts], axis=2)
+
+    for first in range(0, n_steps, stride):
+        rows = np.arange(first, first + stride)
+        g = _block_generators(build, mids, dts, starts, rows)
+        for u_step in np.moveaxis(_step_unitaries(g, dts[rows]), 2, 0):
             psi = u_step @ psi
         states.append(psi)
     return _trajectory(params, t_start, stride, dt, states)

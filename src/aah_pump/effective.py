@@ -29,8 +29,8 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import SAMPLES_PER_CYCLE, Protocol, dt_max, run_protocol
-from .model import (HoppingTable, ModelParams, bloch_blocks, bloch_from_table,
-                    hopping_table, ring_from_table)
+from .model import (HoppingTable, ModelParams, bloch_from_table, hopping_table,
+                    ring_from_table)
 
 
 class Region(Enum):
@@ -223,14 +223,12 @@ def compare_effective(
     """Pump under the full Hamiltonian and under H_T from the same state.
 
     Returns (full, effective, fidelity): two trajectories with aligned
-    sample grids and the final-state overlap modulus squared.  The full run
-    names the chain's builder, so both runs are solved step by step by the
-    same solve (given no builder, `evolve` may solve one q-th of a period).
+    sample grids and the final-state overlap modulus squared.
     """
     if dt is None:
         dt = min(dt_max(params), dt_max(params, effective_bloch_blocks))
     full = run_protocol(params, Protocol.TRADITIONAL, n_cycles, initial,
-                        dt=dt, samples_per_cycle=samples_per_cycle, bloch_builder=bloch_blocks)
+                        dt=dt, samples_per_cycle=samples_per_cycle)
     eff = run_protocol(params, Protocol.TRADITIONAL, n_cycles, initial,
                        dt=dt, samples_per_cycle=samples_per_cycle,
                        bloch_builder=effective_bloch_blocks,

@@ -32,30 +32,41 @@ def bloch_frame(params):
     return frame
 
 
-def chunk_steps(t_start, step, stride, dt, jump_times):
-    """(mids, dts, starts) of steps step..step+stride-1 placed one chunk at a
-    time: their midpoints, their widths and the first step of each smooth
-    piece.  A jump of H starts a new piece: a step across it is split there,
-    and a jump within 1e-9*dt of a step edge starts the piece at that edge."""
-    pos = (jump_times - t_start) / dt - step  # in steps from the chunk start
-    inside = (pos > 1e-9) & (pos < stride - 1e-9)
-    pos, cuts = pos[inside], jump_times[inside]
-    on_edge = np.abs(pos - np.rint(pos)) <= 1e-9
-    cuts = np.where(on_edge, t_start + (step + np.rint(pos)) * dt, cuts)
-    edges = np.sort(np.concatenate([t_start + (step + np.arange(stride + 1)) * dt,
-                                    cuts[~on_edge]]))
-    return (0.5 * (edges[1:] + edges[:-1]), np.diff(edges),
-            np.sort(np.append(0, np.searchsorted(edges, cuts))))
+def span_steps(t_start, first, last, dt, jump_times):
+    """(mids, dts, starts, steps) of grid steps first..last-1 of width dt from
+    t_start, placed one step at a time: their rows' midpoints and widths, the
+    first row of each smooth piece and each row's grid step.  The span is one
+    piece but at jumps of H: a jump more than 1e-9*dt inside a step splits it
+    there, and one within 1e-9*dt of a step edge inside the span starts the
+    piece at that edge."""
+    pos = [((jump - t_start) / dt - first, jump) for jump in jump_times]
+    on_edge = {round(x) for x, _ in pos
+               if abs(x - round(x)) <= 1e-9 and 0 < round(x) < last - first}
+    mids, dts, starts, steps = [], [], {0}, []
+    for k in range(last - first):
+        cuts = sorted({jump for x, jump in pos if abs(x - round(x)) > 1e-9 and k < x < k + 1})
+        edges = [t_start + (first + k) * dt] + cuts + [t_start + (first + k + 1) * dt]
+        if k in on_edge:
+            starts.add(len(mids))
+        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            if i:  # a row that starts at a jump
+                starts.add(len(mids))
+            mids.append(0.5 * (a + b))
+            dts.append(b - a)
+            steps.append(first + k)
+    return np.array(mids), np.array(dts), np.array(sorted(starts)), np.array(steps)
 
 
-def chunk_propagator(params, builder, ks, t_start, step, stride, dt, jump_times):
-    """Product of the Magnus step unitaries of steps step..step+stride-1 per
-    momentum, shape (L, q, q), solved for this one chunk alone."""
-    mids, dts, starts = chunk_steps(t_start, step, stride, dt, jump_times)
-    h = np.moveaxis(builder.batch(params, ks, mids), (-2, -1), (0, 1))
-    g = dynamics._magnus_generators(h.copy(), mids, dts, starts)
-    u = dynamics._chain_product(dynamics._step_unitaries(g, dts))
-    return np.moveaxis(u, (0, 1), (-2, -1))
+def span_propagators(params, builder, ks, t_start, chunks, stride, dt, jump_times):
+    """Propagators of `chunks` chunks of `stride` steps from t_start, shape
+    (chunks, L, q, q), from one placement of the whole span, one builder
+    call, one Magnus generator pass and one eigensolve over all its rows, and
+    one chain product per chunk."""
+    mids, dts, starts, steps = span_steps(t_start, 0, chunks * stride, dt, jump_times)
+    h = np.moveaxis(builder.batch(params, ks, mids), (-2, -1), (0, 1)).copy()
+    u = dynamics._step_unitaries(dynamics._magnus_generators(h, mids, dts, starts), dts)
+    return np.stack([np.moveaxis(dynamics._chain_product(u[:, :, steps // stride == c]),
+                                 (0, 1), (-2, -1)) for c in range(chunks)])
 
 
 def check_hermitian(h):

@@ -290,6 +290,30 @@ def test_mlws_initial_state(tmp_path):
     assert manifest["initial_state"] == "mlws band=2 cell=9"
 
 
+def test_mlws_start_comes_from_the_runs_one_basis(tmp_path, monkeypatch):
+    # an MLWS-start pump run builds one Wannier basis, audits it once and
+    # takes its start and its projection references from it; the start is
+    # `maximally_localize`'s state bit for bit
+    cfg = cli.RunConfig(experiment="pump-traditional", omega=0.1, initial_mlws_band=1,
+                        initial_mlws_cell=9)
+    params = cfg.model_params()
+    bands0 = spectrum.solve_bands(params, np.array([0.0]))
+    start, label = cli._resolve_initial(cfg, params)
+    assert label == "mlws band=1 cell=9"
+    assert np.array_equal(start, wannier.maximally_localize(bands0, 1, 9)[0].amplitudes)
+    calls = {"wannier_basis": 0, "maximally_localize": 0, "spread_decomposition": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(wannier, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(wannier, name, counting)
+    argv = ["pump-traditional", "--outdir", str(tmp_path), "--set", "initial_mlws_band=1",
+            "--set", "initial_mlws_cell=9"] + FAST
+    assert cli.main(argv) == 0
+    assert calls == {"wannier_basis": 1, "maximally_localize": 0, "spread_decomposition": 1}
+
+
 def test_cli_imports_without_scipy():
     # numpy is the only runtime dependency
     src = Path(cli.__file__).resolve().parents[1]

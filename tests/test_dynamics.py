@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from aah_pump import dynamics, effective, model, observables, spectrum, wannier
 from aah_pump.dynamics import Protocol
 from aah_pump.model import ModelParams, Sign, TunnelingMode
-from oracles import bloch_states_real_space, chunk_propagator, chunk_steps
+from oracles import bloch_states_real_space, span_propagators, span_steps
 
 
 def test_frozen_hamiltonian_preserves_eigenstate_density():
@@ -229,7 +229,7 @@ def test_magnus_generator_symmetries(data, q, L, phi0, ratio, mode, sign, t0, dt
                     tunneling_mode=mode, sign=sign)
     flipped = dataclasses.replace(p, sign=Sign.MINUS if sign is Sign.PLUS else Sign.PLUS)
     jumps = np.array([] if jump is None else [t0 + jump * stride * dt])
-    mids, dts, starts, _ = dynamics._block_steps(t0, 0, stride, 1, dt, jumps)
+    mids, dts, starts, _ = dynamics._place_steps(t0, dt, 0, stride, jumps)
     ks = model.k_grid(p)
 
     def blocks(params):  # (q, q, steps, L), the layout of the step kernels
@@ -262,7 +262,7 @@ def test_magnus_generator_exact_for_quadratic_h(d, seed, t0, dt, stride, jumps):
     a, b, c = (m + np.conj(m.T) for m in
                rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d)))
     cuts = np.array([t0 + f * stride * dt for f in jumps])
-    mids, dts, starts, _ = dynamics._block_steps(t0, 0, stride, 1, dt, cuts)
+    mids, dts, starts, _ = dynamics._place_steps(t0, dt, 0, stride, cuts)
     t = mids[:, None, None]
     h = a + b * t + c * t ** 2
     slope = b + 2 * c * t
@@ -279,47 +279,45 @@ def test_magnus_generator_exact_for_quadratic_h(d, seed, t0, dt, stride, jumps):
     np.testing.assert_allclose(g, np.moveaxis(expected, 0, -1), rtol=0, atol=1e-9 * scale)
 
 
-def test_magnus_generators_of_many_chunks_in_one_call():
-    # twelve chunks of four steps with jumps inside, on a step edge and close
-    # together, so the pieces include one- and two-step ones: one call over
-    # all of them must give each chunk's generators bit for bit, so no
-    # stencil reaches across a chunk boundary or a jump
+def test_block_generators_match_one_pass_over_the_run():
+    # 48 steps with jumps inside, on a step edge and close together, so the
+    # pieces include one- and two-step ones: generators formed a block at a
+    # time, whatever the block size, must be those of one pass over the whole
+    # run bit for bit, so a stencil crosses a block edge inside a piece and
+    # never reaches across a jump
     rng = np.random.default_rng(3)
     a, b, c = (m + np.conj(m.T) for m in
                rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3)))
-    t0, dt, stride = 1.5, 0.1, 4
+    t0, dt = 1.5, 0.1
     jumps = t0 + dt * np.array([1.5, 6.0, 13.2, 13.7, 22.0, 30.99, 41.0, 41.4])
-    chunks = [chunk_steps(t0, n * stride, stride, dt, jumps) for n in range(12)]
-    sizes = [len(mids) for mids, _, _ in chunks]
-    mids = np.concatenate([m for m, _, _ in chunks])
-    dts = np.concatenate([d for _, d, _ in chunks])
-    starts = np.concatenate([s + o for (_, _, s), o in
-                             zip(chunks, np.cumsum(sizes) - sizes)])
+    mids, dts, starts, _ = dynamics._place_steps(t0, dt, 0, 48, jumps)
     assert np.min(np.diff(np.append(starts, len(mids)))) < 3
 
     def h(t):  # (3, 3, steps), the layout of the step kernels
         return a[..., None] + b[..., None] * t + c[..., None] * t ** 2
 
-    g = dynamics._magnus_generators(h(mids), mids, dts, starts)
-    per_chunk = np.concatenate([dynamics._magnus_generators(h(m), m, d, s)
-                                for m, d, s in chunks], axis=2)
-    assert np.array_equal(g, per_chunk)
+    whole = dynamics._magnus_generators(h(mids), mids, dts, starts)
+    for size in range(1, 8):
+        blocks = [dynamics._block_generators(h, mids, dts, starts, np.arange(i, min(i + size,
+                                                                                  len(mids))))
+                  for i in range(0, len(mids), size)]
+        assert np.array_equal(np.concatenate(blocks, axis=2), whole)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(t0=st.floats(-700.0, 700.0), dt=st.floats(0.01, 0.5), stride=st.integers(3, 9),
-       step=st.integers(0, 50), chunks=st.integers(1, 12),
+       step=st.integers(-5, 50), chunks=st.integers(1, 12),
        jumps=st.lists(st.tuples(st.floats(0.0, 1.0),
                                 st.sampled_from(["inside", "step edge", "chunk edge"]),
                                 st.floats(-1e-9, 1e-9)), max_size=6))
 @example(t0=1.5, dt=0.1, stride=4, step=0, chunks=3,
          jumps=[(0.5, "chunk edge", 0.0), (0.5, "chunk edge", 5e-10), (0.4, "step edge", 0.0),
-                (0.4, "step edge", -9e-10), (0.8, "inside", 0.0)])
-def test_block_steps_place_each_chunk_as_if_alone(t0, dt, stride, step, chunks, jumps):
-    # one call over `chunks` chunks gives, bit for bit, the steps of one
-    # single-chunk call per chunk and of the per-chunk oracle, with jumps
-    # inside steps, on step edges and on chunk boundaries, exactly or within
-    # 1e-9*dt; every chunk boundary starts a piece
+                (0.4, "step edge", -9e-10), (0.8, "inside", 0.0), (1.0, "chunk edge", 0.0)])
+def test_steps_are_placed_on_one_grid(t0, dt, stride, step, chunks, jumps):
+    # the steps of a span are placed bit for bit as the step-by-step oracle
+    # places them, with jumps inside steps, on step edges and on chunk edges,
+    # exactly or within 1e-9*dt; pieces start only at the span's start and at
+    # jumps, so a chunk edge without a jump starts none
     n_steps = chunks * stride
     times = []
     for x, where, nudge in jumps:
@@ -327,72 +325,78 @@ def test_block_steps_place_each_chunk_as_if_alone(t0, dt, stride, step, chunks, 
               "chunk edge": stride * np.rint(x * chunks)}[where]
         times.append(t0 + (step + at + nudge) * dt)
     jump_times = np.array(times)
-    mids, dts, starts, offsets = dynamics._block_steps(t0, step, stride, chunks, dt,
-                                                       jump_times)
-    singles = [dynamics._block_steps(t0, step + n * stride, stride, 1, dt, jump_times)
-               for n in range(chunks)]
-    oracle = [chunk_steps(t0, step + n * stride, stride, dt, jump_times)
-              for n in range(chunks)]
-    sizes = [len(m) for m, _, _ in oracle]
-    assert np.array_equal(offsets, np.cumsum(sizes) - sizes)
-    for placed in (singles, oracle):
-        assert np.array_equal(mids, np.concatenate([m for m, *_ in placed]))
-        assert np.array_equal(dts, np.concatenate([d for _, d, *_ in placed]))
-        assert np.array_equal(starts, np.concatenate(
-            [s + o for (_, _, s, *_), o in zip(placed, offsets)]))
-    assert np.all(np.isin(offsets, starts))
+    mids, dts, starts, steps = dynamics._place_steps(t0, dt, step, step + n_steps, jump_times)
+    oracle = span_steps(t0, step, step + n_steps, dt, jump_times)
+    for got, want in zip((mids, dts, np.unique(starts), steps), oracle):
+        assert np.array_equal(got, want)
+    assert np.array_equal(np.sort(starts), starts)
+    if not len(jumps):
+        assert np.array_equal(starts, [0])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(q=st.integers(2, 6), L=st.integers(3, 6), t0=st.floats(0.0, 700.0),
        dt=st.floats(0.01, 0.3), stride=st.integers(3, 7), chunks=st.integers(1, 12),
-       per_block=st.integers(1, 13), spare=st.floats(0.0, 0.99),
-       jumps=st.lists(st.tuples(st.floats(0.0, 1.0), st.booleans()), max_size=3))
-@example(q=3, L=4, t0=2.0, dt=0.1, stride=4, chunks=7, per_block=3, spare=0.5,
-         jumps=[(5 / 28, True), (6.5 / 28, False), (13.7 / 28, False), (14.2 / 28, False)])
-def test_block_propagators_match_the_per_chunk_oracle(q, L, t0, dt, stride, chunks,
-                                                      per_block, spare, jumps):
-    # blocks of per_block chunks, which need not divide the chunk count, give
-    # every chunk's propagator bit for bit as solving that chunk alone does;
-    # jumps fall inside steps or on their edges, and split some chunks
-    p = ModelParams(V0=10.0, p=1, q=q, L=L, phi0=0.3)
+       per_block=st.integers(1, 40), spare=st.floats(0.0, 0.99), qth=st.booleans(),
+       jumps=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                st.sampled_from(["inside", "step edge", "chunk edge",
+                                                 "block edge"])), max_size=4))
+@example(q=3, L=4, t0=2.0, dt=0.1, stride=4, chunks=7, per_block=3, spare=0.5, qth=False,
+         jumps=[(5 / 28, "step edge"), (6.5 / 28, "inside"), (13.7 / 28, "inside"),
+                (14.2 / 28, "inside"), (0.5, "chunk edge"), (0.4, "block edge")])
+@example(q=3, L=4, t0=0.0, dt=0.1, stride=4, chunks=6, per_block=5, spare=0.0, qth=True,
+         jumps=[])
+def test_propagators_do_not_depend_on_the_block_size(q, L, t0, dt, stride, chunks,
+                                                     per_block, spare, qth, jumps):
+    # blocks of per_block steps, which need not divide the step count nor
+    # fall on chunk edges, give every chunk's propagator as one pass over the
+    # whole span does, with jumps inside steps, on their edges and on chunk
+    # and block edges; and so does the q-th route over one period of the chain
     n_steps = chunks * stride
-    jump_times = np.array([t0 + (np.rint(x * n_steps) if on_edge else x * n_steps) * dt
-                           for x, on_edge in jumps])
+    images = q if qth and n_steps % q == 0 else 1
+    omega = 2 * np.pi / (n_steps * dt) if images > 1 else 0.01
+    p = ModelParams(V0=10.0, p=1, q=q, L=L, phi0=0.3, omega=omega)
+    jump_times = np.array([] if images > 1 else [
+        t0 + {"inside": x * n_steps, "step edge": np.rint(x * n_steps),
+              "chunk edge": stride * np.rint(x * chunks),
+              "block edge": per_block * np.rint(x * n_steps / per_block)}[where] * dt
+        for x, where in jumps])
     ks = model.k_grid(p)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_BLOCKS_PER_SOLVE", int((per_block + spare) * stride * L))
-        blocked = list(dynamics._chunk_propagators(p, model.bloch_blocks, ks, t0, chunks,
-                                                   stride, dt, jump_times))
-    assert len(blocked) == chunks
-    for n, u in enumerate(blocked):
-        assert np.array_equal(u, chunk_propagator(p, model.bloch_blocks, ks, t0, n * stride,
-                                                  stride, dt, jump_times))
+        mp.setattr(dynamics, "_BLOCKS_PER_SOLVE", int((per_block + spare) * L))
+        blocked = dynamics._period_propagators(p, model.bloch_blocks, ks, t0, dt, stride,
+                                               chunks, jump_times, images)
+    whole = span_propagators(p, model.bloch_blocks, ks, t0, chunks, stride, dt, jump_times)
+    np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["equal_chunks", "split_chunks"])
 def test_block_solve_keeps_few_step_sized_arrays_alive(monkeypatch, split):
     # one block of 270 five-step chunks (omega = 0.05 at paper size), in
-    # units of one stack of its step matrices: the block peaks at 4.09 stacks
+    # units of one stack of its step matrices: the solve peaks at 4.09 stacks
     # (the Hamiltonians and the three stencil arrays of the generator pass),
-    # _step_unitaries at 2.50 above what it is handed, and only the chunk
-    # propagators, 0.2 stacks, are held between yields.  Each bound is below
-    # what one more step-sized array alive at that point would give.
+    # and _step_unitaries at 2.50 above what it is handed.  Each bound is
+    # below what one more step-sized array alive at that point would give.
     p = dataclasses.replace(ModelParams(), omega=0.05)
     _, dt, stride = dynamics._step_grid(0.0, p.period, dynamics.dt_max(p), 400)
     chunks = 270
     jumps = dt * stride * (np.arange(0, chunks, 3) + 0.45) if split else np.empty(0)
-    stack = (chunks * stride + len(jumps)) * p.L * p.q ** 2 * 16
-    monkeypatch.setattr(dynamics, "_BLOCKS_PER_SOLVE", chunks * stride * p.L)
-    block = dynamics._chunk_propagators(p, model.bloch_blocks, model.k_grid(p), 0.0,
-                                        chunks, stride, dt, jumps)
+    rows = chunks * stride + len(jumps)
+    stack = rows * p.L * p.q ** 2 * 16
+    monkeypatch.setattr(dynamics, "_BLOCKS_PER_SOLVE", rows * p.L)
+    ks = model.k_grid(p)
+    solve = (p, model.bloch_blocks, ks, 0.0, dt, stride, chunks, jumps, 1)
+    dynamics._period_propagators(*solve)  # numpy's one-time allocations, untraced
     tracemalloc.start()
     try:
-        next(block)
-        held, peak = tracemalloc.get_traced_memory()
-        mids, dts, starts, _ = dynamics._block_steps(0.0, 0, stride, chunks, dt, jumps)
-        h = np.moveaxis(model.bloch_blocks_batch(p, model.k_grid(p), mids), (-2, -1), (0, 1))
-        g = dynamics._magnus_generators(h.copy(), mids, dts, starts)
+        dynamics._period_propagators(*solve)
+        peak = tracemalloc.get_traced_memory()[1]
+        mids, dts, starts, _ = dynamics._place_steps(0.0, dt, 0, chunks * stride, jumps)
+
+        def build(ts):
+            return np.moveaxis(model.bloch_blocks_batch(p, ks, ts), (-2, -1), (0, 1)).copy()
+
+        g = dynamics._block_generators(build, mids, dts, starts, np.arange(rows))
         tracemalloc.reset_peak()
         entry = tracemalloc.get_traced_memory()[0]
         dynamics._step_unitaries(g, dts)
@@ -400,7 +404,6 @@ def test_block_solve_keeps_few_step_sized_arrays_alive(monkeypatch, split):
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * stack
-    assert held < 0.25 * stack
     assert step_peak < 3.0 * stack
 
 
@@ -467,7 +470,7 @@ def test_two_cycle_run_solves_one_period(monkeypatch, protocol):
 
 
 @pytest.mark.parametrize("n_cycles", [1, 2])
-def test_evolve_builds_a_block_of_chunks_per_call(n_cycles):
+def test_evolve_builds_a_block_of_steps_per_call(n_cycles):
     calls = []
 
     def builder(params, k, t):
@@ -481,12 +484,44 @@ def test_evolve_builds_a_block_of_chunks_per_call(n_cycles):
     traj = dynamics.run_protocol(FAST, Protocol.TRADITIONAL, n_cycles, 27,
                                  samples_per_cycle=10, bloch_builder=builder,
                                  seam_threshold=None)
-    stride = round(FAST.period / traj.dt) // 10
-    assert (10 * stride) % FAST.q  # so the period is solved step by step
-    per_block = max(1, dynamics._BLOCKS_PER_SOLVE // (stride * FAST.L))
-    assert 1 < per_block < 10  # one call per chunk would be told apart
-    assert len(calls) == math.ceil(10 / per_block)
-    assert sum(calls) == 10 * stride
+    steps = round(FAST.period / traj.dt)
+    per_block = dynamics._BLOCKS_PER_SOLVE // FAST.L
+    blocks = math.ceil(steps / per_block)
+    assert blocks > 1  # one call per chunk or per period would be told apart
+    assert per_block % (steps // 10)  # a block edge falls inside a chunk
+    # each interior block edge builds one neighbouring step on each side
+    assert calls == [per_block + 1] + [per_block + 2] * (blocks - 2) + [
+        steps - per_block * (blocks - 1) + 1]
+
+
+@pytest.mark.parametrize("case", ["uniform", "sine", "effective"])
+def test_how_steps_are_sampled_does_not_change_them(case):
+    # the same 2,000 steps of a period at omega = 0.05, recorded as 400
+    # samples of 5 steps or 200 of 10, end in the same state: a sample edge
+    # is no Magnus piece edge, and H_T's region jumps cut the steps on one
+    # grid whatever the samples
+    mode = TunnelingMode.SINE_MODULATED if case == "sine" else TunnelingMode.UNIFORM
+    p = ModelParams(omega=0.05, tunneling_mode=mode)
+    builder, jumps = None, ()
+    if case == "effective":
+        builder = effective.effective_bloch_blocks
+        jumps = effective.region_boundaries(p, 0.0, p.period)
+    dt = p.period / 2000
+    assert dt <= dynamics.dt_max(p, builder)
+    finals = [dynamics.run_protocol(p, Protocol.TRADITIONAL, 1, 27, dt=dt,
+                                    samples_per_cycle=samples, bloch_builder=builder,
+                                    jump_times=jumps).final_state
+              for samples in (400, 200)]
+    np.testing.assert_allclose(finals[0], finals[1], rtol=0, atol=1e-12)
+
+
+def test_dense_reference_breaks_pieces_at_period_edges():
+    # a two-period run solves its first period and reuses it, so no stencil
+    # crosses the period edge; the dense reference cuts its pieces there too
+    fast = dynamics.run_protocol(FAST, Protocol.TRADITIONAL, 2, 27, samples_per_cycle=10,
+                                 seam_threshold=None)
+    dense = dynamics.evolve_dense(FAST, 27, 0.0, 2 * FAST.period, fast.dt, samples=20)
+    np.testing.assert_allclose(fast.states, dense.states, rtol=0, atol=1e-12)
 
 
 def _chain_as_builder():
@@ -517,16 +552,12 @@ QTH_CASES = {
 }
 
 
-def _distinct_steps(n_steps, stride, q):
-    """The (step of the first q-th, stencil) pairs of a period of n_steps: step
-    n is step n % m of its q-th, forward at a chunk's start, backward at its
-    end and central inside."""
-    m = n_steps // q
-
-    def stencil(pos):
-        return "forward" if pos == 0 else "backward" if pos == stride - 1 else "central"
-
-    return len({(n % m, stencil(n % stride)) for n in range(n_steps)})
+def _distinct_steps(n_steps, q):
+    """The steps of the first q-th of a period of n_steps, each with its
+    central stencil, and two more: step 0 with the forward stencil of the
+    period's first step and step n_steps/q - 1 with the backward one of the
+    period's last."""
+    return n_steps // q + 2
 
 
 @pytest.mark.parametrize("protocol, cycles", [(Protocol.TRADITIONAL, 1), (Protocol.ECHO, 2)])
@@ -542,7 +573,7 @@ def test_qth_solve_matches_the_step_by_step_solve_and_dense(monkeypatch, case, p
     fast = dynamics.run_protocol(params, protocol, cycles, psi, dt=dt,
                                  samples_per_cycle=samples, seam_threshold=None)
     assert round(params.period / fast.dt) == samples * stride
-    distinct = _distinct_steps(samples * stride, stride, params.q)
+    distinct = _distinct_steps(samples * stride, params.q)
     assert distinct < samples * stride
     assert sum(solved) == distinct * params.L  # one q-th was solved
     chain = dynamics.run_protocol(params, protocol, cycles, psi, dt=dt,
@@ -553,20 +584,6 @@ def test_qth_solve_matches_the_step_by_step_solve_and_dense(monkeypatch, case, p
     if protocol is Protocol.TRADITIONAL:
         dense = dynamics.evolve_dense(params, psi, 0.0, params.period, dt, samples=samples)
         np.testing.assert_allclose(fast.states, dense.states, rtol=0, atol=1e-12)
-
-
-def test_a_qth_that_saves_nothing_is_not_solved(monkeypatch):
-    # three steps per chunk with m % 3 != 0 put every stencil on every step of
-    # the q-th, so the period is solved step by step, as with a builder given
-    params, samples, stride = ModelParams(V0=10.0, omega=0.2, phi0=0.7), 70, 3  # m = 70
-    dt = params.period / (samples * stride)
-    assert _distinct_steps(samples * stride, stride, params.q) == samples * stride
-    solved = _count_eigensolves(monkeypatch)
-    plain = dynamics.evolve(params, 16, 0.0, params.period, dt=dt, samples=samples)
-    assert sum(solved) == samples * stride * params.L
-    chain = dynamics.evolve(params, 16, 0.0, params.period, dt=dt, samples=samples,
-                            bloch_builder=_chain_as_builder())
-    assert np.array_equal(plain.states, chain.states)
 
 
 def test_qth_solve_reads_the_builder_a_tracer_swaps_in(monkeypatch):
@@ -591,16 +608,15 @@ def test_qth_solve_reads_the_builder_a_tracer_swaps_in(monkeypatch):
 
 
 def test_paper_runs_solve_one_qth_of_a_period(monkeypatch, paper_params):
-    # 3,200 steps per q-th, each central in some image; q-th edges fall 8 steps
-    # into a 24-step chunk, so forward and backward stencils sit at the 400
-    # steps i = 0 and i = 7 (mod 8): 4,000 distinct steps of 15 momenta
+    # 3,200 steps per q-th, each with its central stencil, and two one-sided
+    # ones: 3,202 distinct steps of 15 momenta
     solved = _count_eigensolves(monkeypatch)
     traj = dynamics.run_protocol(paper_params, Protocol.TRADITIONAL, 1, 27)
     assert round(paper_params.period / traj.dt) == 9600
-    assert sum(solved) == 4000 * paper_params.L
+    assert sum(solved) == 3202 * paper_params.L
     solved.clear()
     dynamics.run_protocol(paper_params, Protocol.ECHO, 2, 27)
-    assert sum(solved) == 4000 * paper_params.L
+    assert sum(solved) == 3202 * paper_params.L
     # FAST's 170 steps per period are not a multiple of q: every step is solved
     solved.clear()
     traj = dynamics.evolve(FAST, 27, 0.0, FAST.period, samples=10, seam_threshold=None)
@@ -614,16 +630,15 @@ def test_qth_solve_holds_the_period_and_one_block(monkeypatch, paper_params):
     # propagators and at most q-1 more, throughout, and on top of them one
     # block at a time: its Hamiltonians and the three stencil arrays of the
     # generator pass, four stacks of the largest generator stack B a block
-    # forms, as in `_chunk_propagators`.  The bound allows one stack more, for
-    # numpy's iteration buffers (two of 8,192 complex elements, 256 KB, one B
-    # at paper size) and the bookkeeping of steps; every other stage of a
-    # block (the eigensolve, the folding of q images) holds less.  A first
-    # solve runs untraced, so that numpy's one-time allocations are not counted.
+    # forms.  The bound allows one stack more, for numpy's iteration buffers
+    # (two of 8,192 complex elements, 256 KB, one B at paper size) and the
+    # bookkeeping of steps; every other stage of a block (the eigensolve, the
+    # folding of q images) holds less.  A first solve runs untraced, so that
+    # numpy's one-time allocations are not counted.
     p = paper_params
     _, dt, stride = dynamics._step_grid(0.0, p.period, dynamics.dt_max(p), 400)
-    needed = dynamics._qth_stencils(p.q, 400, stride)
-    ks = model.k_grid(p)
-    dynamics._period_propagators(p, ks, 0.0, stride, dt, needed)
+    solve = (p, model.bloch_blocks, model.k_grid(p), 0.0, dt, stride, 400, np.empty(0), p.q)
+    dynamics._period_propagators(*solve)
     stacks = []
     generators = dynamics._magnus_generators
 
@@ -634,7 +649,7 @@ def test_qth_solve_holds_the_period_and_one_block(monkeypatch, paper_params):
     monkeypatch.setattr(dynamics, "_magnus_generators", recording)
     tracemalloc.start()
     try:
-        u = dynamics._period_propagators(p, ks, 0.0, stride, dt, needed)
+        u = dynamics._period_propagators(*solve)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

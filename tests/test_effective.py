@@ -406,6 +406,20 @@ def test_step_split_at_region_boundary_keeps_second_order(paper_params):
     assert errors[0] / errors[1] > 3.0  # at least second order: 4 when dt halves
 
 
+@pytest.mark.parametrize("omega", [0.01, 0.05])
+def test_full_run_is_the_plain_chain_run(omega):
+    # the full run is the chain's own run, with no builder named: at
+    # omega = 0.01 its 9,600 steps per period are solved one q-th at a time,
+    # at 0.05 its 2,000 step by step
+    p = ModelParams(omega=omega)
+    dt = min(dynamics.dt_max(p), dynamics.dt_max(p, effective.effective_bloch_blocks))
+    full, _, _ = effective.compare_effective(p, 27)
+    plain = dynamics.run_protocol(p, dynamics.Protocol.TRADITIONAL, 1, 27, dt=dt)
+    assert bool(round(p.period / plain.dt) % p.q) == (omega == 0.05)
+    assert np.array_equal(full.states, plain.states)
+    assert np.array_equal(full.times, plain.times)
+
+
 def test_no_dynamics_without_tunneling():
     p = ModelParams(J=0.0, V0=5.0, omega=1.0, phi0=0.3)
     full, eff, fid = effective.compare_effective(p, 14, n_cycles=1,
