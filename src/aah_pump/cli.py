@@ -313,8 +313,8 @@ def _run_pump(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
         "integrator": {"dt": traj.dt, "samples": len(traj.times),
                        "rule": "fourth-order Magnus (one exact unitary per step from "
                                "the midpoint Hamiltonian and its derivatives from "
-                               "three midpoints of its smooth piece, which ends only "
-                               "at the period's edges); the chunk propagators of one "
+                               "three midpoints of its smooth piece, which runs round "
+                               "the period's ends); the chunk propagators of one "
                                "period serve every period, conjugated at -k on "
                                "echo-reversed periods; when the steps per period are "
                                "a multiple of q, the steps of the first q-th of the "

@@ -10,18 +10,22 @@ with H, H' and H'' at the step's midpoint.  H is built there; H' and H''
 come from the quadratic through that midpoint and its two neighbours in the
 same smooth piece, central inside the piece and one-sided at its ends, so a
 step costs one Hamiltonian and one eigensolve, as a midpoint step does.  A
-piece breaks only where H may not be smooth: at the ends of the solved span,
-at the period edges of a whole-period span (where the echo flips the sign
-of H) and at the jumps of H (`jump_times`), where a step is split; a piece
-of fewer than three steps keeps G = H.  How the steps are grouped, into
-samples or into solve blocks, changes no stencil, so the state does not
-depend on how many samples are recorded.  Because every Hamiltonian here is
-translation invariant on the ring, the unitary factorizes over the L
-momentum blocks, so steps are computed in the Bloch basis from batched
-eigensolves of q x q generators by `model._hermitian_eigh`, the package's one
-eigensolver of Hermitian stacks; this is the same unitary as the dense
-real-space path `evolve_dense`, which builds G from N x N matrices with the
-same pieces and solves them with the same eigensolver.
+piece breaks only where H may jump: at the jumps of H (`jump_times`), where
+a step is split, and at the ends of a span that is not whole periods.  A
+span of whole periods is periodic, and its piece runs round its ends: the
+first step reads the step before the span from H itself, H(t_start - h/2) =
+H(t_end - h/2), and the last step the one after it.  Under the echo each
+period is a loop of H or of -H, periodic in its own right.  A piece of fewer
+than three steps keeps G = H.  How the steps are grouped, into samples or
+into solve blocks, changes no stencil, so the state does not depend on how
+many samples are recorded, nor a one-period run on where it starts.
+Because every Hamiltonian here is translation invariant on the ring, the
+unitary factorizes over the L momentum blocks, so steps are computed in the
+Bloch basis from batched eigensolves of q x q generators by
+`model._hermitian_eigh`, the package's one eigensolver of Hermitian stacks;
+this is the same unitary as the dense real-space path `evolve_dense`, which
+builds G from N x N matrices with the same pieces and solves them with the
+same eigensolver.
 A Bloch builder is called as builder(params, k, t) and carries its
 time-batched form builder.batch(params, k, ts), which `evolve` calls once
 per block of steps it solves; `dt_max` probes the per-time form once per
@@ -32,7 +36,7 @@ matrix axes last, (..., q, q); the step kernels take them first.
 The step cap is dt_max = 2/max_t ||H(t)||_2; a run is `samples` chunks of
 at least three equal whole steps within it, 400 chunks of 24 steps (9,600
 steps) per cycle at paper parameters.  Each step is exactly unitary, so the
-norm drifts only by round-off, linear in the step count: 1.7e-12 over two
+norm drifts only by round-off, linear in the step count: 3.3e-12 over two
 paper echo cycles.  Measured against a run at cap/8, the final state of one
 paper cycle from site 27 is off by 1.5e-6 (uniform tunneling) and 1.9e-6
 (sine), 5.9e-6 at omega=0.05; the exponential midpoint rule at its cap of
@@ -46,25 +50,24 @@ H(t), so the chunk propagators of the first period serve every later one;
 and the cell-gauge blocks satisfy H(k)* = H(-k), so a sign-reversed period
 applies conj(U_chunk(-k)) of the forward one, since G[-H](k) =
 -conj(G[H](-k)); `model._reversed_k` indexes -k, as it does for the paired
-band solve of `spectrum.solve_bands`.  Against solving every period afresh,
-two-cycle paper runs differed by at most 3.7e-12 in the state (echo; 2.0e-12
-traditional; 4.2e-12 with sine tunneling).  Spans that are not a whole
-number n >= 1 of periods, or whose sample count is not a multiple of n,
-solve every step of the span.
+band solve of `spectrum.solve_bands`.  Against solving each period afresh
+from the state the one before ends in, two-cycle paper runs differ by at
+most 3.4e-12 in the state (echo; 1.6e-12 traditional; 3.4e-12 with sine
+tunneling).  Spans that are not a whole number n >= 1 of periods, or whose
+sample count is not a multiple of n, solve every step of the span.
 Within a period the chain repeats up to a lattice translation: the drive
 enters only as 2*pi*beta*j + phi(t), so H(t + T/q) is H(t) translated by
 p^-1 mod q sites, and `model._translated` carries blocks, step unitaries and
 their products r q-ths ahead.  With m steps per q-th, step r*m + i of the
-period, with its central stencil, is thus the image of step i of the first
-q-th; only the period's first step (forward stencil) and last (backward)
-are not, and they are solved as step 0 and, imaged q-1 q-ths ahead, step
-m-1 of the first q-th.  `_period_propagators` does so when `evolve`
+period, stencil and all, is thus the image of step i of the first q-th, the
+period's first and last step included, since the period's piece runs round
+its ends.  `_period_propagators` solves the first q-th alone when `evolve`
 propagates the chain itself (no `bloch_builder`, no `jump_times`) over whole
 periods whose steps per period are a multiple of q: a paper period is
-3,202 distinct steps, 48,030 3 x 3 eigensolves instead of 144,000, and a
+3,200 distinct steps, 48,000 3 x 3 eigensolves instead of 144,000, and a
 two-cycle run costs the same.  Against solving every step of the period,
-the paper runs' states differ by at most 6.5e-12, delta_p by 2.4e-11 and
-D_W by 1.5e-11.  Every other run solves each step of its first period, or
+the paper runs' states differ by at most 3.8e-12, delta_p by 2.4e-11 and
+D_W by 3.7e-12.  Every other run solves each step of its first period, or
 of its span: a given builder (H_T, or any wrapper of the chain), jumps,
 partial spans, and step counts that are not a multiple of q, such as
 effective-compare's 2,000 steps per period at omega = 0.05.
@@ -72,13 +75,14 @@ Either unit is solved by the one `_period_propagators`, in blocks of
 _BLOCKS_PER_SOLVE // L consecutive steps (120 at L = 15: 80 blocks per
 paper period, 27 per q-th).  A block places its steps on the run's one grid,
 split at jumps, builds H through one `builder.batch` call at them and at one
-neighbouring step on each side of an interior block edge, makes one
-generator pass and one batched eigensolve, and folds its step unitaries,
-image by image, into the products of the chunk segments they fall in (a
-chunk that a q-th edge cuts has two).  So a run holds its period's propagators
-(samples x L x q x q, 0.86 MB at paper parameters) and one block at a time.
-Under tracemalloc a paper one-cycle run peaks at 2.4 MB, a two-cycle echo at
-2.7 MB and a one-cycle run at omega = 0.05 at 2.4 MB.
+neighbouring step on each side (none beyond the ends of a span that is not
+whole periods), makes one generator pass and one batched eigensolve, and
+folds its step unitaries, image by image, into the products of the chunk
+segments they fall in (a chunk that a q-th edge cuts has two).  So a run
+holds its period's propagators (samples x L x q x q, 0.86 MB at paper
+parameters) and one block at a time.  Under tracemalloc a paper one-cycle
+run peaks at 2.4 MB, a two-cycle echo at 2.7 MB and a one-cycle run at
+omega = 0.05 at 2.4 MB.
 The eigensolve reduces each generator to a real symmetric tridiagonal
 matrix by one Householder reflection (q = 3) and a diagonal phase, and
 hands that real stack to one `np.linalg.eigh` call: on a paper block of
@@ -298,7 +302,9 @@ def _check_periodic_jumps(jump_times: np.ndarray, t_start: float, t_end: float,
                           n_periods: int, tol: float) -> None:
     """Raise ValueError unless each of the n_periods equal periods of
     [t_start, t_end] holds the jumps of the first one shifted by whole periods,
-    within tol.  Jumps on period edges fall between chunks and do not count."""
+    within tol.  Jumps on period edges are not compared: one listed there ends
+    the piece that runs round the period's ends (`evolve` carries a jump at
+    either end of the span round to the other)."""
     period = (t_end - t_start) / n_periods
     offsets = np.sort(jump_times[(jump_times > t_start) & (jump_times < t_end)] - t_start)
     inner = offsets[np.abs(offsets - period * np.rint(offsets / period)) > tol]
@@ -439,27 +445,31 @@ def _block_generators(build, mids: np.ndarray, dts: np.ndarray, starts: np.ndarr
 
 def _period_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: float,
                         dt: float, stride: int, chunks: int, jump_times: np.ndarray,
-                        images: int) -> np.ndarray:
+                        images: int, periodic: bool) -> np.ndarray:
     """Propagators of `chunks` chunks of `stride` steps of width dt from
     t_start, shape (chunks, L, q, q): per momentum, the product of the Magnus
     step unitaries of each chunk, whose steps are one smooth piece but where
     H jumps (`_place_steps`).
 
-    The steps are solved from a unit: all of them when images = 1; when
-    images = q, for the chain's own H over one period of q*m steps, the
-    first q-th, whose step i, r q-ths ahead, is the image under
-    `model._translated` of step r*m + i.  Its steps take the central stencil
-    of the period's piece, and two more solves give step 0 the forward
-    stencil of the period's first step and step m-1 the backward one of the
-    period's last (image q-1).  The unit is solved in blocks of about
-    _BLOCKS_PER_SOLVE Bloch blocks.  A block places its steps, and two more
-    on each side as far as the piece goes, which fixes each one's stencil as
-    in a pass over the whole run; then it makes one `_block_generators` call,
-    with one `builder.batch` call, and one `_step_unitaries` call.  The steps
-    are cut at chunk and q-th edges into segments, each in one chunk and one
-    q-th; each block is folded, image by image, into the products of the
-    segments its steps fall in, so only these products outlive a block.  A
-    chunk cut by a q-th edge multiplies its segments at the end.
+    A span that is not `periodic` ends its piece at its ends.  A periodic one
+    is one period of H, and its piece runs on past its ends, where H goes on
+    as it began: the first step's stencil reads the step before it, H one
+    half step before t_start, which is H at the period's last step, and the
+    last step's the step after it; a jump listed at or beyond an end, such as
+    the image of a jump a period away, ends the piece there.  The steps are
+    solved from a unit: all of them when images = 1; when images = q, for the
+    chain's own H over one period of q*m steps, the first q-th, whose step i,
+    r q-ths ahead, is the image under `model._translated` of step r*m + i,
+    its stencil included.  The unit is solved in blocks of about
+    _BLOCKS_PER_SOLVE Bloch blocks.  A block places its steps, and two more on
+    each side (as far as the span goes, unless it is periodic), which fixes
+    each one's stencil as in a pass over the whole run; then it makes one
+    `_block_generators` call, with one `builder.batch` call, and one
+    `_step_unitaries` call.  The steps are cut at chunk and q-th edges into
+    segments, each in one chunk and one q-th; each block is folded, image by
+    image, into the products of the segments its steps fall in, so only these
+    products outlive a block.  A chunk cut by a q-th edge multiplies its
+    segments at the end.
     """
     q, L = params.q, params.L
     m = chunks * stride // images  # steps per image
@@ -477,31 +487,14 @@ def _period_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: f
     per_block = max(1, _BLOCKS_PER_SOLVE // L)
     for s in range(0, m, per_block):
         e = min(s + per_block, m)
-        # the period's piece runs on past the ends of a q-th; after it, the
-        # period's first and last step as the ends of three-step pieces
-        first, final = images > 1 and s == 0, images > 1 and e == m
-        spans = [(s - 2, e + 2) if images > 1 else (max(s - 2, 0), min(e + 2, m))]
-        spans += [(0, 3)] * first + [(m - 3, m)] * final
-        placed = [_place_steps(t_start, dt, lo, hi, jump_times) for lo, hi in spans]
-        offsets = np.cumsum([0] + [len(x[0]) for x in placed])
-        mids, dts, steps = (np.concatenate([x[i] for x in placed]) for i in (0, 1, 3))
-        starts = np.concatenate([x[2] + o for x, o in zip(placed, offsets)])
-        rows = np.flatnonzero((steps[:offsets[1]] >= s) & (steps[:offsets[1]] < e))
-        takes = [rows] * images  # the rows of each image's steps, in order
-        solved = rows
-        if first:  # image 0 starts with the forward step
-            takes[0] = np.append(offsets[1], rows[1:])
-            solved = np.append(solved, offsets[1])
-        if final:  # image q-1 ends with the backward step
-            takes[-1] = np.append(rows[:-1], offsets[-1] - 1)
-            solved = np.append(solved, offsets[-1] - 1)
-        u = _step_unitaries(_block_generators(build, mids, dts, starts, solved), dts[solved])
-        for r, taken in enumerate(takes):
-            segs = slot[np.searchsorted(cuts, r * m + steps[taken], side="right") - 1]
+        lo, hi = (s - 2, e + 2) if periodic else (max(s - 2, 0), min(e + 2, m))
+        mids, dts, starts, steps = _place_steps(t_start, dt, lo, hi, jump_times)
+        rows = np.flatnonzero((steps >= s) & (steps < e))
+        u = _step_unitaries(_block_generators(build, mids, dts, starts, rows), dts[rows])
+        for r in range(images):
+            segs = slot[np.searchsorted(cuts, r * m + steps[rows], side="right") - 1]
             runs = np.flatnonzero(np.diff(segs, prepend=-1))
-            at = np.searchsorted(solved, taken)
-            prods = _run_products(u if len(at) == len(solved) else np.take(u, at, axis=2), runs)
-            prods = np.moveaxis(prods, (0, 1), (-2, -1))
+            prods = np.moveaxis(_run_products(u, runs), (0, 1), (-2, -1))
             if r:  # image r lies r q-ths ahead of the unit
                 prods = _translated(params, prods, ks, r)
             products[segs[runs]] = prods @ products[segs[runs]]
@@ -532,13 +525,16 @@ def evolve(
     stencil reaches across it, since a step across a jump has an error of
     first order in dt.
 
-    A span of n >= 2 whole periods with `samples` a multiple of n solves the
-    chunk propagators of its first period only, keeps them and applies them
-    to every period, so its jumps must repeat with the period (ValueError
-    otherwise); a Magnus piece breaks at its period edges.  The chain's own
-    Hamiltonian (no `bloch_builder`, no `jump_times`) over whole periods
-    whose steps per period are a multiple of q solves only the first q-th of
-    its period and two steps more, 3,202 of 9,600 steps at paper parameters;
+    A span of n >= 1 whole periods with `samples` a multiple of n is
+    periodic: its first period is one Magnus piece that runs round its ends,
+    its end steps reading H a step beyond them, so a jump on a period edge
+    must be listed, at either end of the span, to end it there.  The span
+    solves the chunk propagators of its first period only, keeps them and
+    applies them to every period, so its jumps must repeat with the period
+    (ValueError otherwise).  Any other span is one piece that ends at its
+    ends.  The chain's own Hamiltonian (no `bloch_builder`, no `jump_times`)
+    over whole periods whose steps per period are a multiple of q solves only
+    the first q-th of its period, 3,200 of 9,600 steps at paper parameters;
     any other run solves every step of its first period, or of its span (see
     the module's cost model).  Both are one `_period_propagators` solve, a
     block of steps at a time, with one `builder.batch` call and one batched
@@ -570,6 +566,9 @@ def evolve(
                          "each with the same number of samples")
     jump_times = np.asarray(jump_times, dtype=float)
     _check_periodic_jumps(jump_times, t_start, t_end, n_periods, 1e-9 * dt)
+    if whole:  # the span runs round its ends: a jump at one end is at the other
+        span = t_end - t_start
+        jump_times = np.concatenate([jump_times - span, jump_times, jump_times + span])
 
     ks = k_grid(params)
     reversed_k = _reversed_k(params.L)
@@ -582,7 +581,7 @@ def evolve(
     qth = (bloch_builder is None and not len(jump_times) and whole
            and per_period * stride % params.q == 0)
     propagators = _period_propagators(params, builder, ks, t_start, dt, stride, per_period,
-                                      jump_times, params.q if qth else 1)
+                                      jump_times, params.q if qth else 1, whole > 0)
     for chunk in range(samples):
         i = chunk % per_period
         if echo and chunk // per_period % 2:
@@ -612,10 +611,11 @@ def evolve_dense(
     """Reference propagator using dense N x N matrices.
 
     The same fourth-order Magnus steps as `evolve`, with the same pieces:
-    the span is one, broken at its period edges when it is n >= 1 whole
-    periods with `samples` a multiple of n; each chunk's steps are built and
-    solved together, with a neighbouring step on each side that lies in the
-    same piece.  So the two agree to rounding.  It is kept for
+    the span is one, which runs round its ends when it is n >= 1 whole
+    periods with `samples` a multiple of n, its end steps reading H one step
+    beyond them; each chunk's steps are built and solved together, with a
+    neighbouring step on each side that lies in the same piece.  So the two
+    agree to rounding.  It is kept for
     cross-validation and for Hamiltonian builders without a Bloch-block form.
     It skips two checks of `evolve` on purpose: the dt cap, because `dt_max`
     probes the Bloch builder and a dense `hamiltonian` may have no Bloch form
@@ -626,10 +626,9 @@ def evolve_dense(
     """
     builder = hamiltonian or real_space_hamiltonian
     n_steps, dt, stride = _step_grid(t_start, t_end, dt, samples)
-    # a piece breaks at each period edge, as where `evolve` reuses a period
-    n_periods = max(_whole_periods(params, t_start, t_end, samples), 1)
-    period_edges = t_start + np.arange(1, n_periods) * ((t_end - t_start) / n_periods)
-    mids, dts, starts, _ = _place_steps(t_start, dt, 0, n_steps, period_edges)
+    # a span of whole periods runs round its ends: one neighbour beyond each
+    edge = int(_whole_periods(params, t_start, t_end, samples) > 0)
+    mids, dts, starts, _ = _place_steps(t_start, dt, -edge, n_steps + edge, np.empty(0))
     psi = _resolve_initial(params, initial)
     states = [psi]
 
@@ -637,7 +636,7 @@ def evolve_dense(
         return np.stack([builder(params, t) for t in ts], axis=2)
 
     for first in range(0, n_steps, stride):
-        rows = np.arange(first, first + stride)
+        rows = np.arange(first, first + stride) + edge
         g = _block_generators(build, mids, dts, starts, rows)
         for u_step in np.moveaxis(_step_unitaries(g, dts[rows]), 2, 0):
             psi = u_step @ psi

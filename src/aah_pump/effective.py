@@ -142,11 +142,14 @@ def sw_generic(
 
 
 def region_boundaries(params: ModelParams, t_start: float, t_end: float) -> np.ndarray:
-    """Sorted times in [t_start, t_end] at which phi(t) crosses a region
-    boundary pi/6 + n*pi/3, where the cycle generator H_T jumps."""
+    """Sorted times in [t_start, t_end], to rounding, at which phi(t) crosses a
+    region boundary pi/6 + n*pi/3, where the cycle generator H_T jumps.  A
+    phase at an end within 1e-12 (relative) of a boundary lies on it, so a
+    boundary that phi(t_start) or phi(t_end) meets only to rounding is kept."""
     sixth = np.pi / 6.0
-    lo, hi = sorted(params.phase([t_start, t_end]))
-    n = np.arange(np.ceil((lo - sixth) / (2 * sixth)), np.floor((hi - sixth) / (2 * sixth)) + 1)
+    x = (np.sort(params.phase([t_start, t_end])) - sixth) / (2 * sixth)  # boundary index
+    x = np.where(np.abs(x - np.rint(x)) <= 1e-12 * np.maximum(np.abs(x), 1.0), np.rint(x), x)
+    n = np.arange(np.ceil(x[0]), np.floor(x[1]) + 1)
     return np.sort((sixth + 2 * sixth * n - params.phi0) / params.omega)
 
 

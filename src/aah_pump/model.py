@@ -347,17 +347,9 @@ def _k_derivative(values: np.ndarray, k: np.ndarray) -> np.ndarray:
 # solvers: `dynamics` solves _BLOCKS_PER_SOLVE // L consecutive Magnus steps
 # together, 120 at L = 15 (five paper chunks, or 24 at omega = 0.05), and
 # `spectrum.solve_bands` this many (k, t) blocks per slice of its t-grid.
-# Larger blocks cut per-call overhead but hold more step-sized temporaries:
-# when a one-period run still held one block of chunk propagators, a
-# one-cycle evolve at omega = 0.05 peaked under tracemalloc at 1.5 MB here,
-# against 1.2 MB at 512 with the step kernels' earlier copies and 2.9 MB at
-# 2,048 with them (it now peaks at 2.4 MB, holding its period's 0.86 MB of
-# chunk propagators).  Against those earlier kernels at 512, the
-# effective-compare benchmark's peak RSS read 0.8% higher here, 0.35% at
-# 1,536 and 1.0% at 2,048, and the paper echo, whose blocks are the same here
-# as at 2,048, ran 17% to 21% faster (13% to 18% at 1,536).  From 1,536 a
-# fresh process maps and returns memory on every block of a paper run (21,200
-# page faults in its first two-cycle echo against 940 at 512).
+# Larger blocks cut per-call overhead but hold more step-sized temporaries;
+# at this size a one-cycle paper run peaks under tracemalloc at 2.4 MB, 0.86 MB
+# of it its period's chunk propagators.
 _BLOCKS_PER_SOLVE = 1800
 
 

@@ -57,14 +57,20 @@ def span_steps(t_start, first, last, dt, jump_times):
     return np.array(mids), np.array(dts), np.array(sorted(starts)), np.array(steps)
 
 
-def span_propagators(params, builder, ks, t_start, chunks, stride, dt, jump_times):
+def span_propagators(params, builder, ks, t_start, chunks, stride, dt, jump_times,
+                     periodic):
     """Propagators of `chunks` chunks of `stride` steps from t_start, shape
     (chunks, L, q, q), from one placement of the whole span, one builder
     call, one Magnus generator pass and one eigensolve over all its rows, and
-    one chain product per chunk."""
-    mids, dts, starts, steps = span_steps(t_start, 0, chunks * stride, dt, jump_times)
+    one chain product per chunk.  A `periodic` span is placed with one
+    neighbouring step beyond each end, which the stencils of its end steps
+    read; the span's own rows are then kept."""
+    n, edge = chunks * stride, int(periodic)
+    mids, dts, starts, steps = span_steps(t_start, -edge, n + edge, dt, jump_times)
     h = np.moveaxis(builder.batch(params, ks, mids), (-2, -1), (0, 1)).copy()
-    u = dynamics._step_unitaries(dynamics._magnus_generators(h, mids, dts, starts), dts)
+    g = dynamics._magnus_generators(h, mids, dts, starts)
+    own = (steps >= 0) & (steps < n)
+    u, steps = dynamics._step_unitaries(g[:, :, own], dts[own]), steps[own]
     return np.stack([np.moveaxis(dynamics._chain_product(u[:, :, steps // stride == c]),
                                  (0, 1), (-2, -1)) for c in range(chunks)])
 

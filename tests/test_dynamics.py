@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from aah_pump import dynamics, effective, model, observables, spectrum, wannier
 from aah_pump.dynamics import Protocol
 from aah_pump.model import ModelParams, Sign, TunnelingMode
-from oracles import bloch_states_real_space, span_propagators, span_steps
+from oracles import bloch_frame, bloch_states_real_space, span_propagators, span_steps
 
 
 def test_frozen_hamiltonian_preserves_eigenstate_density():
@@ -337,36 +337,52 @@ def test_steps_are_placed_on_one_grid(t0, dt, stride, step, chunks, jumps):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(q=st.integers(2, 6), L=st.integers(3, 6), t0=st.floats(0.0, 700.0),
        dt=st.floats(0.01, 0.3), stride=st.integers(3, 7), chunks=st.integers(1, 12),
-       per_block=st.integers(1, 40), spare=st.floats(0.0, 0.99), qth=st.booleans(),
+       per_block=st.integers(1, 40), spare=st.floats(0.0, 0.99), periodic=st.booleans(),
+       qth=st.booleans(),
        jumps=st.lists(st.tuples(st.floats(0.0, 1.0),
                                 st.sampled_from(["inside", "step edge", "chunk edge",
-                                                 "block edge"])), max_size=4))
-@example(q=3, L=4, t0=2.0, dt=0.1, stride=4, chunks=7, per_block=3, spare=0.5, qth=False,
+                                                 "block edge", "span edge", "beyond"])),
+                      max_size=4))
+@example(q=3, L=4, t0=2.0, dt=0.1, stride=4, chunks=7, per_block=3, spare=0.5,
+         periodic=False, qth=False,
          jumps=[(5 / 28, "step edge"), (6.5 / 28, "inside"), (13.7 / 28, "inside"),
                 (14.2 / 28, "inside"), (0.5, "chunk edge"), (0.4, "block edge")])
-@example(q=3, L=4, t0=0.0, dt=0.1, stride=4, chunks=6, per_block=5, spare=0.0, qth=True,
-         jumps=[])
+@example(q=3, L=4, t0=2.0, dt=0.1, stride=4, chunks=7, per_block=3, spare=0.5,
+         periodic=True, qth=False,
+         jumps=[(0.0, "span edge"), (0.3, "beyond"), (0.8, "beyond"), (0.5 / 28, "inside")])
+@example(q=3, L=4, t0=0.0, dt=0.1, stride=4, chunks=6, per_block=5, spare=0.0,
+         periodic=True, qth=True, jumps=[])
 def test_propagators_do_not_depend_on_the_block_size(q, L, t0, dt, stride, chunks,
-                                                     per_block, spare, qth, jumps):
+                                                     per_block, spare, periodic, qth, jumps):
     # blocks of per_block steps, which need not divide the step count nor
     # fall on chunk edges, give every chunk's propagator as one pass over the
-    # whole span does, with jumps inside steps, on their edges and on chunk
-    # and block edges; and so does the q-th route over one period of the chain
+    # whole span does, with jumps inside steps, on their edges, on chunk,
+    # block and span edges and in the two steps beyond either end; a
+    # periodic span reads one step beyond each end, and so does the q-th
+    # route over one period of the chain
     n_steps = chunks * stride
-    images = q if qth and n_steps % q == 0 else 1
-    omega = 2 * np.pi / (n_steps * dt) if images > 1 else 0.01
+    images = q if periodic and qth and n_steps % q == 0 else 1
+    omega = 2 * np.pi / (n_steps * dt) if periodic else 0.01
+    if periodic:
+        # start in the first period: at omega*t0 ~ 1e3 the drive's phase is
+        # rounded by 1e-13, which parts images of the q-th route from direct
+        # builds by 1e-12
+        t0 %= n_steps * dt
     p = ModelParams(V0=10.0, p=1, q=q, L=L, phi0=0.3, omega=omega)
     jump_times = np.array([] if images > 1 else [
         t0 + {"inside": x * n_steps, "step edge": np.rint(x * n_steps),
               "chunk edge": stride * np.rint(x * chunks),
-              "block edge": per_block * np.rint(x * n_steps / per_block)}[where] * dt
+              "block edge": per_block * np.rint(x * n_steps / per_block),
+              "span edge": n_steps * np.rint(x),
+              "beyond": -4 * x if x < 0.5 else n_steps + 4 * (x - 0.5)}[where] * dt
         for x, where in jumps])
     ks = model.k_grid(p)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_BLOCKS_PER_SOLVE", int((per_block + spare) * L))
         blocked = dynamics._period_propagators(p, model.bloch_blocks, ks, t0, dt, stride,
-                                               chunks, jump_times, images)
-    whole = span_propagators(p, model.bloch_blocks, ks, t0, chunks, stride, dt, jump_times)
+                                               chunks, jump_times, images, periodic)
+    whole = span_propagators(p, model.bloch_blocks, ks, t0, chunks, stride, dt, jump_times,
+                             periodic)
     np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
 
 
@@ -385,7 +401,7 @@ def test_block_solve_keeps_few_step_sized_arrays_alive(monkeypatch, split):
     stack = rows * p.L * p.q ** 2 * 16
     monkeypatch.setattr(dynamics, "_BLOCKS_PER_SOLVE", rows * p.L)
     ks = model.k_grid(p)
-    solve = (p, model.bloch_blocks, ks, 0.0, dt, stride, chunks, jumps, 1)
+    solve = (p, model.bloch_blocks, ks, 0.0, dt, stride, chunks, jumps, 1, False)
     dynamics._period_propagators(*solve)  # numpy's one-time allocations, untraced
     tracemalloc.start()
     try:
@@ -469,8 +485,8 @@ def test_two_cycle_run_solves_one_period(monkeypatch, protocol):
     assert sum(solved) == steps // 2 * FAST.L
 
 
-@pytest.mark.parametrize("n_cycles", [1, 2])
-def test_evolve_builds_a_block_of_steps_per_call(n_cycles):
+@pytest.mark.parametrize("cycles", [1, 2, 1.5])
+def test_evolve_builds_a_block_of_steps_per_call(cycles):
     calls = []
 
     def builder(params, k, t):
@@ -481,17 +497,21 @@ def test_evolve_builds_a_block_of_steps_per_call(n_cycles):
         return model.bloch_blocks_batch(params, k, ts)
 
     builder.batch = batch
-    traj = dynamics.run_protocol(FAST, Protocol.TRADITIONAL, n_cycles, 27,
-                                 samples_per_cycle=10, bloch_builder=builder,
-                                 seam_threshold=None)
-    steps = round(FAST.period / traj.dt)
+    span = cycles * FAST.period
+    traj = dynamics.evolve(FAST, 27, 0.0, span, samples=round(10 * cycles),
+                           bloch_builder=builder, seam_threshold=None)
+    whole = cycles == round(cycles)
+    steps = round((FAST.period if whole else span) / traj.dt)  # of the solved unit
+    stride = round((traj.times[1] - traj.times[0]) / traj.dt)
     per_block = dynamics._BLOCKS_PER_SOLVE // FAST.L
     blocks = math.ceil(steps / per_block)
     assert blocks > 1  # one call per chunk or per period would be told apart
-    assert per_block % (steps // 10)  # a block edge falls inside a chunk
-    # each interior block edge builds one neighbouring step on each side
-    assert calls == [per_block + 1] + [per_block + 2] * (blocks - 2) + [
-        steps - per_block * (blocks - 1) + 1]
+    assert per_block % stride  # a block edge falls inside a chunk
+    # each block edge builds one neighbouring step on each side, but the ends
+    # of a span that is not whole periods, whose piece ends there
+    end = 2 if whole else 1
+    assert calls == [per_block + end] + [per_block + 2] * (blocks - 2) + [
+        steps - per_block * (blocks - 1) + end]
 
 
 @pytest.mark.parametrize("case", ["uniform", "sine", "effective"])
@@ -515,13 +535,77 @@ def test_how_steps_are_sampled_does_not_change_them(case):
     np.testing.assert_allclose(finals[0], finals[1], rtol=0, atol=1e-12)
 
 
-def test_dense_reference_breaks_pieces_at_period_edges():
-    # a two-period run solves its first period and reuses it, so no stencil
-    # crosses the period edge; the dense reference cuts its pieces there too
+def test_dense_reference_takes_whole_periods_as_one_periodic_piece():
+    # a two-period run solves its first period as one periodic piece and
+    # reuses it; the dense reference solves both periods as one piece that
+    # wraps round its ends, so both read the same neighbours across the
+    # period edges
     fast = dynamics.run_protocol(FAST, Protocol.TRADITIONAL, 2, 27, samples_per_cycle=10,
                                  seam_threshold=None)
     dense = dynamics.evolve_dense(FAST, 27, 0.0, 2 * FAST.period, fast.dt, samples=20)
     np.testing.assert_allclose(fast.states, dense.states, rtol=0, atol=1e-12)
+
+
+def _oracle_states(params, psi0, chunks):
+    """The samples of a run from psi0 whose chunk propagators are `chunks`,
+    applied one chunk at a time in the Bloch frame of `oracles.bloch_frame`."""
+    frame = bloch_frame(params)
+    c = np.einsum("jns,j->ns", np.conj(frame), psi0)
+    states = [psi0]
+    for u in chunks:
+        c = np.einsum("nij,nj->ni", u, c)
+        states.append(np.einsum("jns,ns->j", frame, c))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("mode", TunnelingMode)
+def test_a_whole_period_run_has_no_preferred_start(mode):
+    # a period of H is one periodic piece wherever it starts: a run of one
+    # period from k samples later on the same step grid, from the first run's
+    # state there, retraces that run's later samples (to 3e-14 here)
+    p = dataclasses.replace(FAST, tunneling_mode=mode)
+    first = dynamics.evolve(p, 27, 0.0, p.period, samples=10, seam_threshold=None)
+    for k in (1, 3, 7):
+        t0 = k * p.period / 10
+        later = dynamics.evolve(p, first.states[k], t0, t0 + p.period, dt=first.dt,
+                                samples=10, seam_threshold=None)
+        np.testing.assert_allclose(later.states[:11 - k], first.states[k:], rtol=0, atol=1e-12)
+
+
+def test_listed_edge_jumps_end_the_wrapped_piece():
+    # at phi0 = pi/6, H_T jumps on both period edges and `region_boundaries`
+    # lists both: the whole-period run then reads nothing across its ends and
+    # equals the oracle whose span ends its piece there, solved in one pass.
+    # Leaving the edge jumps out reads H_T across the jump, 1.5e-2 away
+    p = dataclasses.replace(FAST, phi0=np.pi / 6)
+    builder = effective.effective_bloch_blocks
+    jumps = effective.region_boundaries(p, 0.0, p.period)
+    traj, inner = (dynamics.evolve(p, 27, 0.0, p.period, samples=10, bloch_builder=builder,
+                                   seam_threshold=None, jump_times=listed)
+                   for listed in (jumps, jumps[1:-1]))
+    stride = round(p.period / (10 * traj.dt))
+    chunks = span_propagators(p, builder, model.k_grid(p), 0.0, 10, stride, traj.dt, jumps,
+                              periodic=False)
+    np.testing.assert_allclose(traj.states, _oracle_states(p, traj.states[0], chunks),
+                               rtol=0, atol=1e-12)
+    assert np.max(np.abs(inner.final_state - traj.final_state)) > 1e-3
+
+
+def test_a_jump_near_one_end_is_read_at_the_other():
+    # jumps a fraction of a step inside either end of a whole-period span
+    # stand, a period on, just beyond the other end: `evolve` carries them
+    # there, so its run equals the periodic oracle given both copies
+    p = FAST
+    dt = dynamics.evolve(p, 27, 0.0, p.period, samples=10, seam_threshold=None).dt
+    jumps = np.array([0.3 * dt, p.period - 0.6 * dt])
+    traj = dynamics.evolve(p, 27, 0.0, p.period, dt=dt, samples=10, seam_threshold=None,
+                           jump_times=jumps)
+    stride = round(p.period / (10 * traj.dt))
+    both = np.concatenate([jumps - p.period, jumps, jumps + p.period])
+    chunks = span_propagators(p, model.bloch_blocks, model.k_grid(p), 0.0, 10, stride,
+                              traj.dt, both, periodic=True)
+    np.testing.assert_allclose(traj.states, _oracle_states(p, traj.states[0], chunks),
+                               rtol=0, atol=1e-12)
 
 
 def _chain_as_builder():
@@ -554,10 +638,8 @@ QTH_CASES = {
 
 def _distinct_steps(n_steps, q):
     """The steps of the first q-th of a period of n_steps, each with its
-    central stencil, and two more: step 0 with the forward stencil of the
-    period's first step and step n_steps/q - 1 with the backward one of the
-    period's last."""
-    return n_steps // q + 2
+    central stencil, the period's first and last step included."""
+    return n_steps // q
 
 
 @pytest.mark.parametrize("protocol, cycles", [(Protocol.TRADITIONAL, 1), (Protocol.ECHO, 2)])
@@ -608,15 +690,15 @@ def test_qth_solve_reads_the_builder_a_tracer_swaps_in(monkeypatch):
 
 
 def test_paper_runs_solve_one_qth_of_a_period(monkeypatch, paper_params):
-    # 3,200 steps per q-th, each with its central stencil, and two one-sided
-    # ones: 3,202 distinct steps of 15 momenta
+    # 3,200 steps per q-th, each with its central stencil: 3,200 distinct
+    # steps of 15 momenta
     solved = _count_eigensolves(monkeypatch)
     traj = dynamics.run_protocol(paper_params, Protocol.TRADITIONAL, 1, 27)
     assert round(paper_params.period / traj.dt) == 9600
-    assert sum(solved) == 3202 * paper_params.L
+    assert sum(solved) == 3200 * paper_params.L
     solved.clear()
     dynamics.run_protocol(paper_params, Protocol.ECHO, 2, 27)
-    assert sum(solved) == 3202 * paper_params.L
+    assert sum(solved) == 3200 * paper_params.L
     # FAST's 170 steps per period are not a multiple of q: every step is solved
     solved.clear()
     traj = dynamics.evolve(FAST, 27, 0.0, FAST.period, samples=10, seam_threshold=None)
@@ -637,7 +719,8 @@ def test_qth_solve_holds_the_period_and_one_block(monkeypatch, paper_params):
     # numpy's one-time allocations are not counted.
     p = paper_params
     _, dt, stride = dynamics._step_grid(0.0, p.period, dynamics.dt_max(p), 400)
-    solve = (p, model.bloch_blocks, model.k_grid(p), 0.0, dt, stride, 400, np.empty(0), p.q)
+    solve = (p, model.bloch_blocks, model.k_grid(p), 0.0, dt, stride, 400, np.empty(0), p.q,
+             True)
     dynamics._period_propagators(*solve)
     stacks = []
     generators = dynamics._magnus_generators

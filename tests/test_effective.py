@@ -384,6 +384,22 @@ def test_region_boundaries_are_the_jumps_of_h_t():
                 is not region_of_phase(p.phase(t + 1e-6)))
 
 
+def test_region_boundaries_keep_crossings_at_the_span_ends():
+    # with phi0 on a boundary, a whole-cycle span starts and ends on one; phi
+    # meets it there only to rounding (at phi0 = pi/2 the boundary index of
+    # t = 0 evaluates to 1.0000000000000002), and both ends must be listed,
+    # since a whole-period run reads H_T across an edge no jump is listed at
+    for omega in np.linspace(0.005, 0.2, 400):
+        for n in range(6):
+            p = ModelParams(omega=float(omega), phi0=np.pi / 6 + n * np.pi / 3)
+            for cycles in (1, 2):
+                t_end = cycles * p.period
+                times = effective.region_boundaries(p, 0.0, t_end)
+                assert len(times) == 6 * cycles + 1
+                assert abs(times[0]) <= 1e-12 * t_end
+                assert abs(times[-1] - t_end) <= 1e-12 * t_end
+
+
 def test_step_split_at_region_boundary_keeps_second_order(paper_params):
     # across a jump of H_T an unsplit step errs at first order in dt (state
     # error 7.4e-3 at the cap here); split at the jump, with no Magnus stencil
