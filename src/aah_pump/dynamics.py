@@ -10,8 +10,10 @@ with H, H' and H'' at the step's midpoint.  H is built there; H' and H''
 come from the quadratic through that midpoint and its two neighbours in the
 same smooth piece, central inside the piece and one-sided at its ends, so a
 step costs one Hamiltonian and one eigensolve, as a midpoint step does.  A
-piece breaks only where H may jump: at the jumps of H (`jump_times`), where
-a step is split, and at the ends of a span that is not whole periods.  A
+piece breaks only where H may jump: at the jumps of H, where a step is
+split, and at the ends of a span that is not whole periods.  The jumps are
+stated once, as the times within one period (`jump_times`), since every H
+here repeats with its period T, and `evolve` repeats them every period.  A
 span of whole periods is periodic, and its piece runs round its ends: the
 first step reads the step before the span from H itself, H(t_start - h/2) =
 H(t_end - h/2), and the last step the one after it.  Under the echo each
@@ -36,13 +38,8 @@ matrix axes last, (..., q, q); the step kernels take them first.
 The step cap is dt_max = 2/max_t ||H(t)||_2; a run is `samples` chunks of
 at least three equal whole steps within it, 400 chunks of 24 steps (9,600
 steps) per cycle at paper parameters.  Each step is exactly unitary, so the
-norm drifts only by round-off, linear in the step count: 3.3e-12 over two
-paper echo cycles.  Measured against a run at cap/8, the final state of one
-paper cycle from site 27 is off by 1.5e-6 (uniform tunneling) and 1.9e-6
-(sine), 5.9e-6 at omega=0.05; the exponential midpoint rule at its cap of
-0.5/max||H||, four times as many steps, was off by 1.8e-5, 1.8e-5 and 8.0e-5.
-The error falls about 16x per halving of dt.  dP(2T) and D_W(2T) of the paper
-runs and criterion 08's values agree with the midpoint rule's to 2e-6.
+norm drifts only by round-off, linear in the step count, and the state error
+falls about 16x per halving of dt.
 
 Cost model: a run pays for one period of eigensolves, however many periods
 it spans, and the chain's own Hamiltonian for one q-th of one.  H(t + T) =
@@ -50,11 +47,10 @@ H(t), so the chunk propagators of the first period serve every later one;
 and the cell-gauge blocks satisfy H(k)* = H(-k), so a sign-reversed period
 applies conj(U_chunk(-k)) of the forward one, since G[-H](k) =
 -conj(G[H](-k)); `model._reversed_k` indexes -k, as it does for the paired
-band solve of `spectrum.solve_bands`.  Against solving each period afresh
-from the state the one before ends in, two-cycle paper runs differ by at
-most 3.4e-12 in the state (echo; 1.6e-12 traditional; 3.4e-12 with sine
-tunneling).  Spans that are not a whole number n >= 1 of periods, or whose
-sample count is not a multiple of n, solve every step of the span.
+band solve of `spectrum.solve_bands`.  This agrees to rounding with solving
+each period afresh from the state the one before ends in.  Spans that are
+not a whole number n >= 1 of periods, or whose sample count is not a
+multiple of n, solve every step of the span.
 Within a period the chain repeats up to a lattice translation: the drive
 enters only as 2*pi*beta*j + phi(t), so H(t + T/q) is H(t) translated by
 p^-1 mod q sites, and `model._translated` carries blocks, step unitaries and
@@ -65,10 +61,9 @@ its ends.  `_period_propagators` solves the first q-th alone when `evolve`
 propagates the chain itself (no `bloch_builder`, no `jump_times`) over whole
 periods whose steps per period are a multiple of q: a paper period is
 3,200 distinct steps, 48,000 3 x 3 eigensolves instead of 144,000, and a
-two-cycle run costs the same.  Against solving every step of the period,
-the paper runs' states differ by at most 3.8e-12, delta_p by 2.4e-11 and
-D_W by 3.7e-12.  Every other run solves each step of its first period, or
-of its span: a given builder (H_T, or any wrapper of the chain), jumps,
+two-cycle run costs the same.  It agrees to rounding with solving every step
+of the period.  Every other run solves each step of its first period, or of
+its span: a given builder (H_T, or any wrapper of the chain), jumps,
 partial spans, and step counts that are not a multiple of q, such as
 effective-compare's 2,000 steps per period at omega = 0.05.
 Either unit is solved by the one `_period_propagators`, in blocks of
@@ -80,31 +75,23 @@ whole periods), makes one generator pass and one batched eigensolve, and
 folds its step unitaries, image by image, into the products of the chunk
 segments they fall in (a chunk that a q-th edge cuts has two).  So a run
 holds its period's propagators (samples x L x q x q, 0.86 MB at paper
-parameters) and one block at a time.  Under tracemalloc a paper one-cycle
-run peaks at 2.4 MB, a two-cycle echo at 2.7 MB and a one-cycle run at
-omega = 0.05 at 2.4 MB.
+parameters) and one block at a time.
 The eigensolve reduces each generator to a real symmetric tridiagonal
 matrix by one Householder reflection (q = 3) and a diagonal phase, and
-hands that real stack to one `np.linalg.eigh` call: on a paper block of
-1,800 3 x 3 generators `_step_unitaries` took 3.1 to 3.3 us per matrix
-against 4.5 to 5.0 us with a complex Hermitian eigh of the generators,
-whose eigh alone took 3.3 to 4.3 us (medians of 15, 2-core VM).
+hands that real stack to one `np.linalg.eigh` call.
 The state is carried as cell-gauge Bloch components, (L, q), from
 `model._to_momenta`; each chunk applies its propagator per momentum, and all
 samples go back to sites in one `model._from_momenta` after the chunk loop.
 The step kernels (`_magnus_generators`, `_step_unitaries`, `_chain_product`)
 take stacks with the matrix axes first, (q, q, step, L) here and
-(N, N, step) in `evolve_dense`, and multiply them with one einsum, `_mm`:
-on a paper block of 24 x 15 3 x 3 complex matrices it took 28 us against
-109 us for a batched `@` on the same matrices stored matrix axes last
-(timeit, 2-core VM).  Per block, the built Hamiltonians are copied into that
-layout once; the generators are formed over that copy, and the eigensolve
+(N, N, step) in `evolve_dense`, and multiply them with one einsum, `_mm`,
+which is faster on small matrices than a batched `@` on the same matrices
+stored matrix axes last.  Per block, the built Hamiltonians are copied into
+that layout once; the generators are formed over that copy, and the eigensolve
 reduces them there and writes the eigenvectors over them.  So a block holds
 at most four step-sized stacks at once, the Hamiltonians and three stencil
-arrays of the generator pass: under tracemalloc a one-block solve of 270
-chunks at omega = 0.05 peaks at 4.3 times its stack of step matrices, its
-chunk propagators included, and `_step_unitaries` at 2.5 stacks above the
-generators it is handed.
+arrays of the generator pass, and `_step_unitaries` fewer than three above
+the generators it is handed.
 
 Protocols: TRADITIONAL evolves under H(t) for every cycle; ECHO flips the
 sign of the Hamiltonian on every second cycle, cancelling dynamical phases;
@@ -192,8 +179,7 @@ def dt_max(params: ModelParams, bloch_builder=None) -> float:
     Phys. Rep. 470, 151 (2009)), and the cap keeps h*||H|| <= 2 inside that
     bound.  Measured on one paper cycle, the state error is 1.5e-6 at the cap
     and stays fourth order up to h*||H|| = 3 (9.5e-6); at h*||H|| = 4, past
-    the bound, it jumps to 1.4e-3.  The rest of the measured accuracy is in
-    the module docstring.  The cap is probed once per (params, builder) and
+    the bound, it jumps to 1.4e-3.  The cap is probed once per (params, builder) and
     remembered, so a run that picks dt and then propagates with it probes
     once.
     """
@@ -298,22 +284,6 @@ def _whole_periods(params: ModelParams, t_start: float, t_end: float, samples: i
     return 0
 
 
-def _check_periodic_jumps(jump_times: np.ndarray, t_start: float, t_end: float,
-                          n_periods: int, tol: float) -> None:
-    """Raise ValueError unless each of the n_periods equal periods of
-    [t_start, t_end] holds the jumps of the first one shifted by whole periods,
-    within tol.  Jumps on period edges are not compared: one listed there ends
-    the piece that runs round the period's ends (`evolve` carries a jump at
-    either end of the span round to the other)."""
-    period = (t_end - t_start) / n_periods
-    offsets = np.sort(jump_times[(jump_times > t_start) & (jump_times < t_end)] - t_start)
-    inner = offsets[np.abs(offsets - period * np.rint(offsets / period)) > tol]
-    expected = (inner[inner < period] + period * np.arange(n_periods)[:, None]).ravel()
-    if inner.shape != expected.shape or np.max(np.abs(inner - expected), initial=0.0) > tol:
-        raise ValueError("jump_times do not repeat with the period, so one period's "
-                         "propagators cannot serve the others")
-
-
 def _place_steps(t_start: float, dt: float, first: int, last: int,
                  jump_times: np.ndarray) -> tuple:
     """(mids, dts, starts, steps) of steps first..last-1 of the grid of width
@@ -322,17 +292,21 @@ def _place_steps(t_start: float, dt: float, first: int, last: int,
     ignores), and the grid step of each row.
 
     The span is one piece but where H may jump: a step across a jump is split
-    there into two rows (once, if the jump is listed twice), and a jump within
-    1e-9*dt of a step edge starts the piece at that edge, so that no sliver of
-    a step, whose midpoint could fall on either side of the jump, joins a
-    stencil.
+    there into two rows, and a jump within 1e-9*dt of a step edge starts the
+    piece at that edge, so that no sliver of a step, whose midpoint could fall
+    on either side of the jump, joins a stencil.  For the same reason a jump
+    within 1e-9*dt of the one before it is the same jump, listed twice to
+    rounding, and is dropped.
     """
     grid = t_start + np.arange(first, last + 1) * dt
-    pos = (jump_times - t_start) / dt - first  # in steps from the span start
+    jump_times = np.sort(jump_times)
+    x = (jump_times - t_start) / dt  # in steps from t_start
+    once = np.diff(x, prepend=-np.inf) > 1e-9
+    pos = x[once] - first  # in steps from the span start
     inside = (pos > 1e-9) & (pos < last - first - 1e-9)
     pos = pos[inside]
     on_edge = np.abs(pos - np.rint(pos)) <= 1e-9
-    cuts = np.where(on_edge, t_start + (first + np.rint(pos)) * dt, jump_times[inside])
+    cuts = np.where(on_edge, t_start + (first + np.rint(pos)) * dt, jump_times[once][inside])
     edges = np.sort(np.concatenate([grid, cuts[~on_edge]]))
     edges = edges[np.append(True, np.diff(edges) > 0)]
     mids = 0.5 * (edges[1:] + edges[:-1])
@@ -520,25 +494,28 @@ def evolve(
 
     Records the state at t_start + i*(t_end - t_start)/samples, i = 0..samples.
     A given dt must be positive and at most `dt_max` (ValueError otherwise).
-    `jump_times` lists the times at which the Hamiltonian is discontinuous;
-    a step that straddles one is split into two steps there, and no Magnus
-    stencil reaches across it, since a step across a jump has an error of
-    first order in dt.
+    `jump_times` lists the times within one period at which the Hamiltonian
+    is discontinuous, each stated once and read modulo the period T (they
+    must be finite, ValueError otherwise): every Hamiltonian here repeats
+    with T, so `evolve` places a copy of each a whole number of periods
+    apart, from the period before the span to the one after it.  A step that
+    straddles a jump is split into two steps there, and no Magnus stencil
+    reaches across it, since a step across a jump has an error of first
+    order in dt.
 
     A span of n >= 1 whole periods with `samples` a multiple of n is
     periodic: its first period is one Magnus piece that runs round its ends,
-    its end steps reading H a step beyond them, so a jump on a period edge
-    must be listed, at either end of the span, to end it there.  The span
-    solves the chunk propagators of its first period only, keeps them and
-    applies them to every period, so its jumps must repeat with the period
-    (ValueError otherwise).  Any other span is one piece that ends at its
-    ends.  The chain's own Hamiltonian (no `bloch_builder`, no `jump_times`)
-    over whole periods whose steps per period are a multiple of q solves only
-    the first q-th of its period, 3,200 of 9,600 steps at paper parameters;
-    any other run solves every step of its first period, or of its span (see
-    the module's cost model).  Both are one `_period_propagators` solve, a
-    block of steps at a time, with one `builder.batch` call and one batched
-    eigensolve per block, and they agree to rounding.
+    its end steps reading H a step beyond them, so a jump on the period edge
+    ends it at both ends.  The span solves the chunk propagators of its first
+    period only, keeps them and applies them to every period.  Any other span
+    is one piece that ends at its ends.  The chain's own Hamiltonian (no
+    `bloch_builder`, no `jump_times`) over whole periods whose steps per
+    period are a multiple of q solves only the first q-th of its period,
+    3,200 of 9,600 steps at paper parameters; any other run solves every
+    step of its first period, or of its span (see the module's cost model).
+    Both are one `_period_propagators` solve, a block of steps at a time,
+    with one `builder.batch` call and one batched eigensolve per block, and
+    they agree to rounding.
     Under `protocol` ECHO the sign of the Hamiltonian is reversed on every
     second period counted from t_start, which needs such a span with n even
     (ValueError otherwise); the other protocols do not change how `evolve`
@@ -565,10 +542,13 @@ def evolve(
         raise ValueError("the echo protocol needs an even number of whole periods, "
                          "each with the same number of samples")
     jump_times = np.asarray(jump_times, dtype=float)
-    _check_periodic_jumps(jump_times, t_start, t_end, n_periods, 1e-9 * dt)
-    if whole:  # the span runs round its ends: a jump at one end is at the other
-        span = t_end - t_start
-        jump_times = np.concatenate([jump_times - span, jump_times, jump_times + span])
+    if not np.all(np.isfinite(jump_times)):
+        raise ValueError(f"jump_times must be finite, got {jump_times}")
+    # H repeats with its period: a copy of each jump in every period from the
+    # one before the span to the one after it
+    period = params.period
+    copies = np.arange(np.floor(t_start / period) - 1, np.ceil(t_end / period) + 1)
+    jump_times = (np.mod(jump_times, period) + period * copies[:, None]).ravel()
 
     ks = k_grid(params)
     reversed_k = _reversed_k(params.L)
@@ -669,7 +649,9 @@ def run_protocol(
     amplitudes of a WannierState.  ECHO reverses the Hamiltonian sign on
     every second cycle, so `evolve` rejects an odd n_cycles; SUPPRESSED forces
     sine-modulated tunneling.  The run is one `evolve` call over
-    [0, n_cycles*T] under MAX_NORM_DRIFT and `seam_threshold`.
+    [0, n_cycles*T] under MAX_NORM_DRIFT and `seam_threshold`; `jump_times`
+    are the jumps of H within one period, as `evolve` takes them, such as
+    `effective.region_boundaries` for H_T.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be positive")

@@ -62,13 +62,16 @@ class EffectiveParams:
     bare: tuple
 
 
+# the phases pi/6 + n*pi/3, n = 0..5, at which a region ends and H_T jumps
+_REGION_EDGES = np.arange(1, 12, 2) * (np.pi / 6.0)
+
+
 def _region_index(phi) -> np.ndarray:
-    """Index into tuple(Region) of each phase: the count of boundaries
-    pi/6 + n*pi/3 below the reduced phase, modulo 3.  So I is [0,pi/6) u
+    """Index into tuple(Region) of each phase: the count of region edges below
+    the phase reduced to [0, 2*pi), modulo 3.  So I is [0,pi/6) u
     [5pi/6,7pi/6) u [11pi/6,2pi), II is [pi/6,pi/2) u [7pi/6,3pi/2) and III
     is [pi/2,5pi/6) u [3pi/2,11pi/6)."""
-    edges = np.arange(1, 12, 2) * (np.pi / 6.0)
-    return np.searchsorted(edges, np.mod(phi, 2.0 * np.pi), side="right") % 3
+    return np.searchsorted(_REGION_EDGES, np.mod(phi, 2.0 * np.pi), side="right") % 3
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -141,16 +144,13 @@ def sw_generic(
     return h_eff[np.ix_(p_idx, p_idx)]
 
 
-def region_boundaries(params: ModelParams, t_start: float, t_end: float) -> np.ndarray:
-    """Sorted times in [t_start, t_end], to rounding, at which phi(t) crosses a
-    region boundary pi/6 + n*pi/3, where the cycle generator H_T jumps.  A
-    phase at an end within 1e-12 (relative) of a boundary lies on it, so a
-    boundary that phi(t_start) or phi(t_end) meets only to rounding is kept."""
-    sixth = np.pi / 6.0
-    x = (np.sort(params.phase([t_start, t_end])) - sixth) / (2 * sixth)  # boundary index
-    x = np.where(np.abs(x - np.rint(x)) <= 1e-12 * np.maximum(np.abs(x), 1.0), np.rint(x), x)
-    n = np.arange(np.ceil(x[0]), np.floor(x[1]) + 1)
-    return np.sort((sixth + 2 * sixth * n - params.phi0) / params.omega)
+def region_boundaries(params: ModelParams) -> np.ndarray:
+    """The six times in [0, T), sorted, at which phi(t) crosses a region edge:
+    the jumps of the cycle generator H_T within one period.  H_T repeats them
+    every period T, and `dynamics.evolve` takes them in this form."""
+    t = np.mod((_REGION_EDGES - params.phi0) / params.omega, params.period)
+    # with phi0 a hair past an edge, the crossing a hair before T rounds to T
+    return np.sort(np.where(t < params.period, t, 0.0))
 
 
 def _effective_table(params: ModelParams, ts: np.ndarray) -> HoppingTable:
@@ -235,6 +235,6 @@ def compare_effective(
     eff = run_protocol(params, Protocol.TRADITIONAL, n_cycles, initial,
                        dt=dt, samples_per_cycle=samples_per_cycle,
                        bloch_builder=effective_bloch_blocks,
-                       jump_times=region_boundaries(params, 0.0, n_cycles * params.period))
+                       jump_times=region_boundaries(params))
     fid = float(np.abs(np.vdot(full.final_state, eff.final_state)) ** 2)
     return full, eff, fid

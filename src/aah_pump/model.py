@@ -62,7 +62,9 @@ class TunnelingMode(Enum):
 
 
 class Sign(Enum):
-    """Overall sign of the Hamiltonian; MINUS drives the echo reversal."""
+    """Overall sign of the Hamiltonian.  No library run sets MINUS: the echo
+    reverses H through conj(U(-k)) (see `dynamics`), and the tests take -H,
+    built with MINUS, as their reference for that reversal."""
 
     PLUS = 1
     MINUS = -1

@@ -38,8 +38,13 @@ def span_steps(t_start, first, last, dt, jump_times):
     first row of each smooth piece and each row's grid step.  The span is one
     piece but at jumps of H: a jump more than 1e-9*dt inside a step splits it
     there, and one within 1e-9*dt of a step edge inside the span starts the
-    piece at that edge."""
-    pos = [((jump - t_start) / dt - first, jump) for jump in jump_times]
+    piece at that edge; a jump within 1e-9*dt of the one before it is dropped."""
+    pos, before = [], -np.inf
+    for jump in sorted(jump_times):
+        x = (jump - t_start) / dt
+        if x - before > 1e-9:
+            pos.append((x - first, jump))
+        before = x
     on_edge = {round(x) for x, _ in pos
                if abs(x - round(x)) <= 1e-9 and 0 < round(x) < last - first}
     mids, dts, starts, steps = [], [], {0}, []

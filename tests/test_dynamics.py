@@ -114,13 +114,6 @@ def test_echo_needs_even_cycles(paper_params):
                             protocol=Protocol.ECHO)
 
 
-def test_reuse_rejects_jumps_that_do_not_repeat(paper_params):
-    period = paper_params.period
-    with pytest.raises(ValueError, match="jump_times"):
-        dynamics.evolve(paper_params, 27, 0.0, 2 * period, samples=2,
-                        jump_times=[0.3 * period])
-
-
 def _minus_k_index(params):
     """Grid index of -k for each grid momentum k, modulo 2*pi/q."""
     ks = model.k_grid(params)
@@ -334,6 +327,21 @@ def test_steps_are_placed_on_one_grid(t0, dt, stride, step, chunks, jumps):
         assert np.array_equal(starts, [0])
 
 
+@pytest.mark.parametrize("gap", [7e-15, 1e-10])
+def test_a_jump_listed_twice_to_rounding_splits_its_step_once(gap):
+    # a second copy of a jump within 1e-9*dt of the first leaves no sliver
+    # row, which would be a one-row piece of its own: step 1 splits into two
+    # rows, and the only piece after the first starts at the jump
+    jumps = np.array([1.5, 1.5 + gap])
+    placed = dynamics._place_steps(0.0, 1.0, 0, 4, jumps)
+    for got, want in zip(placed, span_steps(0.0, 0, 4, 1.0, jumps)):
+        assert np.array_equal(got, want)
+    mids, dts, starts, steps = placed
+    assert np.array_equal(mids, [0.5, 1.25, 1.75, 2.5, 3.5])
+    assert np.array_equal(starts, [0, 2])
+    assert np.array_equal(steps, [0, 1, 1, 2, 3])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(q=st.integers(2, 6), L=st.integers(3, 6), t0=st.floats(0.0, 700.0),
        dt=st.floats(0.01, 0.3), stride=st.integers(3, 7), chunks=st.integers(1, 12),
@@ -450,7 +458,7 @@ def test_period_reuse_matches_per_period_chain(case, protocol):
     params, builder, jumps, initial = FAST, None, (), 27
     if case == "effective":
         builder = effective.effective_bloch_blocks
-        jumps = effective.region_boundaries(params, 0.0, 2 * params.period)
+        jumps = effective.region_boundaries(params)  # one period's, listed once
     elif case == "q4_even_L":
         params, initial = ModelParams(V0=10.0, p=1, q=4, L=6, omega=0.2), 13
     traj = dynamics.run_protocol(params, protocol, 2, initial, samples_per_cycle=10,
@@ -460,6 +468,37 @@ def test_period_reuse_matches_per_period_chain(case, protocol):
     span = 2 * params.period
     np.testing.assert_allclose(traj.times, times, rtol=0, atol=1e-9 * span)
     np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("protocol", [Protocol.TRADITIONAL, Protocol.ECHO])
+def test_jumps_are_read_modulo_the_period(protocol):
+    # `evolve` reads each jump modulo T and repeats it every period, so one
+    # period's list shifted by a period, or listed for both periods, is the
+    # same list.  t + T rounds t to the spacing of doubles near 2T, which
+    # moves these cuts by up to 1.8e-15 and the states by up to 4.4e-15; a list
+    # reduced modulo T first gives the states bit for bit
+    jumps, period = effective.region_boundaries(FAST), FAST.period
+
+    def run(listed):
+        return dynamics.run_protocol(FAST, protocol, 2, 27, samples_per_cycle=10,
+                                     bloch_builder=effective.effective_bloch_blocks,
+                                     seam_threshold=None, jump_times=listed).states
+
+    once = run(jumps)
+    for listed in (jumps - period, jumps + period, np.append(jumps, jumps + period)):
+        states = run(listed)
+        assert np.array_equal(states, run(np.mod(listed, period)))
+        np.testing.assert_allclose(states, once, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_jump_times_must_be_finite(bad):
+    # a jump that is not finite cuts no step, so it would be dropped unseen
+    jumps = np.append(effective.region_boundaries(FAST), bad)
+    with pytest.raises(ValueError, match="jump_times must be finite"):
+        dynamics.evolve(FAST, 27, 0.0, FAST.period, samples=10,
+                        bloch_builder=effective.effective_bloch_blocks,
+                        seam_threshold=None, jump_times=jumps)
 
 
 def _count_eigensolves(monkeypatch) -> list:
@@ -525,7 +564,7 @@ def test_how_steps_are_sampled_does_not_change_them(case):
     builder, jumps = None, ()
     if case == "effective":
         builder = effective.effective_bloch_blocks
-        jumps = effective.region_boundaries(p, 0.0, p.period)
+        jumps = effective.region_boundaries(p)
     dt = p.period / 2000
     assert dt <= dynamics.dt_max(p, builder)
     finals = [dynamics.run_protocol(p, Protocol.TRADITIONAL, 1, 27, dt=dt,
@@ -573,16 +612,18 @@ def test_a_whole_period_run_has_no_preferred_start(mode):
 
 
 def test_listed_edge_jumps_end_the_wrapped_piece():
-    # at phi0 = pi/6, H_T jumps on both period edges and `region_boundaries`
-    # lists both: the whole-period run then reads nothing across its ends and
-    # equals the oracle whose span ends its piece there, solved in one pass.
-    # Leaving the edge jumps out reads H_T across the jump, 1.5e-2 away
+    # at phi0 = pi/6, H_T jumps on both period edges; `region_boundaries`
+    # lists the jump at t = 0, and `evolve` repeats it at T: the whole-period
+    # run then reads nothing across its ends and equals the oracle whose span
+    # ends its piece there, solved in one pass.  Leaving the edge jump out
+    # reads H_T across the jump, 1.5e-2 away
     p = dataclasses.replace(FAST, phi0=np.pi / 6)
     builder = effective.effective_bloch_blocks
-    jumps = effective.region_boundaries(p, 0.0, p.period)
+    jumps = effective.region_boundaries(p)
+    assert jumps[0] == 0.0
     traj, inner = (dynamics.evolve(p, 27, 0.0, p.period, samples=10, bloch_builder=builder,
                                    seam_threshold=None, jump_times=listed)
-                   for listed in (jumps, jumps[1:-1]))
+                   for listed in (jumps, jumps[1:]))
     stride = round(p.period / (10 * traj.dt))
     chunks = span_propagators(p, builder, model.k_grid(p), 0.0, 10, stride, traj.dt, jumps,
                               periodic=False)

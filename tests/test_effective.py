@@ -366,7 +366,7 @@ def test_effective_blocks_match_dense(paper_params):
         np.testing.assert_allclose(fast.states, dense.states, atol=1e-12)
     # the batch builder masks each region's bonds; on times straddling all six
     # boundaries it must equal the blocks built one time at a time
-    bounds = effective.region_boundaries(paper_params, 0.0, paper_params.period)
+    bounds = effective.region_boundaries(paper_params)
     assert len(bounds) == 6
     ts = np.sort(np.concatenate([bounds - 1e-3, bounds, bounds + 1e-3]))
     assert {region_of_phase(paper_params.phase(t)) for t in ts} == set(Region)
@@ -377,27 +377,30 @@ def test_effective_blocks_match_dense(paper_params):
 
 def test_region_boundaries_are_the_jumps_of_h_t():
     p = ModelParams(phi0=0.7)
-    times = effective.region_boundaries(p, 0.0, p.period)
+    times = effective.region_boundaries(p)
     np.testing.assert_allclose(p.phase(times), np.pi / 6 + np.pi / 3 * np.arange(1, 7))
     for t in times:
         assert (region_of_phase(p.phase(t - 1e-6))
                 is not region_of_phase(p.phase(t + 1e-6)))
 
 
-def test_region_boundaries_keep_crossings_at_the_span_ends():
-    # with phi0 on a boundary, a whole-cycle span starts and ends on one; phi
-    # meets it there only to rounding (at phi0 = pi/2 the boundary index of
-    # t = 0 evaluates to 1.0000000000000002), and both ends must be listed,
-    # since a whole-period run reads H_T across an edge no jump is listed at
+def test_region_boundaries_are_one_period_of_crossings():
+    # the six crossings of one period, which `dynamics.evolve` repeats every
+    # period: with phi0 on an edge, the period starts on one, at t = 0; one
+    # ulp past an edge the crossing falls a hair below T, which np.mod rounds
+    # up to T, and is the crossing at t = 0
+    edges = effective._REGION_EDGES
     for omega in np.linspace(0.005, 0.2, 400):
-        for n in range(6):
-            p = ModelParams(omega=float(omega), phi0=np.pi / 6 + n * np.pi / 3)
-            for cycles in (1, 2):
-                t_end = cycles * p.period
-                times = effective.region_boundaries(p, 0.0, t_end)
-                assert len(times) == 6 * cycles + 1
-                assert abs(times[0]) <= 1e-12 * t_end
-                assert abs(times[-1] - t_end) <= 1e-12 * t_end
+        for phi0 in np.concatenate([edges, np.nextafter(edges, np.inf)]):
+            p = ModelParams(omega=float(omega), phi0=float(phi0))
+            times = effective.region_boundaries(p)
+            assert len(times) == 6
+            assert np.all(np.diff(times) > 0)
+            assert times[0] >= 0.0 and times[-1] < p.period
+            phi = np.mod(p.phase(times), 2 * np.pi)
+            assert np.max(np.abs(np.sort(phi) - edges)) <= 1e-12
+            if phi0 in edges:
+                assert times[0] == 0.0
 
 
 def test_step_split_at_region_boundary_keeps_second_order(paper_params):
@@ -405,7 +408,7 @@ def test_step_split_at_region_boundary_keeps_second_order(paper_params):
     # error 7.4e-3 at the cap here); split at the jump, with no Magnus stencil
     # across it, it is 1.9e-7, and it falls 17.7x when dt halves
     p = paper_params
-    t_jump = effective.region_boundaries(p, 0.0, p.period)[0]
+    t_jump = effective.region_boundaries(p)[0]
     rng = np.random.default_rng(1)
     psi = rng.normal(size=45) + 1j * rng.normal(size=45)
     psi /= np.linalg.norm(psi)
