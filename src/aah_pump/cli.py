@@ -58,7 +58,9 @@ class RunConfig:
     initial_mlws_cell: int | None = None
     dt: float | None = None
     n_t: int = 240
-    n_t_phases: int = 4096
+    # a multiple of q = 3, so the phases grid is a whole-period grid whose
+    # band solve diagonalizes one q-th of it (`spectrum.solve_bands`)
+    n_t_phases: int = 4098
     band: int | None = None  # band index for phases (default: highest)
     outdir: str = "runs"
 

@@ -676,7 +676,8 @@ def accumulate_phases(params: ModelParams, bands: BandSolution, m: int) -> Phase
     """
     _check_band(bands, m)
     if not bands.spans_period():
-        raise ValueError("phase accumulation needs a t-grid covering one period")
+        raise ValueError("phase accumulation needs a strictly increasing t-grid "
+                         "covering one period")
     links_t = np.vecdot(bands.states[m, :, :-1], bands.states[m, :, 1:])  # (L, M-1)
     moduli = np.abs(links_t)
     if np.min(moduli) < 0.99:

@@ -25,7 +25,8 @@ wrap bond carrying e^{ikq}); the diagonal map w_s = e^{iks} u_s converts its
 eigenvectors to the site-phase periodic parts used by the Wannier and Berry
 machinery (see `spectrum.solve_bands`).  A q-th of a period later the chain
 is itself translated by p^-1 mod q sites, and `_translated` carries its
-blocks there, so `dynamics` solves one q-th of a pump period.
+blocks there, so `dynamics` solves one q-th of a pump period and
+`spectrum.solve_bands` one q-th of a whole-period grid.
 
 Site-to-momentum map, the one place the package goes between sites and
 momenta: with site j = qc + s (cells c = 0..L-1, sublattices s = 1..q) and a
@@ -274,6 +275,12 @@ def bloch_blocks_batch(params: ModelParams, k: np.ndarray, ts: np.ndarray) -> np
 bloch_blocks.batch = bloch_blocks_batch
 
 
+def _translation(params: ModelParams, r: int) -> int:
+    """The b = r*p^-1 mod q sites by which the chain r q-ths of a period later
+    is the chain translated (see `_translated`)."""
+    return r * pow(params.p, -1, params.q) % params.q
+
+
 def _translated(params: ModelParams, h: np.ndarray, k: np.ndarray, r: int) -> np.ndarray:
     """Cell-gauge blocks h(t) of the chain, shape (..., len(k), q, q), carried
     to h(t + r*T/q); the same map carries a step unitary or a product of them.
@@ -289,10 +296,12 @@ def _translated(params: ModelParams, h: np.ndarray, k: np.ndarray, r: int) -> np
         H_k(t + T/q)[s, s'] = d_s H_k(t)[(s+a) mod q, (s'+a) mod q] conj(d_s').
 
     r q-ths translate by r*a sites; a whole cell of it multiplies every
-    component by e^{ikq} and cancels, so b = r*a mod q.
+    component by e^{ikq} and cancels, so b = r*a mod q (`_translation`).  An
+    eigenvector w of H_k(t) goes to d_s w_{(s+b) mod q}; in the site-phase
+    gauge u_s = e^{-ik(s+1)} w_s of `cell_to_site_gauge` that is
+    e^{ikb} u_{(s+b) mod q}, a roll of the components times a global phase.
     """
-    q = params.q
-    b = r * pow(params.p, -1, q) % q
+    q, b = params.q, _translation(params, r)
     s = np.arange(q)
     d = np.where(s + b >= q, np.exp(1j * q * np.asarray(k))[:, None], 1.0)  # (len(k), q)
     perm = (s + b) % q

@@ -12,9 +12,17 @@ cell-gauge blocks satisfy H(k)* = H(-k), so the site-gauge periodic parts
 obey u(-k) = conj(u(k)) with equal energies; `solve_bands` diagonalizes one
 momentum of each +-k pair (`model._reversed_k`), plus k = 0 and, for even L,
 the zone edge k = pi/q, which are their own partners, and fills the other
-half by conjugation.  The topology benchmark (bands, Chern numbers, flatness
-and phases of both tunneling modes, the Chern refinement at L = 30 and 60)
-solves 307,166 blocks for 585,420 grid points.  The t-grid is solved in
+half by conjugation.  On a whole-period grid of q*n intervals, where
+t_{i+n} = t_i + T/q, it diagonalizes the first n times only: r q-ths of a
+period later the chain is itself translated by b = r*p^-1 mod q sites, so
+
+    E_m(k, t + r*T/q) = E_m(k, t),  u_m(k, t + r*T/q)[s] = e^{ikb} u_m(k, t)[(s+b) mod q],
+
+and the gauge fix of `solve_bands` removes the phase e^{ikb}: the rest of
+the grid copies energies and rolls components, the same roll at every k, so
+it commutes with the +-k fill.  The topology benchmark (bands, Chern numbers,
+flatness and phases of both tunneling modes, the Chern refinement at L = 30
+and 60) solves 102,378 blocks for 585,660 grid points.  The t-grid is solved in
 slices of about `model._BLOCKS_PER_SOLVE` blocks, the budget the Magnus
 blocks of `dynamics` use too: per slice, one builder call, one batched
 eigensolve by `model._hermitian_eigh`, which hands one real symmetric
@@ -34,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (_BLOCKS_PER_SOLVE, ModelParams, _closed_k_loop, _hermitian_eigh,
-                    _reversed_k, bloch_blocks_batch, cell_to_site_gauge, k_grid)
+                    _reversed_k, _translation, bloch_blocks_batch, cell_to_site_gauge,
+                    k_grid)
 
 
 # A band closing between grid points puts about pi/2 (a Dirac point shared by
@@ -71,8 +80,10 @@ class BandSolution:
         return float(np.min(self.energies[1:] - self.energies[:-1]))
 
     def spans_period(self) -> bool:
+        """True for a strictly increasing t-grid from t0 to t0 + T."""
         span = self.t_grid[-1] - self.t_grid[0]
-        return abs(span - self.params.period) < 1e-9 * self.params.period
+        return (bool(np.all(np.diff(self.t_grid) > 0))
+                and abs(span - self.params.period) < 1e-9 * self.params.period)
 
 
 @dataclass
@@ -113,20 +124,36 @@ def solve_bands(params: ModelParams, t_grid: np.ndarray) -> BandSolution:
     H(-k) = conj(H(k)), so u(-k) = conj(u(k)) with equal energies: only the
     momenta n <= rev[n] are solved, one of each +-k pair plus the
     self-conjugate k = 0 and, for even L, k = pi/q, and each solution also
-    fills its partner.  The t-grid is solved in slices of about
-    `model._BLOCKS_PER_SOLVE` blocks.  Raises BandTouchingError if any
-    inter-band gap drops to GAP_TOLERANCE * |V0|.
+    fills its partner.  On a whole-period grid of q*nq intervals, one with
+    t_grid[i + nq] = t_grid[i] + T/q to 8 ulps of T, only the first nq times
+    are solved: the chain r q-ths later is itself translated by
+    b = r*p^-1 mod q sites (`model._translation`), so time r*nq + i holds the
+    energies of time i and the states u_m(k, t_i)[(s + b) mod q], whose
+    global phase e^{ikb} the gauge fix removes.  The t-grid is solved in
+    slices of about `model._BLOCKS_PER_SOLVE` blocks.  Raises ValueError
+    unless t_grid is a nonempty 1-D array of finite times, and
+    BandTouchingError if any inter-band gap drops to GAP_TOLERANCE * |V0|.
     """
     gap_tolerance = GAP_TOLERANCE * abs(params.V0)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t_grid.ndim != 1 or not t_grid.size:
+        raise ValueError(f"t_grid must be a nonempty 1-D array, got shape {t_grid.shape}")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must hold finite times")
     ks = k_grid(params)
     q, rev = params.q, _reversed_k(params.L)
     own = np.flatnonzero(np.arange(params.L) <= rev)
     energies = np.empty((q, params.L, len(t_grid)))
     states = np.empty((q, params.L, len(t_grid), q), dtype=complex)
+    # a whole-period grid: q*nq intervals with t_grid[i + nq] = t_grid[i] + T/q
+    nq, rest = divmod(len(t_grid) - 1, q)
+    T = params.period
+    whole = nq > 0 and not rest and np.all(
+        np.abs(t_grid[nq:] - t_grid[:-nq] - T / q) <= 8 * np.finfo(float).eps * T)
+    n_solved = nq if whole else len(t_grid)
     per_slice = max(1, _BLOCKS_PER_SOLVE // len(own))
-    for lo in range(0, len(t_grid), per_slice):
-        ts = slice(lo, lo + per_slice)
+    for lo in range(0, n_solved, per_slice):
+        ts = slice(lo, min(lo + per_slice, n_solved))
         h = np.moveaxis(bloch_blocks_batch(params, ks[own], t_grid[ts]), (-2, -1), (0, 1))
         e_own, vecs = _hermitian_eigh(h.copy())  # vecs[:, m] is band m, (q, q, t, k)
         u_own = cell_to_site_gauge(params, ks[own, None], np.moveaxis(vecs, (0, 1), (-1, -2)))
@@ -140,6 +167,15 @@ def solve_bands(params: ModelParams, t_grid: np.ndarray) -> BandSolution:
         states[:, own, ts] = u_own
         energies[:, rev[own], ts] = np.transpose(e_own)
         energies[:, own, ts] = np.transpose(e_own)
+    if whole:
+        # the images r q-ths on, the closing time (r = q, b = 0) included; one
+        # component at a time, so the copy holds no temporary of a q-th's states
+        for r in range(1, q + 1):
+            lo, hi = r * nq, min((r + 1) * nq, len(t_grid))
+            b = _translation(params, r)
+            energies[:, :, lo:hi] = energies[:, :, :hi - lo]
+            for c in range(q):
+                states[:, :, lo:hi, c] = states[:, :, :hi - lo, (c + b) % q]
 
     gaps = energies[1:] - energies[:-1]
     if gaps.size and np.min(gaps) <= gap_tolerance:
@@ -158,7 +194,8 @@ def solve_bands(params: ModelParams, t_grid: np.ndarray) -> BandSolution:
 
 def _check_torus(bands: BandSolution) -> None:
     if len(bands.t_grid) < 3 or not bands.spans_period():
-        raise ValueError("Chern numbers require a t-grid covering one full period")
+        raise ValueError("Chern numbers require a strictly increasing t-grid "
+                         "covering one full period")
     if len(bands.k_grid) != bands.params.L:
         raise ValueError("Chern numbers require the full L-point momentum grid")
 

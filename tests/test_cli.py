@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from aah_pump import cli, dynamics, spectrum, wannier
+from aah_pump.model import ModelParams
 
 # omega=0.1 makes a pump run ten times shorter, but the ramp is then not
 # adiabatic (dP is about -0.24 traditional and -0.37 suppressed, and the dense
@@ -135,6 +136,12 @@ def test_phases_experiment(tmp_path):
     assert checks["mean_x_d_vanishes"]["pass"]
     table = np.loadtxt(tmp_path / "phases" / "phases.tsv")
     assert table.shape == (15, 7)
+
+
+def test_phases_grid_default_is_whole_qths():
+    # q*m intervals make the phases grid one whose band solve diagonalizes
+    # its first q-th only; another default would silently solve every point
+    assert cli.RunConfig("phases").n_t_phases % ModelParams().q == 0
 
 
 # The two transport smokes run at the default paper omega=0.01: their dP

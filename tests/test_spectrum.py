@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from aah_pump import model, spectrum
+from aah_pump import dynamics, model, spectrum
 from aah_pump.model import ModelParams, Sign, TunnelingMode
 
 
@@ -127,6 +127,26 @@ def test_chern_requires_full_torus(paper_params):
         spectrum.chern_number(bands, 0)
 
 
+def test_chern_refuses_a_grid_that_runs_backwards(paper_params):
+    # the ends span one period, but the interior runs from T back to 0, so
+    # the lattice sum would read [1, -2, 1]
+    T = paper_params.period
+    grid = np.concatenate([[0.0], T - T / 240 * np.arange(1, 240), [T]])
+    bands = spectrum.solve_bands(paper_params, grid)
+    assert not bands.spans_period()
+    with pytest.raises(ValueError, match="strictly increasing"):
+        spectrum.chern_number(bands, 0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        dynamics.accumulate_phases(paper_params, bands, 2)
+
+
+@pytest.mark.parametrize("grid", [[0.0, np.nan], [np.inf, 1.0], np.zeros((2, 3)), []],
+                         ids=["nan", "inf", "2-D", "empty"])
+def test_solve_bands_rejects_bad_grids(paper_params, grid):
+    with pytest.raises(ValueError, match="t_grid"):
+        spectrum.solve_bands(paper_params, np.asarray(grid))
+
+
 def test_flatness_nonnegative_and_flat_limit():
     p = ModelParams()
     report = spectrum.flatness(
@@ -202,8 +222,8 @@ def test_paired_solve_matches_per_block_eigh(params):
     np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=atol)
 
 
-@pytest.mark.parametrize("L", [15, 30])
-def test_solve_bands_solves_one_momentum_per_pair(monkeypatch, L):
+def _count_solved(monkeypatch, params, grid):
+    """Matrices `np.linalg.eigh` diagonalizes in one band solve on the grid."""
     solved = []
     eigh = np.linalg.eigh
 
@@ -212,10 +232,82 @@ def test_solve_bands_solves_one_momentum_per_pair(monkeypatch, L):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    spectrum.solve_bands(params, grid)
+    return sum(solved)
+
+
+@pytest.mark.parametrize("L", [15, 30])
+def test_solve_bands_solves_one_momentum_per_pair(monkeypatch, L):
     p = ModelParams(L=L)
     grid = spectrum.default_topology_grid(p, 40)
-    spectrum.solve_bands(p, grid)
-    assert sum(solved) == len(grid) * (L // 2 + 1)
+    assert _count_solved(monkeypatch, p, grid) == len(grid) * (L // 2 + 1)
+
+
+def _moved(grid, i, dt):
+    grid = grid.copy()
+    grid[i] += dt
+    return grid
+
+
+# 40 intervals, not a multiple of q, solve every point: the test above
+@pytest.mark.parametrize("L", [15, 30])
+@pytest.mark.parametrize("grid, solved", [
+    (np.linspace(0.0, 2 * np.pi / 0.01, 43), 14),  # a whole-period grid: its first q-th
+    (_moved(np.linspace(0.0, 2 * np.pi / 0.01, 43), 20, 1e-6), 43),
+    (np.linspace(0.0, 4 * np.pi / 0.01, 43), 43),  # two periods
+], ids=["whole-period", "moved-time", "two-periods"])
+def test_solve_bands_solves_one_qth_of_a_whole_period_grid(monkeypatch, L, grid, solved):
+    assert _count_solved(monkeypatch, ModelParams(L=L), grid) == solved * (L // 2 + 1)
+
+
+def _solve_every_point(params, t_grid):
+    """`solve_bands` on t_grid, split so that no part is a whole-period grid."""
+    head, tail = (spectrum.solve_bands(params, part) for part in (t_grid[:1], t_grid[1:]))
+    return spectrum.BandSolution(
+        params=params, k_grid=head.k_grid, t_grid=t_grid,
+        energies=np.concatenate([head.energies, tail.energies], axis=2),
+        states=np.concatenate([head.states, tail.states], axis=2))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(params=chains(), start=st.floats(0.0, 1.0, exclude_max=True))
+# p = 2 at q = 5: p^-1 = 3 differs from p, which no q below 5 shows
+@example(params=ModelParams(J=1.0, V0=10.0, p=2, q=5, phi0=0.3, L=7), start=0.4)
+def test_qth_solve_matches_a_solve_of_every_point(params, start):
+    q, L, T = params.q, params.L, params.period
+    nq = 1200 // q  # fine enough that most draws resolve the phases
+    t_grid = start * T + np.linspace(0.0, T, q * nq + 1)
+    try:
+        bands = spectrum.solve_bands(params, t_grid)
+        ref = _solve_every_point(params, t_grid)
+    except spectrum.BandTouchingError:
+        assume(False)
+    # the first q-th was solved and copied: every later q-th repeats its energies
+    np.testing.assert_array_equal(bands.energies[:, :, nq:-1].reshape(q, L, q - 1, nq),
+                                  np.repeat(bands.energies[:, :, None, :nq], q - 1, axis=2))
+    scale = 1e-13 * abs(params.V0)
+    np.testing.assert_allclose(bands.energies, ref.energies, rtol=0, atol=scale)
+    projector = lambda u: u[..., :, None] * np.conj(u[..., None, :])  # noqa: E731
+    np.testing.assert_allclose(projector(bands.states), projector(ref.states), rtol=0,
+                               atol=scale / ref.min_gap())
+    # the Chern numbers and the phases where the grid resolves them
+    try:
+        cherns = [spectrum.chern_number(ref, m) for m in range(q)]
+    except spectrum.BandTouchingError:
+        return
+    assert [spectrum.chern_number(bands, m) for m in range(q)] == cherns
+    try:
+        ref_phases = dynamics.accumulate_phases(params, ref, q - 1)
+    except dynamics.GaugeContinuityError:
+        return
+    phases = dynamics.accumulate_phases(params, bands, q - 1)
+    # gamma_b is unwrapped along k from a principal value, so compare it mod 2*pi
+    np.testing.assert_allclose(np.angle(np.exp(1j * (phases.gamma_b - ref_phases.gamma_b))),
+                               0.0, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(phases.x_b, ref_phases.x_b, rtol=0, atol=1e-10)
+    scale_d = 1e-14 * abs(params.V0) * T
+    np.testing.assert_allclose(phases.gamma_d, ref_phases.gamma_d, rtol=0, atol=scale_d)
+    np.testing.assert_allclose(phases.x_d, ref_phases.x_d, rtol=0, atol=scale_d * L)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
