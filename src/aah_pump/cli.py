@@ -106,8 +106,13 @@ def _coerce(field_name: str, value: str):
 def _resolve_initial(cfg: RunConfig, params: ModelParams, basis=None):
     """The start of a run on `params`, a site or an MLWS, and its label.  An
     MLWS is a member of `basis`, the run's audited Wannier basis at t = 0
-    (`_mlws_basis`), made here if not given."""
-    if cfg.initial_mlws_band is None and cfg.initial_mlws_cell is None:
+    (`_mlws_basis`), made here if not given.  A site and an MLWS field set
+    together are a ValueError."""
+    mlws = cfg.initial_mlws_band is not None or cfg.initial_mlws_cell is not None
+    if mlws and cfg.initial_site is not None:
+        raise ValueError("initial_site conflicts with initial_mlws_band/initial_mlws_cell: "
+                         "a run starts from a site or from an MLWS, not both")
+    if not mlws:
         site = cfg.initial_site if cfg.initial_site is not None else site_index(
             _default_cell(params), params.q, params.q)
         return site, f"site {site}"
@@ -192,7 +197,11 @@ def run(cfg: RunConfig) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     outdir = Path(cfg.outdir) / cfg.experiment
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return 2
     try:
         runner(cfg, params, outdir)
     except (dynamics.IntegratorError, dynamics.SeamDensityError,

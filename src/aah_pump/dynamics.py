@@ -25,9 +25,9 @@ Because every Hamiltonian here is translation invariant on the ring, the
 unitary factorizes over the L momentum blocks, so steps are computed in the
 Bloch basis from batched eigensolves of q x q generators by
 `model._hermitian_eigh`, the package's one eigensolver of Hermitian stacks;
-this is the same unitary as the dense real-space path `evolve_dense`, which
-builds G from N x N matrices with the same pieces and solves them with the
-same eigensolver.
+this is the same unitary as the dense real-space reference
+`tests/oracles.evolve_dense`, which builds G from N x N matrices with the
+same pieces and solves them with the same eigensolver.
 A Bloch builder is called as builder(params, k, t) and carries its
 time-batched form builder.batch(params, k, ts), which `evolve` calls once
 per block of steps it solves; `dt_max` probes the per-time form once per
@@ -84,14 +84,14 @@ The state is carried as cell-gauge Bloch components, (L, q), from
 samples go back to sites in one `model._from_momenta` after the chunk loop.
 The step kernels (`_magnus_generators`, `_step_unitaries`, `_chain_product`)
 take stacks with the matrix axes first, (q, q, step, L) here and
-(N, N, step) in `evolve_dense`, and multiply them with one einsum, `_mm`,
-which is faster on small matrices than a batched `@` on the same matrices
-stored matrix axes last.  Per block, the built Hamiltonians are copied into
-that layout once; the generators are formed over that copy, and the eigensolve
-reduces them there and writes the eigenvectors over them.  So a block holds
-at most four step-sized stacks at once, the Hamiltonians and three stencil
-arrays of the generator pass, and `_step_unitaries` fewer than three above
-the generators it is handed.
+(N, N, step) in `tests/oracles.evolve_dense`, and multiply them with one
+einsum, `_mm`, which is faster on small matrices than a batched `@` on the
+same matrices stored matrix axes last.  Per block, the built Hamiltonians
+are copied into that layout once; the generators are formed over that copy,
+and the eigensolve reduces them there and writes the eigenvectors over
+them.  So a block holds at most four step-sized stacks at once, the
+Hamiltonians and three stencil arrays of the generator pass, and
+`_step_unitaries` fewer than three above the generators it is handed.
 
 Protocols: TRADITIONAL evolves under H(t) for every cycle; ECHO flips the
 sign of the Hamiltonian on every second cycle, cancelling dynamical phases;
@@ -110,7 +110,7 @@ import numpy as np
 
 from .model import (_BLOCKS_PER_SOLVE, ModelParams, TunnelingMode, _from_momenta,
                     _hermitian_eigh, _k_derivative, _reversed_k, _to_momenta,
-                    _translated, bloch_blocks, k_grid, real_space_hamiltonian)
+                    _translated, bloch_blocks, k_grid)
 from .observables import position_moments
 from .spectrum import BandSolution, _check_band, chern_number
 
@@ -577,51 +577,6 @@ def evolve(
     traj = _trajectory(params, t_start, stride, dt, states)
     _check_seam(traj.seam_density_max, seam_threshold)
     return traj
-
-
-def evolve_dense(
-    params: ModelParams,
-    initial,
-    t_start: float,
-    t_end: float,
-    dt: float,
-    hamiltonian=None,
-    samples: int = SAMPLES_PER_CYCLE,
-) -> PumpTrajectory:
-    """Reference propagator using dense N x N matrices.
-
-    The same fourth-order Magnus steps as `evolve`, with the same pieces:
-    the span is one, which runs round its ends when it is n >= 1 whole
-    periods with `samples` a multiple of n, its end steps reading H one step
-    beyond them; each chunk's steps are built and solved together, with a
-    neighbouring step on each side that lies in the same piece.  So the two
-    agree to rounding.  It is kept for
-    cross-validation and for Hamiltonian builders without a Bloch-block form.
-    It skips two checks of `evolve` on purpose: the dt cap, because `dt_max`
-    probes the Bloch builder and a dense `hamiltonian` may have no Bloch form
-    to probe; and the seam check, because it is a reference for arbitrary
-    states, whose density may sit at the seam.  Every step is solved; nothing
-    is reused across periods, and `hamiltonian` is taken to be smooth (no
-    jump times).
-    """
-    builder = hamiltonian or real_space_hamiltonian
-    n_steps, dt, stride = _step_grid(t_start, t_end, dt, samples)
-    # a span of whole periods runs round its ends: one neighbour beyond each
-    edge = int(_whole_periods(params, t_start, t_end, samples) > 0)
-    mids, dts, starts, _ = _place_steps(t_start, dt, -edge, n_steps + edge, np.empty(0))
-    psi = _resolve_initial(params, initial)
-    states = [psi]
-
-    def build(ts):
-        return np.stack([builder(params, t) for t in ts], axis=2)
-
-    for first in range(0, n_steps, stride):
-        rows = np.arange(first, first + stride) + edge
-        g = _block_generators(build, mids, dts, starts, rows)
-        for u_step in np.moveaxis(_step_unitaries(g, dts[rows]), 2, 0):
-            psi = u_step @ psi
-        states.append(psi)
-    return _trajectory(params, t_start, stride, dt, states)
 
 
 def _protocol_params(params: ModelParams, protocol: Protocol) -> ModelParams:

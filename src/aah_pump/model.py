@@ -62,15 +62,6 @@ class TunnelingMode(Enum):
     SINE_MODULATED = "sine"
 
 
-class Sign(Enum):
-    """Overall sign of the Hamiltonian.  No library run sets MINUS: the echo
-    reverses H through conj(U(-k)) (see `dynamics`), and the tests take -H,
-    built with MINUS, as their reference for that reversal."""
-
-    PLUS = 1
-    MINUS = -1
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Static parameters of the modulated chain.
@@ -91,7 +82,6 @@ class ModelParams:
     omega: float = 0.01
     L: int = 15
     tunneling_mode: TunnelingMode = TunnelingMode.UNIFORM
-    sign: Sign = Sign.PLUS
 
     def __post_init__(self):
         if self.q < 2:
@@ -131,29 +121,24 @@ def site_index(cell: int, sublattice: int, q: int) -> int:
 
 
 def onsite_energy(params: ModelParams, j: int, t: float) -> float:
-    """On-site energy V_j(t) = V0*cos(2*pi*beta*j + phi(t)), times the overall sign."""
+    """On-site energy V_j(t) = V0*cos(2*pi*beta*j + phi(t))."""
     j = np.asarray(j)
     if np.any(j < 1) or np.any(j > params.n_sites):
         raise IndexError(f"site index must lie in 1..{params.n_sites}")
     angle = 2.0 * np.pi * params.beta * j + params.phase(t)
-    return params.sign.value * params.V0 * np.cos(angle)
+    return params.V0 * np.cos(angle)
 
 
 def tunneling(params: ModelParams, j: int, t: float) -> float:
-    """Strength of bond j (connecting sites j and j+1, periodic wrap at j = N).
-
-    UNIFORM mode gives -J; SINE_MODULATED gives -J*sin(2*pi*beta*j + phi(t)).
-    Both are multiplied by the overall sign.
-    """
+    """Strength of bond j (connecting sites j and j+1, periodic wrap at j = N):
+    -J in UNIFORM mode, -J*sin(2*pi*beta*j + phi(t)) in SINE_MODULATED mode."""
     j = np.asarray(j)
     if np.any(j < 1) or np.any(j > params.n_sites):
         raise IndexError(f"bond index must lie in 1..{params.n_sites}")
     if params.tunneling_mode is TunnelingMode.UNIFORM:
-        val = np.full(np.broadcast_shapes(j.shape, np.shape(t)), -params.J)
-    else:
-        angle = 2.0 * np.pi * params.beta * j + params.phase(t)
-        val = -params.J * np.sin(angle)
-    return params.sign.value * val
+        return -params.J * np.ones(np.broadcast_shapes(j.shape, np.shape(t)))
+    angle = 2.0 * np.pi * params.beta * j + params.phase(t)
+    return -params.J * np.sin(angle)
 
 
 def real_space_hamiltonian(params: ModelParams, t: float) -> np.ndarray:
@@ -288,7 +273,7 @@ def _translated(params: ModelParams, h: np.ndarray, k: np.ndarray, r: int) -> np
     The drive enters only as 2*pi*beta*j + phi(t), and phi(t + T/q) = phi(t) +
     2*pi/q = phi(t) + 2*pi*beta*a with a = p^-1 mod q, so V_j and bond j at
     t + T/q are V_{j+a} and bond j+a at t: H(t + T/q)[j, j'] = H(t)[j+a, j'+a],
-    for both tunneling modes, both signs and any phi0.  On the Bloch state
+    for both tunneling modes and any phi0.  On the Bloch state
     psi_{qc+s+1} = e^{ikqc} u_s (0-based s) the translation by b sites reads
     u_s -> d_s u_{(s+b) mod q}, with d_s = e^{ikq} where s + b >= q and 1
     otherwise, so

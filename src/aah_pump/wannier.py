@@ -23,6 +23,8 @@ k-uniform.  The spread splits into a gauge-invariant part Omega_I
 localized state.  The audit of a basis uses the same translation: the
 members must be exact translates of the cell-1 states, so the Gram matrix
 is block-circulant and its q cell-1 rows, O(qN^2), hold every entry.
+Wannier states are built from a band solve at one time (`solve_bands` on a
+one-point t-grid, t = 0 in every run); a solve at several times is rejected.
 """
 
 from __future__ import annotations
@@ -53,29 +55,30 @@ class SpreadReport:
     center: float  # <X> in sites
 
 
-def _check_t_index(bands: BandSolution, t_index: int) -> None:
-    """Raise ValueError unless t_index indexes the solve's t_grid; -1 would
-    take the last time."""
-    if not 0 <= t_index < len(bands.t_grid):
-        raise ValueError(f"t_index must lie in 0..{len(bands.t_grid) - 1}, got {t_index}")
+def _check_one_time(bands: BandSolution) -> None:
+    """Raise ValueError unless the solve holds one time, whose states the
+    Wannier transforms read."""
+    if len(bands.t_grid) != 1:
+        raise ValueError("Wannier states need a band solve at one time, "
+                         f"got {len(bands.t_grid)} times")
 
 
-def _cell_transform(bands: BandSolution, m: int, theta, t_index: int) -> np.ndarray:
+def _cell_transform(bands: BandSolution, m: int, theta) -> np.ndarray:
     """Band m's Wannier amplitudes by cell offset from home, shape (L, q):
     w[d, s-1] = (1/L) sum_k e^{ikqd} e^{i theta(k) + iks} u_{m,s}(k)."""
-    _check_t_index(bands, t_index)
+    _check_one_time(bands)
     p = bands.params
     if np.shape(theta) != (p.L,):
         raise ValueError(f"theta must have one phase per momentum, shape ({p.L},)")
     s = np.arange(1, p.q + 1)
     a = np.exp(1j * (np.asarray(theta)[:, None] + np.outer(bands.k_grid, s)))
-    return _from_momenta(a * bands.states[m, :, t_index, :])
+    return _from_momenta(a * bands.states[m, :, 0, :])
 
 
-def _band_wannier_states(bands: BandSolution, m: int, theta, t_index: int) -> np.ndarray:
+def _band_wannier_states(bands: BandSolution, m: int, theta) -> np.ndarray:
     """All L Wannier states of band m in gauge theta, shape (L, N), row R-1 for
     cell R: site qc + s of row R-1 is the cell transform w[(c - R + 1) mod L, s]."""
-    w = _cell_transform(bands, m, theta, t_index)
+    w = _cell_transform(bands, m, theta)
     L = len(w)
     offsets = (np.arange(L) - np.arange(L)[:, None]) % L  # [R-1, c] -> d
     return np.take(w, offsets, axis=0).reshape(L, -1)
@@ -86,19 +89,18 @@ def wannier_from_bloch(
     m: int,
     cell: int,
     theta: np.ndarray | None = None,
-    t_index: int = 0,
 ) -> WannierState:
     """Discrete Bloch-to-Wannier transform with gauge phases e^{i theta(k)}.
 
-    Raises ValueError unless m lies in 0..q-1, cell in 1..L and t_index in
-    0..len(t_grid)-1."""
+    Raises ValueError unless m lies in 0..q-1, cell in 1..L and the band
+    solve holds one time."""
     _check_band(bands, m)
     L = bands.params.L
     if not 1 <= cell <= L:
         raise ValueError(f"cell must lie in 1..{L}, got {cell}")
     theta = np.zeros(L) if theta is None else theta
     # row cell-1 of the band's set: the transform translated by cell-1 cells
-    amps = np.roll(_cell_transform(bands, m, theta, t_index), cell - 1, axis=0).ravel()
+    amps = np.roll(_cell_transform(bands, m, theta), cell - 1, axis=0).ravel()
     return WannierState(amplitudes=amps, band=m, cell=cell)
 
 
@@ -129,19 +131,19 @@ def parallel_transport_gauge(params: ModelParams, u: np.ndarray) -> np.ndarray:
     return theta
 
 
-def mlws_gauge(bands: BandSolution, m: int, t_index: int = 0) -> np.ndarray:
+def mlws_gauge(bands: BandSolution, m: int) -> np.ndarray:
     """Transport gauge with the loop-phase branch fixed by recentering.
 
     Shifts theta by integer multiples of kq so the cell-R Wannier state is
     centered inside cell R's site range [q(R-1)+1, q(R-1)+q].  Raises
-    ValueError unless m lies in 0..q-1 and t_index in 0..len(t_grid)-1.
+    ValueError unless m lies in 0..q-1 and the band solve holds one time.
     """
     _check_band(bands, m)
-    _check_t_index(bands, t_index)
+    _check_one_time(bands)
     p = bands.params
     anchor = p.L // 2 + 1
-    theta = parallel_transport_gauge(p, bands.states[m, :, t_index, :])
-    state = wannier_from_bloch(bands, m, anchor, theta, t_index)
+    theta = parallel_transport_gauge(p, bands.states[m, :, 0, :])
+    state = wannier_from_bloch(bands, m, anchor, theta)
     center = position_moments(state.amplitudes)[1]
     shift = int(np.rint((p.q * (anchor - 1) + (p.q + 1) / 2.0 - center) / p.q))
     return theta - shift * bands.k_grid * p.q
@@ -151,7 +153,6 @@ def maximally_localize(
     bands: BandSolution,
     m: int,
     cell: int,
-    t_index: int = 0,
 ) -> tuple[WannierState, SpreadReport, np.ndarray]:
     """Maximally localized Wannier state of band m with home cell `cell`.
 
@@ -162,15 +163,15 @@ def maximally_localize(
     to lay out its L states, and gathers the complete (q, L, N) basis, O(qLN)
     in all; the audit adds an exact translate check, O(N^2), and q rows of
     the Gram matrix, O(qN^2).
-    Raises ValueError unless m lies in 0..q-1, cell in 1..L and t_index in
-    0..len(t_grid)-1.
+    Raises ValueError unless m lies in 0..q-1, cell in 1..L and the band
+    solve holds one time.
     """
     p = bands.params
     _check_band(bands, m)
     if not 1 <= cell <= p.L:
         raise ValueError(f"cell must lie in 1..{p.L}, got {cell}")
-    thetas = [mlws_gauge(bands, b, t_index) for b in range(p.q)]
-    basis = wannier_basis(bands, t_index, thetas)
+    thetas = [mlws_gauge(bands, b) for b in range(p.q)]
+    basis = wannier_basis(bands, thetas)
     # a copy, so the state does not keep the whole basis alive
     state = WannierState(amplitudes=basis[m, cell - 1].copy(), band=m, cell=cell)
     report = spread_decomposition(state, basis)
@@ -179,7 +180,6 @@ def maximally_localize(
 
 def wannier_basis(
     bands: BandSolution,
-    t_index: int = 0,
     thetas: np.ndarray | None = None,
 ) -> np.ndarray:
     """Complete orthonormal Wannier set, shape (q, L, N): band m, cell R.
@@ -188,15 +188,15 @@ def wannier_basis(
     (shape (q, L)) overrides the gauge per band.  Each band's L rows are
     gathered unchanged from one cell transform, so they are exact translates,
     as `spread_decomposition` requires.
-    Raises ValueError unless thetas has shape (q, L) and t_index lies in
-    0..len(t_grid)-1.
+    Raises ValueError unless thetas has shape (q, L) and the band solve
+    holds one time.
     """
     q, L = bands.params.q, bands.params.L
     if thetas is None:
-        thetas = [mlws_gauge(bands, m, t_index) for m in range(q)]
+        thetas = [mlws_gauge(bands, m) for m in range(q)]
     elif np.shape(thetas) != (q, L):
         raise ValueError(f"thetas must hold one phase per band and momentum, shape ({q}, {L})")
-    return np.stack([_band_wannier_states(bands, m, thetas[m], t_index) for m in range(q)])
+    return np.stack([_band_wannier_states(bands, m, thetas[m]) for m in range(q)])
 
 
 def spread_decomposition(state: WannierState, basis: np.ndarray) -> SpreadReport:

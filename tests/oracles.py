@@ -80,6 +80,44 @@ def span_propagators(params, builder, ks, t_start, chunks, stride, dt, jump_time
                                  (0, 1), (-2, -1)) for c in range(chunks)])
 
 
+def evolve_dense(params, initial, t_start, t_end, dt, hamiltonian=None,
+                 samples=dynamics.SAMPLES_PER_CYCLE):
+    """Reference propagator using dense N x N matrices.
+
+    The same fourth-order Magnus steps as `dynamics.evolve`, with the same
+    pieces: the span is one, which runs round its ends when it is n >= 1 whole
+    periods with `samples` a multiple of n, its end steps reading H one step
+    beyond them; each chunk's steps are built and solved together, with a
+    neighbouring step on each side that lies in the same piece.  So the two
+    agree to rounding.  `hamiltonian(params, t)` defaults to
+    `model.real_space_hamiltonian`.  It skips two checks of `evolve` on
+    purpose: the dt cap, because `dt_max` probes the Bloch builder and a dense
+    `hamiltonian` may have no Bloch form to probe; and the seam check, because
+    it is a reference for arbitrary states, whose density may sit at the seam.
+    Every step is solved; nothing is reused across periods, and `hamiltonian`
+    is taken to be smooth (no jump times).
+    """
+    builder = hamiltonian or model.real_space_hamiltonian
+    n_steps, dt, stride = dynamics._step_grid(t_start, t_end, dt, samples)
+    # a span of whole periods runs round its ends: one neighbour beyond each
+    edge = int(dynamics._whole_periods(params, t_start, t_end, samples) > 0)
+    mids, dts, starts, _ = dynamics._place_steps(t_start, dt, -edge, n_steps + edge,
+                                                 np.empty(0))
+    psi = dynamics._resolve_initial(params, initial)
+    states = [psi]
+
+    def build(ts):
+        return np.stack([builder(params, t) for t in ts], axis=2)
+
+    for first in range(0, n_steps, stride):
+        rows = np.arange(first, first + stride) + edge
+        g = dynamics._block_generators(build, mids, dts, starts, rows)
+        for u_step in np.moveaxis(dynamics._step_unitaries(g, dts[rows]), 2, 0):
+            psi = u_step @ psi
+        states.append(psi)
+    return dynamics._trajectory(params, t_start, stride, dt, states)
+
+
 def check_hermitian(h):
     """Raise if h deviates from Hermiticity beyond 1e-12 (absolute, entrywise)."""
     dev = np.max(np.abs(h - h.conj().T))

@@ -206,6 +206,40 @@ def test_out_of_range_input_leaves_failed_manifest(tmp_path, capsys, experiment,
     assert manifest["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("experiment, mlws", [
+    ("pump-traditional", ["initial_mlws_cell=7"]),
+    ("pump-echo", ["initial_mlws_band=1"]),
+    ("effective-compare", ["initial_mlws_band=2", "initial_mlws_cell=9"]),
+])
+def test_site_and_mlws_start_together_leave_failed_manifest(tmp_path, capsys, monkeypatch,
+                                                            experiment, mlws):
+    # a run starts from one of the two; taking the MLWS would leave the
+    # manifest's config naming a site the run ignored
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("the run propagated from a conflicting start")
+
+    monkeypatch.setattr(dynamics, "run_protocol", no_propagation)
+    argv = [experiment, "--outdir", str(tmp_path), "--set", "initial_site=5"]
+    for override in mlws:
+        argv += ["--set", override]
+    assert cli.main(argv) == 1
+    assert "run failed" in capsys.readouterr().err
+    manifest = read_manifest(tmp_path, experiment)
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "ValueError"
+    assert "initial_site conflicts with initial_mlws" in manifest["error"]["message"]
+
+
+def test_uncreatable_outdir_exits_2(tmp_path, capsys):
+    # an output directory under a regular file cannot be made: a usage error
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["chern", "--outdir", str(blocker / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot create output directory" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_pump_run_checks_its_grid_before_propagating(tmp_path, capsys, monkeypatch):
     # the topology grid is built and its Chern numbers taken before the run
     # propagates, so a bad n_t leaves a failed manifest and no data table

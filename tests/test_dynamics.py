@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from aah_pump import dynamics, effective, model, observables, spectrum, wannier
 from aah_pump.dynamics import Protocol
-from aah_pump.model import ModelParams, Sign, TunnelingMode
-from oracles import bloch_frame, bloch_states_real_space, span_propagators, span_steps
+from aah_pump.model import ModelParams, TunnelingMode
+from oracles import (bloch_frame, bloch_states_real_space, evolve_dense, span_propagators,
+                     span_steps)
 
 
 def test_frozen_hamiltonian_preserves_eigenstate_density():
@@ -31,7 +32,7 @@ def test_fast_path_matches_dense_reference(paper_params):
     cap = dynamics.dt_max(paper_params)
     fast = dynamics.evolve(paper_params, psi, 0.0, 1.5, dt=cap, samples=4,
                            seam_threshold=None)
-    dense = dynamics.evolve_dense(paper_params, psi, 0.0, 1.5, dt=fast.dt, samples=4)
+    dense = evolve_dense(paper_params, psi, 0.0, 1.5, dt=fast.dt, samples=4)
     np.testing.assert_allclose(fast.states, dense.states, atol=1e-12)
     # both propagators sample on the one grid of `dynamics._trajectory`
     assert np.array_equal(dense.times, fast.times)
@@ -48,7 +49,7 @@ def test_samples_at_exact_fractions_of_the_span(paper_params):
         traj = dynamics.evolve(paper_params, 27, t0, t1, dt=dt, samples=samples)
         assert traj.dt <= dt
         np.testing.assert_allclose(traj.times, expected, rtol=0, atol=1e-9 * (t1 - t0))
-    dense = dynamics.evolve_dense(paper_params, 27, t0, t0 + 1.5, dt=cap, samples=4)
+    dense = evolve_dense(paper_params, 27, t0, t0 + 1.5, dt=cap, samples=4)
     np.testing.assert_allclose(dense.times, np.linspace(t0, t0 + 1.5, 5), rtol=0, atol=1.5e-9)
 
 
@@ -59,7 +60,7 @@ def test_dt_cap_enforced(paper_params):
 
 
 @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
-@pytest.mark.parametrize("propagate", [dynamics.evolve, dynamics.evolve_dense])
+@pytest.mark.parametrize("propagate", [dynamics.evolve, evolve_dense])
 def test_dt_must_be_positive(paper_params, propagate, dt):
     # a negative or NaN dt passes the cap check, and the step grid would run
     # a negative one at span/(3*samples), far past the cap
@@ -137,27 +138,25 @@ def _assert_reuse_symmetries(params, batch, ts, periodic_rtol):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), q=st.integers(2, 6), L=st.integers(3, 8),
        phi0=st.floats(-np.pi, np.pi), ratio=st.floats(0.01, 2.0),
-       mode=st.sampled_from(TunnelingMode), sign=st.sampled_from(Sign),
-       t=st.floats(0.0, 700.0))
-def test_bloch_blocks_reversal_and_periodicity(data, q, L, phi0, ratio, mode, sign, t):
+       mode=st.sampled_from(TunnelingMode), t=st.floats(0.0, 700.0))
+def test_bloch_blocks_reversal_and_periodicity(data, q, L, phi0, ratio, mode, t):
     p_num = data.draw(st.integers(1, q - 1).filter(lambda n: math.gcd(n, q) == 1))
     p = ModelParams(J=ratio * 10.0, V0=10.0, p=p_num, q=q, phi0=phi0, L=L,
-                    tunneling_mode=mode, sign=sign)
+                    tunneling_mode=mode)
     _assert_reuse_symmetries(p, model.bloch_blocks_batch, np.array([t, t + 55.5]), 1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), q=st.integers(2, 5), L=st.integers(3, 8),
        phi0=st.floats(-np.pi, np.pi), ratio=st.floats(0.01, 2.0),
-       mode=st.sampled_from(TunnelingMode), sign=st.sampled_from(Sign),
-       t=st.floats(0.0, 700.0), r=st.integers(0, 6))
-def test_bloch_blocks_translation_covariance(data, q, L, phi0, ratio, mode, sign, t, r):
+       mode=st.sampled_from(TunnelingMode), t=st.floats(0.0, 700.0), r=st.integers(0, 6))
+def test_bloch_blocks_translation_covariance(data, q, L, phi0, ratio, mode, t, r):
     # the premise of solving one q-th of a period: r q-ths later the chain is
     # itself translated by r*a sites, a = p^-1 mod q, and its Bloch blocks are
     # carried there by `model._translated`
     p_num = data.draw(st.integers(1, q - 1).filter(lambda n: math.gcd(n, q) == 1))
     p = ModelParams(J=ratio * 10.0, V0=10.0, p=p_num, q=q, phi0=phi0, L=L,
-                    tunneling_mode=mode, sign=sign)
+                    tunneling_mode=mode)
     later = t + r * p.period / q
     shift = r * pow(p_num, -1, q)
     dense = model.real_space_hamiltonian(p, t)
@@ -173,10 +172,9 @@ def test_bloch_blocks_translation_covariance(data, q, L, phi0, ratio, mode, sign
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(L=st.integers(3, 8), phi0=st.floats(-np.pi, np.pi), ratio=st.floats(0.01, 0.1),
-       mode=st.sampled_from(TunnelingMode), sign=st.sampled_from(Sign),
-       t=st.floats(0.0, 700.0))
-def test_effective_blocks_reversal_and_periodicity(L, phi0, ratio, mode, sign, t):
-    p = ModelParams(J=ratio * 30.0, phi0=phi0, L=L, tunneling_mode=mode, sign=sign)
+       mode=st.sampled_from(TunnelingMode), t=st.floats(0.0, 700.0))
+def test_effective_blocks_reversal_and_periodicity(L, phi0, ratio, mode, t):
+    p = ModelParams(J=ratio * 30.0, phi0=phi0, L=L, tunneling_mode=mode)
     ts = np.array([t, t + 55.5])
     # H_T jumps at region boundaries, where H(t + T) = H(t) holds only off the jump
     boundary = np.pi / 6 + np.pi / 3 * np.rint((p.phase(ts) - np.pi / 6) / (np.pi / 3))
@@ -212,23 +210,19 @@ def test_step_grid_gives_at_least_three_steps_per_chunk(span, ratio, samples):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), q=st.integers(2, 6), L=st.integers(3, 8),
        phi0=st.floats(-np.pi, np.pi), ratio=st.floats(0.01, 2.0),
-       mode=st.sampled_from(TunnelingMode), sign=st.sampled_from(Sign),
-       t0=st.floats(0.0, 700.0), dt=st.floats(0.01, 0.2), stride=st.integers(3, 9),
+       mode=st.sampled_from(TunnelingMode), t0=st.floats(0.0, 700.0),
+       dt=st.floats(0.01, 0.2), stride=st.integers(3, 9),
        jump=st.one_of(st.none(), st.floats(0.0, 1.0)))
-def test_magnus_generator_symmetries(data, q, L, phi0, ratio, mode, sign, t0, dt,
-                                     stride, jump):
+def test_magnus_generator_symmetries(data, q, L, phi0, ratio, mode, t0, dt, stride, jump):
     p_num = data.draw(st.integers(1, q - 1).filter(lambda n: math.gcd(n, q) == 1))
     p = ModelParams(J=ratio * 10.0, V0=10.0, p=p_num, q=q, phi0=phi0, L=L,
-                    tunneling_mode=mode, sign=sign)
-    flipped = dataclasses.replace(p, sign=Sign.MINUS if sign is Sign.PLUS else Sign.PLUS)
+                    tunneling_mode=mode)
     jumps = np.array([] if jump is None else [t0 + jump * stride * dt])
     mids, dts, starts, _ = dynamics._place_steps(t0, dt, 0, stride, jumps)
     ks = model.k_grid(p)
 
-    def blocks(params):  # (q, q, steps, L), the layout of the step kernels
-        return np.moveaxis(model.bloch_blocks_batch(params, ks, mids), (-2, -1), (0, 1))
-
-    h = blocks(p)
+    # (q, q, steps, L), the layout of the step kernels
+    h = np.moveaxis(model.bloch_blocks_batch(p, ks, mids), (-2, -1), (0, 1))
     scale = np.max(np.abs(h))
     g = dynamics._magnus_generators(h.copy(), mids, dts, starts)
     np.testing.assert_allclose(g, np.conj(np.swapaxes(g, 0, 1)), rtol=0,
@@ -239,7 +233,7 @@ def test_magnus_generator_symmetries(data, q, L, phi0, ratio, mode, sign, t0, dt
                           static)
     # G[-H](k) = -conj(G[H](-k)): what lets an echo-reversed period reuse the
     # forward one
-    g_flipped = dynamics._magnus_generators(blocks(flipped), mids, dts, starts)
+    g_flipped = dynamics._magnus_generators(-h, mids, dts, starts)
     np.testing.assert_allclose(g_flipped, -np.conj(g[:, :, :, model._reversed_k(p.L)]),
                                rtol=0, atol=1e-12 * scale)
 
@@ -434,18 +428,29 @@ def test_block_solve_keeps_few_step_sized_arrays_alive(monkeypatch, split):
 FAST = ModelParams(V0=10.0, omega=0.2)
 
 
+def _negated(builder=None):
+    """The builder of -H, for the given builder of H (the chain's by default),
+    with its batch form."""
+    builder = builder or model.bloch_blocks
+
+    def negated(params, k, t):
+        return -builder(params, k, t)
+
+    negated.batch = lambda params, k, ts: -builder.batch(params, k, ts)
+    return negated
+
+
 def _per_period_chain(params, protocol, n_cycles, initial, samples, builder=None,
                       jump_times=()):
-    """Reference for the reuse: one `evolve` per period, which solves every
-    step, with sign-flipped params on the odd cycles of an echo."""
-    flipped = dataclasses.replace(
-        params, sign=Sign.MINUS if params.sign is Sign.PLUS else Sign.PLUS)
+    """Reference for the reuse: one `evolve` per period, each from the state
+    the one before ends in, with the builder of -H on the odd cycles of an
+    echo, which `evolve` solves step by step."""
     segments, state = [], initial
     for c in range(n_cycles):
-        p_c = flipped if protocol is Protocol.ECHO and c % 2 else params
+        b_c = _negated(builder) if protocol is Protocol.ECHO and c % 2 else builder
         segments.append(dynamics.evolve(
-            p_c, state, c * params.period, (c + 1) * params.period, samples=samples,
-            bloch_builder=builder, seam_threshold=None, jump_times=jump_times))
+            params, state, c * params.period, (c + 1) * params.period, samples=samples,
+            bloch_builder=b_c, seam_threshold=None, jump_times=jump_times))
         state = segments[-1].final_state
     times = np.concatenate([segments[0].times[:1]] + [seg.times[1:] for seg in segments])
     states = np.concatenate([segments[0].states[:1]] + [seg.states[1:] for seg in segments])
@@ -581,8 +586,32 @@ def test_dense_reference_takes_whole_periods_as_one_periodic_piece():
     # period edges
     fast = dynamics.run_protocol(FAST, Protocol.TRADITIONAL, 2, 27, samples_per_cycle=10,
                                  seam_threshold=None)
-    dense = dynamics.evolve_dense(FAST, 27, 0.0, 2 * FAST.period, fast.dt, samples=20)
+    dense = evolve_dense(FAST, 27, 0.0, 2 * FAST.period, fast.dt, samples=20)
     np.testing.assert_allclose(fast.states, dense.states, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", TunnelingMode)
+@pytest.mark.parametrize("q, p", [(3, 1), (5, 2)])
+def test_echo_matches_dense_forward_then_negated_period(q, p, mode):
+    # the echo's second cycle runs under -H, which `evolve` applies as
+    # conj(U(-k)) of the forward period's Bloch propagators.  The dense route
+    # builds -H on the sites and solves each period afresh, so neither that
+    # reversal, nor `model._translated`, nor the Bloch reduction enters it
+    params = dataclasses.replace(FAST, p=p, q=q, tunneling_mode=mode)
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=params.n_sites) + 1j * rng.normal(size=params.n_sites)
+    psi /= np.linalg.norm(psi)
+    echo = dynamics.run_protocol(params, Protocol.ECHO, 2, psi, samples_per_cycle=10,
+                                 seam_threshold=None)
+    period = params.period
+    forward = evolve_dense(params, psi, 0.0, period, echo.dt, samples=10)
+    backward = evolve_dense(params, forward.final_state, period, 2 * period, echo.dt,
+                            hamiltonian=lambda p, t: -model.real_space_hamiltonian(p, t),
+                            samples=10)
+    times = np.concatenate([forward.times, backward.times[1:]])
+    states = np.concatenate([forward.states, backward.states[1:]])
+    assert np.array_equal(echo.times, times)
+    np.testing.assert_allclose(echo.states, states, rtol=0, atol=1e-12)  # 3.5e-13 here
 
 
 def _oracle_states(params, psi0, chunks):
@@ -671,8 +700,7 @@ QTH_CASES = {
     "q4_stride4_cut_chunks": (ModelParams(V0=10.0, p=1, q=4, L=4, omega=0.2), 55, 4),  # m = 55
     "q4_p3_even_L_sine": (ModelParams(V0=10.0, p=3, q=4, L=4, omega=0.2, phi0=0.4,
                                       tunneling_mode=TunnelingMode.SINE_MODULATED), 10, 24),
-    "q5_p2_minus": (ModelParams(V0=10.0, p=2, q=5, L=3, omega=0.2, phi0=-1.0,
-                                sign=Sign.MINUS), 14, 15),  # m = 42
+    "q5_p2": (ModelParams(V0=10.0, p=2, q=5, L=3, omega=0.2, phi0=-1.0), 14, 15),  # m = 42
     "q5_samples_span_qths": (ModelParams(V0=10.0, p=1, q=5, L=3, omega=0.2), 2, 105),
 }
 
@@ -705,7 +733,7 @@ def test_qth_solve_matches_the_step_by_step_solve_and_dense(monkeypatch, case, p
     assert np.array_equal(fast.times, chain.times)
     np.testing.assert_allclose(fast.states, chain.states, rtol=0, atol=1e-12)
     if protocol is Protocol.TRADITIONAL:
-        dense = dynamics.evolve_dense(params, psi, 0.0, params.period, dt, samples=samples)
+        dense = evolve_dense(params, psi, 0.0, params.period, dt, samples=samples)
         np.testing.assert_allclose(fast.states, dense.states, rtol=0, atol=1e-12)
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from aah_pump import dynamics, effective, model
 from aah_pump.effective import Region
-from aah_pump.model import ModelParams, Sign, TunnelingMode
-from oracles import check_hermitian, effective_cycle_hamiltonian, region_of_phase
+from aah_pump.model import ModelParams, TunnelingMode
+from oracles import check_hermitian, effective_cycle_hamiltonian, evolve_dense, region_of_phase
 
 
 def _h0_and_v(params, t):
@@ -274,10 +274,9 @@ def test_engine_matches_closed_forms_random_draws():
         _compare(ep, got, rel=1e-10)
 
 
-@pytest.mark.parametrize("sign", list(Sign))
 @pytest.mark.parametrize("mode", list(TunnelingMode))
-def test_h_t_matches_closed_forms_all_regions(mode, sign):
-    p = ModelParams(tunneling_mode=mode, sign=sign)
+def test_h_t_matches_closed_forms_all_regions(mode):
+    p = ModelParams(tunneling_mode=mode)
     phis = (0.05, 2.9, 6.1, 0.7, 1.3, 4.0, 1.8, 2.4, 5.2)  # three per region
     assert {region_of_phase(phi) for phi in phis} == set(Region)
     for phi in phis:
@@ -360,9 +359,8 @@ def test_effective_blocks_match_dense(paper_params):
         fast = dynamics.evolve(paper_params, psi, t0, t0 + 1.0, dt=cap, samples=2,
                                bloch_builder=effective.effective_bloch_blocks,
                                seam_threshold=None)
-        dense = dynamics.evolve_dense(paper_params, psi, t0, t0 + 1.0, dt=fast.dt,
-                                      samples=2,
-                                      hamiltonian=effective_cycle_hamiltonian)
+        dense = evolve_dense(paper_params, psi, t0, t0 + 1.0, dt=fast.dt, samples=2,
+                             hamiltonian=effective_cycle_hamiltonian)
         np.testing.assert_allclose(fast.states, dense.states, atol=1e-12)
     # the batch builder masks each region's bonds; on times straddling all six
     # boundaries it must equal the blocks built one time at a time

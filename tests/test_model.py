@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from aah_pump import model
-from aah_pump.model import ModelParams, Sign, TunnelingMode
+from aah_pump.model import ModelParams, TunnelingMode
 from oracles import bloch_frame, check_hermitian
 
 
@@ -37,8 +37,6 @@ def test_onsite_energy_values():
     assert model.onsite_energy(p, 1, 0.0) == pytest.approx(-15.0, abs=1e-12)
     quarter = p.period / 4
     assert model.onsite_energy(p, 3, quarter) == pytest.approx(0.0, abs=1e-10)
-    minus = dataclasses.replace(p, sign=Sign.MINUS)
-    assert model.onsite_energy(minus, 3, 0.0) == pytest.approx(-30.0, abs=1e-12)
 
 
 def test_onsite_energy_index_error():
@@ -85,15 +83,6 @@ def test_real_space_hamiltonian_hermitian_and_periodic_bond():
     assert h[44, 0] == pytest.approx(-1.0)  # ring-closing bond
 
 
-def test_sign_flip_negates_hamiltonian():
-    p = ModelParams()
-    minus = dataclasses.replace(p, sign=Sign.MINUS)
-    for t in (0.0, 100.0):
-        np.testing.assert_allclose(
-            model.real_space_hamiltonian(minus, t),
-            -model.real_space_hamiltonian(p, t), atol=1e-14)
-
-
 def test_translation_by_q_leaves_hamiltonian_invariant():
     p = ModelParams()
     h = model.real_space_hamiltonian(p, 55.5)
@@ -125,11 +114,11 @@ def test_spectrum_equivalence(mode):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), q=st.integers(2, 6), phi0=st.floats(-np.pi, np.pi),
        ratio=st.floats(0.01, 2.0), mode=st.sampled_from(TunnelingMode),
-       sign=st.sampled_from(Sign), t=st.floats(0.0, 700.0))
-def test_spectrum_equivalence_random_models(data, q, phi0, ratio, mode, sign, t):
+       t=st.floats(0.0, 700.0))
+def test_spectrum_equivalence_random_models(data, q, phi0, ratio, mode, t):
     p_num = data.draw(st.integers(1, q - 1).filter(lambda n: math.gcd(n, q) == 1))
     p = ModelParams(J=ratio * 10.0, V0=10.0, p=p_num, q=q, phi0=phi0, L=5,
-                    tunneling_mode=mode, sign=sign)
+                    tunneling_mode=mode)
     h = model.real_space_hamiltonian(p, t)
     dense = np.sort(np.linalg.eigvalsh(h))
     union = np.sort(np.linalg.eigvalsh(model.bloch_blocks(p, model.k_grid(p), t)).ravel())

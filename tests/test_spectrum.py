@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from aah_pump import dynamics, model, spectrum
-from aah_pump.model import ModelParams, Sign, TunnelingMode
+from aah_pump.model import ModelParams, TunnelingMode
 
 
 def test_three_bands_orthonormal(bands_topology):
@@ -94,24 +94,6 @@ def test_chern_gauge_independence(bands_topology):
         assert spectrum.chern_number(scrambled, m) == spectrum.chern_number(bands_topology, m)
 
 
-def test_band_inversion(paper_params, bands_topology):
-    import dataclasses
-
-    minus = dataclasses.replace(paper_params, sign=Sign.MINUS)
-    inverted = spectrum.solve_bands(minus, bands_topology.t_grid)
-    # energies negate and reverse order
-    np.testing.assert_allclose(
-        inverted.energies, -bands_topology.energies[::-1], atol=1e-10)
-    # eigenvectors agree up to phase
-    ov = np.abs(np.einsum(
-        "kts,kts->kt", np.conj(inverted.states[0]), bands_topology.states[2]))
-    assert np.min(ov) > 1 - 1e-10
-    # Berry curvature of band m equals that of band q+1-m of the flipped model
-    f_plus = spectrum.berry_curvature_grid(bands_topology, 2)
-    f_minus = spectrum.berry_curvature_grid(inverted, 0)
-    np.testing.assert_allclose(f_plus, f_minus, atol=1e-9)
-
-
 @pytest.mark.parametrize("band", [-1, 3])
 @pytest.mark.parametrize("entry", [spectrum.chern_number, spectrum.berry_curvature_grid])
 def test_band_off_range_is_rejected(bands_topology, entry, band):
@@ -173,14 +155,13 @@ def test_flatness_sine_below_uniform(bands_topology, bands_topology_sine):
 @st.composite
 def chains(draw):
     """Chains with q = 2..6, a coprime p, odd and even L (even L puts the
-    self-conjugate zone edge k = pi/q on the grid), both modes and signs."""
+    self-conjugate zone edge k = pi/q on the grid) and both modes."""
     q = draw(st.integers(2, 6))
     p = draw(st.integers(1, q - 1).filter(lambda n: math.gcd(n, q) == 1))
     return ModelParams(J=draw(st.floats(0.2, 2.0)), V0=draw(st.floats(3.0, 30.0)),
                        p=p, q=q, phi0=draw(st.floats(-np.pi, np.pi)),
                        L=draw(st.integers(3, 12)),
-                       tunneling_mode=draw(st.sampled_from(TunnelingMode)),
-                       sign=draw(st.sampled_from(Sign)))
+                       tunneling_mode=draw(st.sampled_from(TunnelingMode)))
 
 
 def _per_block_bands(params, t_grid):

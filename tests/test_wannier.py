@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from aah_pump import spectrum, wannier
-from aah_pump.model import ModelParams, Sign, TunnelingMode
+from aah_pump.model import ModelParams, TunnelingMode
 from oracles import berry_connection_mean
 
 
@@ -143,11 +143,11 @@ def test_basis_orthonormal(bands_t0):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), q=st.integers(2, 6), phi0=st.floats(-np.pi, np.pi),
        ratio=st.floats(0.01, 2.0), mode=st.sampled_from(TunnelingMode),
-       sign=st.sampled_from(Sign), t=st.floats(0.0, 700.0), L=st.integers(3, 20))
-def test_wannier_basis_random_models(data, q, phi0, ratio, mode, sign, t, L):
+       t=st.floats(0.0, 700.0), L=st.integers(3, 20))
+def test_wannier_basis_random_models(data, q, phi0, ratio, mode, t, L):
     p_num = data.draw(st.integers(1, q - 1).filter(lambda n: math.gcd(n, q) == 1))
     p = ModelParams(J=ratio * 10.0, V0=10.0, p=p_num, q=q, phi0=phi0, L=L,
-                    tunneling_mode=mode, sign=sign)
+                    tunneling_mode=mode)
     try:
         bands = spectrum.solve_bands(p, np.array([t]))
     except spectrum.BandTouchingError:
@@ -178,10 +178,10 @@ def test_wannier_basis_random_models(data, q, phi0, ratio, mode, sign, t, L):
        t=st.floats(1.0, 700.0), seed=st.integers(0, 2**32 - 1))
 def test_transform_matches_literal_sum(q, L, phi0, t, seed):
     # every cell of wannier_from_bloch and wannier_basis against the module
-    # docstring's sum, in random non-smooth gauges at the stored time t_index = 1
+    # docstring's sum, in random non-smooth gauges at a time t > 0
     p = ModelParams(q=q, p=1, L=L, phi0=phi0)
     try:
-        bands = spectrum.solve_bands(p, np.array([0.0, t]))
+        bands = spectrum.solve_bands(p, np.array([t]))
     except spectrum.BandTouchingError:
         assume(False)
     thetas = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(q, L))
@@ -190,13 +190,13 @@ def test_transform_matches_literal_sum(q, L, phi0, t, seed):
     # phase[R-1, n, j-1] = e^{ik_n(j - q(R-1))}
     phase = np.exp(1j * bands.k_grid[None, :, None]
                    * (j[None, None, :] - q * (cells[:, None, None] - 1)))
-    basis = wannier.wannier_basis(bands, 1, thetas)
+    basis = wannier.wannier_basis(bands, thetas)
     for m in range(q):
-        u = bands.states[m, :, 1, :][:, (j - 1) % q]  # u_{m,s(j)}(k_n), (L, N)
+        u = bands.states[m, :, 0, :][:, (j - 1) % q]  # u_{m,s(j)}(k_n), (L, N)
         literal = np.einsum("rnj,n,nj->rj", phase, np.exp(1j * thetas[m]), u) / L
         np.testing.assert_allclose(basis[m], literal, rtol=0, atol=1e-12)
         for cell in cells:
-            state = wannier.wannier_from_bloch(bands, m, cell, thetas[m], 1)
+            state = wannier.wannier_from_bloch(bands, m, cell, thetas[m])
             np.testing.assert_allclose(state.amplitudes, literal[cell - 1], rtol=0, atol=1e-12)
 
 
@@ -411,15 +411,15 @@ def test_predict_dispersion_rejects_wrapped_input():
         wannier.predict_dispersion(gamma, k)
 
 
-@pytest.mark.parametrize("t_index", [-1, 2])
 @pytest.mark.parametrize("entry", [
-    lambda bands, t: wannier.wannier_from_bloch(bands, 2, 9, t_index=t),
-    lambda bands, t: wannier.mlws_gauge(bands, 2, t),
-    lambda bands, t: wannier.maximally_localize(bands, 2, 9, t),
-], ids=["wannier_from_bloch", "mlws_gauge", "maximally_localize"])
-def test_t_index_off_grid_is_rejected(paper_params, entry, t_index):
-    # unchecked, t_index -1 would take the last time of the solve and 2 end
-    # in an IndexError on this two-time solve
+    lambda bands: wannier.wannier_from_bloch(bands, 2, 9),
+    lambda bands: wannier.mlws_gauge(bands, 2),
+    lambda bands: wannier.maximally_localize(bands, 2, 9),
+    wannier.wannier_basis,
+], ids=["wannier_from_bloch", "mlws_gauge", "maximally_localize", "wannier_basis"])
+def test_two_time_solve_is_rejected(paper_params, entry):
+    # the transforms read the solve's first time; unchecked, a two-time solve
+    # would silently give the states of t = 0 alone
     bands = spectrum.solve_bands(paper_params, np.array([0.0, 0.5]))
-    with pytest.raises(ValueError, match="t_index must lie in 0..1"):
-        entry(bands, t_index)
+    with pytest.raises(ValueError, match="need a band solve at one time, got 2 times"):
+        entry(bands)
