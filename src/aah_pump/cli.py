@@ -15,7 +15,10 @@ a suppressed run uses sine-modulated tunneling whatever `tunneling_mode`
 says, so its initial MLWS, its MLWS references, its Chern numbers and its
 manifest's model all come from the sine chain.  One t = 0 band solve serves
 the initial MLWS and the references, one Wannier basis audited once, and one
-topology-grid solve serves all Chern numbers of a run.
+band solve serves all Chern numbers of a run.  Chern numbers and cycle
+phases read the first q-th of the topology grid when q divides its
+intervals, and the whole grid otherwise; bands and flatness write every
+time of it.  A Chern list that does not sum to zero fails the run.
 
 Config files use `key = value` lines (# comments allowed); any CLI flag
 overrides the file.  The value `none` is taken only by the fields that default
@@ -58,8 +61,8 @@ class RunConfig:
     initial_mlws_cell: int | None = None
     dt: float | None = None
     n_t: int = 240
-    # a multiple of q = 3, so the phases grid is a whole-period grid whose
-    # band solve diagonalizes one q-th of it (`spectrum.solve_bands`)
+    # a multiple of q = 3, so the phases run solves and reads one q-th of the
+    # period (`_topology_strip`)
     n_t_phases: int = 4098
     band: int | None = None  # band index for phases (default: highest)
     outdir: str = "runs"
@@ -145,11 +148,26 @@ def _topology_bands(cfg: RunConfig, params: ModelParams) -> spectrum.BandSolutio
     return spectrum.solve_bands(params, spectrum.default_topology_grid(params, cfg.n_t))
 
 
+def _topology_strip(params: ModelParams, n_t: int) -> np.ndarray:
+    """The closed topology grid of n_t intervals, cut to its first q-th when q
+    divides n_t: Chern numbers and cycle phases read one q-th of the period
+    as well as all of it (`spectrum.BandSolution`)."""
+    grid = spectrum.default_topology_grid(params, n_t)
+    return grid[:n_t // params.q + 1] if n_t % params.q == 0 else grid
+
+
 def _chern_numbers(cfg: RunConfig, params: ModelParams) -> list:
-    """The Chern number of every band on the topology grid; the band solve is
-    not kept."""
-    bands = _topology_bands(cfg, params)
-    return [spectrum.chern_number(bands, m) for m in range(params.q)]
+    """The Chern number of every band on the topology grid, or on its first
+    q-th (`_topology_strip`); the band solve is not kept.  Raises
+    BandTouchingError when they do not sum to zero: the grid passes a band
+    closing that no plaquette's flux shows."""
+    bands = spectrum.solve_bands(params, _topology_strip(params, cfg.n_t))
+    cherns = [spectrum.chern_number(bands, m) for m in range(params.q)]
+    if sum(cherns) != 0:
+        raise spectrum.BandTouchingError(
+            f"Chern numbers {cherns} do not sum to zero on the {cfg.n_t}-interval "
+            "topology grid; a band closes between grid points or the grid is too coarse")
+    return cherns
 
 
 def _write_table(path: Path, header: str, columns: dict) -> None:
@@ -258,7 +276,7 @@ def _run_flatness(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
 
 def _run_phases(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
     band = cfg.band if cfg.band is not None else params.q - 1
-    bands = spectrum.solve_bands(params, spectrum.default_topology_grid(params, cfg.n_t_phases))
+    bands = spectrum.solve_bands(params, _topology_strip(params, cfg.n_t_phases))
     rec = dynamics.accumulate_phases(params, bands, band)
     _write_table(outdir / "phases.tsv",
                  f"cycle phases and momentum-resolved shifts for band {band}",

@@ -110,7 +110,7 @@ import numpy as np
 
 from .model import (_BLOCKS_PER_SOLVE, ModelParams, TunnelingMode, _from_momenta,
                     _hermitian_eigh, _k_derivative, _reversed_k, _to_momenta,
-                    _translated, bloch_blocks, k_grid)
+                    _translated, _translation, bloch_blocks, k_grid)
 from .observables import position_moments
 from .spectrum import BandSolution, _check_band, chern_number
 
@@ -623,17 +623,27 @@ def accumulate_phases(params: ModelParams, bands: BandSolution, m: int) -> Phase
 
     gamma_d integrates -E_m(k,t) dt by the trapezoid rule; gamma_b is the discrete
     Berry phase of the closed time loop (sum of link phases, which is gauge
-    invariant).  X_b = -d(gamma_b)/dk and X_d = -d(gamma_d)/dk are the spectral
-    derivatives `model._k_derivative` of the phases unwrapped along k, the
-    derivative `wannier.predict_dispersion` takes, so var(X_b + X_d) is its
-    predicted Omega_D; xi = X_b - q*C_m.  Raises ValueError unless m lies in
-    0..q-1.
+    invariant).  The grid spans one period or a strip one q-th of it
+    (`BandSolution.period_copies`).  The later q-ths repeat the strip's energies
+    and time links (`spectrum.solve_bands`), so on a strip both phases are q
+    times its own sums; its loop closes at the image of its first time, the
+    first time's states rolled by p^-1 mod q components, so gamma_b does not
+    depend on how its last time was solved.  X_b = -d(gamma_b)/dk and
+    X_d = -d(gamma_d)/dk are the spectral derivatives `model._k_derivative` of
+    the phases unwrapped along k, the derivative `wannier.predict_dispersion`
+    takes, so var(X_b + X_d) is its predicted Omega_D; xi = X_b - q*C_m.
+    Raises ValueError unless m lies in 0..q-1 and the t-grid strictly increases
+    over one period or one q-th of it.
     """
     _check_band(bands, m)
-    if not bands.spans_period():
+    copies = bands.period_copies()
+    if not copies:
         raise ValueError("phase accumulation needs a strictly increasing t-grid "
-                         "covering one period")
-    links_t = np.vecdot(bands.states[m, :, :-1], bands.states[m, :, 1:])  # (L, M-1)
+                         "over one period or one q-th of it")
+    u = bands.states[m]
+    last = u[:, -1] if copies == 1 else np.roll(u[:, 0], -_translation(bands.params, 1), axis=-1)
+    links_t = np.concatenate([np.vecdot(u[:, :-2], u[:, 1:-1]),
+                              np.vecdot(u[:, -2], last)[:, None]], axis=1)  # (L, M-1)
     moduli = np.abs(links_t)
     if np.min(moduli) < 0.99:
         n, i = np.unravel_index(np.argmin(moduli), moduli.shape)
@@ -643,8 +653,8 @@ def accumulate_phases(params: ModelParams, bands: BandSolution, m: int) -> Phase
         )
     # the loop phase is defined modulo 2*pi per k (per-link angles can cross
     # the branch cut where the gauge anchor switches); unwrap across k
-    gamma_b = np.unwrap(np.angle(np.exp(-1j * np.sum(np.angle(links_t), axis=1))))
-    gamma_d = -np.trapezoid(bands.energies[m], bands.t_grid, axis=-1)
+    gamma_b = np.unwrap(np.angle(np.exp(-1j * (copies * np.sum(np.angle(links_t), axis=1)))))
+    gamma_d = -copies * np.trapezoid(bands.energies[m], bands.t_grid, axis=-1)
 
     x_b = -_k_derivative(gamma_b, bands.k_grid)
     x_d = -_k_derivative(gamma_d, bands.k_grid)

@@ -20,9 +20,16 @@ period later the chain is itself translated by b = r*p^-1 mod q sites, so
 
 and the gauge fix of `solve_bands` removes the phase e^{ikb}: the rest of
 the grid copies energies and rolls components, the same roll at every k, so
-it commutes with the +-k fill.  The topology benchmark (bands, Chern numbers,
-flatness and phases of both tunneling modes, the Chern refinement at L = 30
-and 60) solves 102,378 blocks for 585,660 grid points.  The t-grid is solved in
+it commutes with the +-k fill.  The same holds on a grid of r < q whole
+q-ths.  Chern numbers and cycle phases therefore need only a strip one q-th
+wide, [t0, t0 + T/q], whose closing time is the image of its first: every
+plaquette and time link r q-ths on equals its match in the strip, so the
+period's sums are q times the strip's (`chern_number`,
+`dynamics.accumulate_phases`).  Bands and flatness write every time and keep
+the whole grid.  The topology benchmark (bands, Chern numbers, flatness and
+phases of both tunneling modes, the Chern refinement at L = 30 and 60)
+solves 102,378 blocks for 205,020 grid points (585,660 when its Chern
+numbers and phases read a whole period).  The t-grid is solved in
 slices of about `model._BLOCKS_PER_SOLVE` blocks, the budget the Magnus
 blocks of `dynamics` use too: per slice, one builder call, one batched
 eigensolve by `model._hermitian_eigh`, which hands one real symmetric
@@ -64,6 +71,11 @@ class BandSolution:
     energies : (q, L, M) real, ascending in the band index
     states : (q, L, M, q) complex; states[m, n, i] is the site-phase periodic
         part u_m(k_n, t_i) with psi_j = e^{ikj} u_{s(j)} / sqrt(L)
+
+    Topology reads a grid over one period or over a strip one q-th of it
+    wide (`period_copies`): the later q-ths of a period repeat the strip's
+    plaquettes and time links, so a strip holds q times fewer states for the
+    same Chern numbers and cycle phases.
     """
 
     params: ModelParams
@@ -79,11 +91,15 @@ class BandSolution:
     def min_gap(self) -> float:
         return float(np.min(self.energies[1:] - self.energies[:-1]))
 
-    def spans_period(self) -> bool:
-        """True for a strictly increasing t-grid from t0 to t0 + T."""
-        span = self.t_grid[-1] - self.t_grid[0]
-        return (bool(np.all(np.diff(self.t_grid) > 0))
-                and abs(span - self.params.period) < 1e-9 * self.params.period)
+    def period_copies(self) -> int:
+        """The copies of the t-grid that make up one period: 1 for a strictly
+        increasing grid from t0 to t0 + T, q for one from t0 to t0 + T/q (a
+        strip), and 0 for any other grid."""
+        if not np.all(np.diff(self.t_grid) > 0):
+            return 0
+        span, T = self.t_grid[-1] - self.t_grid[0], self.params.period
+        return next((copies for copies in (1, self.params.q)
+                     if abs(span - T / copies) < 1e-9 * T), 0)
 
 
 @dataclass
@@ -124,12 +140,15 @@ def solve_bands(params: ModelParams, t_grid: np.ndarray) -> BandSolution:
     H(-k) = conj(H(k)), so u(-k) = conj(u(k)) with equal energies: only the
     momenta n <= rev[n] are solved, one of each +-k pair plus the
     self-conjugate k = 0 and, for even L, k = pi/q, and each solution also
-    fills its partner.  On a whole-period grid of q*nq intervals, one with
-    t_grid[i + nq] = t_grid[i] + T/q to 8 ulps of T, only the first nq times
-    are solved: the chain r q-ths later is itself translated by
-    b = r*p^-1 mod q sites (`model._translation`), so time r*nq + i holds the
-    energies of time i and the states u_m(k, t_i)[(s + b) mod q], whose
-    global phase e^{ikb} the gauge fix removes.  The t-grid is solved in
+    fills its partner.  On a grid of n_qths*nq intervals spanning n_qths = 1..q
+    q-ths of a period, one with t_grid[i + nq] = t_grid[i] + T/q to 8 ulps of
+    T, only the first nq times are solved: the chain r q-ths later is itself
+    translated by b = r*p^-1 mod q sites (`model._translation`), so time
+    r*nq + i holds the energies of time i and the states
+    u_m(k, t_i)[(s + b) mod q], whose global phase e^{ikb} the gauge fix
+    removes.  The closing time of a whole period (n_qths = q, b = 0) is a copy
+    of the first, and that of a strip one q-th wide (n_qths = 1) its image
+    rolled by p^-1 mod q components.  The t-grid is solved in
     slices of about `model._BLOCKS_PER_SOLVE` blocks.  Raises ValueError
     unless t_grid is a nonempty 1-D array of finite times, and
     BandTouchingError if any inter-band gap drops to GAP_TOLERANCE * |V0|.
@@ -145,12 +164,14 @@ def solve_bands(params: ModelParams, t_grid: np.ndarray) -> BandSolution:
     own = np.flatnonzero(np.arange(params.L) <= rev)
     energies = np.empty((q, params.L, len(t_grid)))
     states = np.empty((q, params.L, len(t_grid), q), dtype=complex)
-    # a whole-period grid: q*nq intervals with t_grid[i + nq] = t_grid[i] + T/q
-    nq, rest = divmod(len(t_grid) - 1, q)
+    # a grid of n_qths = 1..q q-ths: n_qths*nq intervals with
+    # t_grid[i + nq] = t_grid[i] + T/q
     T = params.period
-    whole = nq > 0 and not rest and np.all(
+    n_qths = int(np.rint((t_grid[-1] - t_grid[0]) * q / T))
+    nq, rest = divmod(len(t_grid) - 1, n_qths) if 1 <= n_qths <= q else (0, 0)
+    qths = nq > 0 and not rest and np.all(
         np.abs(t_grid[nq:] - t_grid[:-nq] - T / q) <= 8 * np.finfo(float).eps * T)
-    n_solved = nq if whole else len(t_grid)
+    n_solved = nq if qths else len(t_grid)
     per_slice = max(1, _BLOCKS_PER_SOLVE // len(own))
     for lo in range(0, n_solved, per_slice):
         ts = slice(lo, min(lo + per_slice, n_solved))
@@ -167,10 +188,10 @@ def solve_bands(params: ModelParams, t_grid: np.ndarray) -> BandSolution:
         states[:, own, ts] = u_own
         energies[:, rev[own], ts] = np.transpose(e_own)
         energies[:, own, ts] = np.transpose(e_own)
-    if whole:
-        # the images r q-ths on, the closing time (r = q, b = 0) included; one
+    if qths:
+        # the images r q-ths on, the closing time (r = n_qths) included; one
         # component at a time, so the copy holds no temporary of a q-th's states
-        for r in range(1, q + 1):
+        for r in range(1, n_qths + 1):
             lo, hi = r * nq, min((r + 1) * nq, len(t_grid))
             b = _translation(params, r)
             energies[:, :, lo:hi] = energies[:, :, :hi - lo]
@@ -193,21 +214,29 @@ def solve_bands(params: ModelParams, t_grid: np.ndarray) -> BandSolution:
 
 
 def _check_torus(bands: BandSolution) -> None:
-    if len(bands.t_grid) < 3 or not bands.spans_period():
+    """Raise ValueError unless the grid is the full momentum grid times a
+    strictly increasing t-grid over one period or one q-th of it, whose
+    copies hold two or more intervals of the period."""
+    if bands.period_copies() * (len(bands.t_grid) - 1) < 2:
         raise ValueError("Chern numbers require a strictly increasing t-grid "
-                         "covering one full period")
+                         "over one period or one q-th of it")
     if len(bands.k_grid) != bands.params.L:
         raise ValueError("Chern numbers require the full L-point momentum grid")
 
 
 def berry_curvature_grid(bands: BandSolution, m: int) -> np.ndarray:
-    """Plaquette-resolved Berry curvature of band m over the (k, t) torus.
+    """Plaquette-resolved Berry curvature of band m over the (k, t) grid.
 
     Entry (n, i) is the phase of the oriented link product around the plaquette
-    [k_n, k_{n+1}] x [t_i, t_{i+1}], with k_L = k_0 + 2*pi/q (`model._closed_k_loop`);
-    the total divided by 2*pi is the integer Chern number.  Orientation
-    follows the curvature i(<d_t u|d_k u> - <d_k u|d_t u>).  Raises
-    ValueError unless m lies in 0..q-1.
+    [k_n, k_{n+1}] x [t_i, t_{i+1}], with k_L = k_0 + 2*pi/q (`model._closed_k_loop`).
+    On a whole-period grid the total divided by 2*pi is the integer Chern
+    number.  A strip one q-th wide holds one of q equal copies of the torus:
+    each plaquette r q-ths on equals its match in the strip (`solve_bands`),
+    since the constant phase e^{2*pi*i*b/q} that the k loop's closing link
+    picks up cancels inside it, so q times the strip's total is the same
+    integer.  Orientation follows the curvature i(<d_t u|d_k u> - <d_k u|d_t u>).
+    Raises ValueError unless m lies in 0..q-1 and the grid is one that
+    `chern_number` takes.
     """
     _check_band(bands, m)
     _check_torus(bands)
@@ -223,10 +252,14 @@ def berry_curvature_grid(bands: BandSolution, m: int) -> np.ndarray:
 def chern_number(bands: BandSolution, m: int) -> int:
     """Integer Chern number of band m from the lattice field strength.
 
-    The lattice sum is an integer on any grid, so a wrong answer looks valid;
+    C = copies * sum(F) / 2*pi over the grid's plaquettes F
+    (`berry_curvature_grid`), with copies = 1 on a grid over one period and
+    q on a strip over one q-th of it (`BandSolution.period_copies`).  The
+    lattice sum is an integer on any grid, so a wrong answer looks valid;
     raises BandTouchingError when a plaquette holds a Berry flux above
     MAX_PLAQUETTE_FLUX, where the grid does not resolve the curvature, and
-    ValueError unless m lies in 0..q-1.
+    ValueError unless m lies in 0..q-1 and the t-grid strictly increases over
+    one period or one q-th of it.
     """
     f = berry_curvature_grid(bands, m)
     n, i = np.unravel_index(np.argmax(np.abs(f)), f.shape)
@@ -236,7 +269,7 @@ def chern_number(bands: BandSolution, m: int) -> int:
             f"holds Berry flux {f[n, i]:.3f} beyond pi/4; a band closes between "
             "grid points or the grid is too coarse"
         )
-    total = np.sum(f) / (2.0 * np.pi)
+    total = bands.period_copies() * np.sum(f) / (2.0 * np.pi)
     c = int(np.rint(total))
     if abs(total - c) > 1e-6:
         raise BandTouchingError(

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -139,9 +140,42 @@ def test_phases_experiment(tmp_path):
 
 
 def test_phases_grid_default_is_whole_qths():
-    # q*m intervals make the phases grid one whose band solve diagonalizes
-    # its first q-th only; another default would silently solve every point
+    # q*m intervals make the phases run solve and read the first q-th of its
+    # grid only; another default would silently solve every point
     assert cli.RunConfig("phases").n_t_phases % ModelParams().q == 0
+
+
+def test_phases_run_allocates_less_than_one_period_of_states(tmp_path):
+    # the run holds the states of one q-th of its grid, not of a whole period
+    cfg = cli.RunConfig("phases")
+    p = cfg.model_params()
+    tracemalloc.start()
+    try:
+        assert cli.main(["phases", "--outdir", str(tmp_path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 8.9 MB at L = 15
+    assert peak < p.q * p.L * (cfg.n_t_phases + 1) * p.q * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("experiment", ["chern", "pump-echo"])
+def test_chern_list_that_does_not_sum_to_zero_fails_the_run(tmp_path, capsys, monkeypatch,
+                                                           experiment):
+    # on 3 intervals every band reads -1, yet every plaquette holds less than
+    # pi/4, so no band's flux guard refuses it
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("the run propagated past a failed Chern check")
+
+    monkeypatch.setattr(dynamics, "run_protocol", no_propagation)
+    assert cli.main([experiment, "--outdir", str(tmp_path), "--set", "n_t=3"]) == 1
+    assert "run failed" in capsys.readouterr().err
+    manifest = read_manifest(tmp_path, experiment)
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["type"] == "BandTouchingError"
+    assert "[-1, -1, -1]" in manifest["error"]["message"]
+    assert "3-interval" in manifest["error"]["message"]
+    assert not list((tmp_path / experiment).glob("*.tsv"))
 
 
 # The two transport smokes run at the default paper omega=0.01: their dP

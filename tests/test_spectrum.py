@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -115,7 +116,7 @@ def test_chern_refuses_a_grid_that_runs_backwards(paper_params):
     T = paper_params.period
     grid = np.concatenate([[0.0], T - T / 240 * np.arange(1, 240), [T]])
     bands = spectrum.solve_bands(paper_params, grid)
-    assert not bands.spans_period()
+    assert bands.period_copies() == 0
     with pytest.raises(ValueError, match="strictly increasing"):
         spectrum.chern_number(bands, 0)
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -234,11 +235,27 @@ def _moved(grid, i, dt):
 @pytest.mark.parametrize("L", [15, 30])
 @pytest.mark.parametrize("grid, solved", [
     (np.linspace(0.0, 2 * np.pi / 0.01, 43), 14),  # a whole-period grid: its first q-th
+    (np.linspace(0.0, 2 * np.pi / 0.01, 43)[:15], 14),  # its first q-th, a strip
+    (np.linspace(0.0, 2 * np.pi / 0.01, 43)[:29], 14),  # its first two q-ths
     (_moved(np.linspace(0.0, 2 * np.pi / 0.01, 43), 20, 1e-6), 43),
     (np.linspace(0.0, 4 * np.pi / 0.01, 43), 43),  # two periods
-], ids=["whole-period", "moved-time", "two-periods"])
+], ids=["whole-period", "one-qth", "two-qths", "moved-time", "two-periods"])
 def test_solve_bands_solves_one_qth_of_a_whole_period_grid(monkeypatch, L, grid, solved):
     assert _count_solved(monkeypatch, ModelParams(L=L), grid) == solved * (L // 2 + 1)
+
+
+@pytest.mark.parametrize("params", [ModelParams(),
+                                    ModelParams(J=1.0, V0=10.0, p=2, q=5, phi0=0.3, L=8)],
+                         ids=["paper", "q5-p2"])
+def test_strip_closes_at_the_rolled_first_time(params):
+    # the strip's last time is the chain translated by p^-1 mod q sites
+    strip = spectrum.default_topology_grid(params, 10 * params.q)[:11]
+    bands = spectrum.solve_bands(params, strip)
+    assert bands.period_copies() == params.q
+    np.testing.assert_array_equal(bands.energies[:, :, -1], bands.energies[:, :, 0])
+    np.testing.assert_array_equal(
+        bands.states[:, :, -1],
+        np.roll(bands.states[:, :, 0], -model._translation(params, 1), axis=-1))
 
 
 def _solve_every_point(params, t_grid):
@@ -282,13 +299,60 @@ def test_qth_solve_matches_a_solve_of_every_point(params, start):
     except dynamics.GaugeContinuityError:
         return
     phases = dynamics.accumulate_phases(params, bands, q - 1)
+    _assert_same_phases(phases, ref_phases, params)
+
+
+def _assert_same_phases(phases, ref_phases, params):
+    """The tolerances of the q-th solve: gamma_b mod 2*pi and X_b to 1e-10,
+    gamma_d and X_d to 1e-14 * |V0| * T, and L times that."""
     # gamma_b is unwrapped along k from a principal value, so compare it mod 2*pi
     np.testing.assert_allclose(np.angle(np.exp(1j * (phases.gamma_b - ref_phases.gamma_b))),
                                0.0, rtol=0, atol=1e-10)
     np.testing.assert_allclose(phases.x_b, ref_phases.x_b, rtol=0, atol=1e-10)
-    scale_d = 1e-14 * abs(params.V0) * T
+    scale_d = 1e-14 * abs(params.V0) * params.period
     np.testing.assert_allclose(phases.gamma_d, ref_phases.gamma_d, rtol=0, atol=scale_d)
-    np.testing.assert_allclose(phases.x_d, ref_phases.x_d, rtol=0, atol=scale_d * L)
+    np.testing.assert_allclose(phases.x_d, ref_phases.x_d, rtol=0, atol=scale_d * params.L)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(params=chains(), start=st.floats(0.0, 1.0, exclude_max=True))
+@example(params=ModelParams(J=1.0, V0=10.0, p=2, q=5, phi0=0.3, L=7), start=0.4)
+def test_strip_matches_a_whole_period_solve(params, start):
+    q, T = params.q, params.period
+    nq = 1200 // q
+    t_grid = start * T + np.linspace(0.0, T, q * nq + 1)
+    try:
+        whole = spectrum.solve_bands(params, t_grid)
+    except spectrum.BandTouchingError:
+        assume(False)
+    strip = spectrum.solve_bands(params, t_grid[:nq + 1])
+    # the strip is the whole-period solve's first q-th, closing time included
+    np.testing.assert_array_equal(strip.energies, whole.energies[:, :, :nq + 1])
+    np.testing.assert_array_equal(strip.states, whole.states[:, :, :nq + 1])
+    try:
+        cherns = [spectrum.chern_number(whole, m) for m in range(q)]
+    except spectrum.BandTouchingError:
+        # the strip holds the same plaquettes, so it refuses the same band
+        with pytest.raises(spectrum.BandTouchingError):
+            [spectrum.chern_number(strip, m) for m in range(q)]
+        return
+    assert [spectrum.chern_number(strip, m) for m in range(q)] == cherns
+    try:
+        ref_phases = dynamics.accumulate_phases(params, whole, q - 1)
+    except dynamics.GaugeContinuityError:
+        return
+    phases = dynamics.accumulate_phases(params, strip, q - 1)
+    _assert_same_phases(phases, ref_phases, params)
+    # the loop closes at the image of the first time, so a strip whose last
+    # time was solved on its own, in another gauge, has the same gamma_b
+    end = spectrum.solve_bands(params, t_grid[nq:nq + 1])
+    rng = np.random.default_rng(5)
+    states = strip.states.copy()
+    gauge = np.exp(2j * np.pi * rng.random(end.states.shape[:2]))
+    states[:, :, -1] = end.states[:, :, 0] * gauge[..., None]
+    resolved = dataclasses.replace(strip, states=states)
+    np.testing.assert_array_equal(dynamics.accumulate_phases(params, resolved, q - 1).gamma_b,
+                                  phases.gamma_b)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
