@@ -11,16 +11,17 @@ come from the quadratic through that midpoint and its two neighbours in the
 same smooth piece, central inside the piece and one-sided at its ends, so a
 step costs one Hamiltonian and one eigensolve, as a midpoint step does.  A
 piece breaks only where H may jump: at the jumps of H, where a step is
-split, and at the ends of a span that is not whole periods.  The jumps are
-stated once, as the times within one period (`jump_times`), since every H
-here repeats with its period T, and `evolve` repeats them every period.  A
-span of whole periods is periodic, and its piece runs round its ends: the
-first step reads the step before the span from H itself, H(t_start - h/2) =
-H(t_end - h/2), and the last step the one after it.  Under the echo each
-period is a loop of H or of -H, periodic in its own right.  A piece of fewer
-than three steps keeps G = H.  How the steps are grouped, into samples or
-into solve blocks, changes no stencil, so the state does not depend on how
-many samples are recorded, nor a one-period run on where it starts.
+split, and at the ends of a span that is not whole periods.  Every H here
+repeats every q-th of its period T up to a lattice translation (below), so
+its jumps are stated as the times within one q-th (`jump_times`), and
+`evolve` repeats them every q-th.  A span of whole periods is periodic, and
+its piece runs round its ends: the first step reads the step before the
+span from H itself, H(t_start - h/2) = H(t_end - h/2), and the last step the
+one after it.  Under the echo each period is a loop of H or of -H, periodic
+in its own right.  A piece of fewer than three steps keeps G = H.  How the
+steps are grouped, into samples or into solve blocks, changes no stencil,
+so the state does not depend on how many samples are recorded, nor a
+one-period run on where it starts.
 Because every Hamiltonian here is translation invariant on the ring, the
 unitary factorizes over the L momentum blocks, so steps are computed in the
 Bloch basis from batched eigensolves of q x q generators by
@@ -41,41 +42,35 @@ steps) per cycle at paper parameters.  Each step is exactly unitary, so the
 norm drifts only by round-off, linear in the step count, and the state error
 falls about 16x per halving of dt.
 
-Cost model: a run pays for one period of eigensolves, however many periods
-it spans, and the chain's own Hamiltonian for one q-th of one.  H(t + T) =
-H(t), so the chunk propagators of the first period serve every later one;
-and the cell-gauge blocks satisfy H(k)* = H(-k), so a sign-reversed period
-applies conj(U_chunk(-k)) of the forward one, since G[-H](k) =
--conj(G[H](-k)); `model._reversed_k` indexes -k, as it does for the paired
-band solve of `spectrum.solve_bands`.  This agrees to rounding with solving
-each period afresh from the state the one before ends in.  Spans that are
-not a whole number n >= 1 of periods, or whose sample count is not a
-multiple of n, solve every step of the span.
-Within a period the chain repeats up to a lattice translation: the drive
-enters only as 2*pi*beta*j + phi(t), so H(t + T/q) is H(t) translated by
-p^-1 mod q sites, and `model._translated` carries blocks, step unitaries and
-their products r q-ths ahead.  With m steps per q-th, step r*m + i of the
-period, stencil and all, is thus the image of step i of the first q-th, the
-period's first and last step included, since the period's piece runs round
-its ends.  `_period_propagators` solves the first q-th alone when `evolve`
-propagates the chain itself (no `bloch_builder`, no `jump_times`) over whole
-periods whose steps per period are a multiple of q: a paper period is
-3,200 distinct steps, 48,000 3 x 3 eigensolves instead of 144,000, and a
-two-cycle run costs the same.  It agrees to rounding with solving every step
-of the period.  Every other run solves each step of its first period, or of
-its span: a given builder (H_T, or any wrapper of the chain), jumps,
-partial spans, and step counts that are not a multiple of q, such as
-effective-compare's 2,000 steps per period at omega = 0.05.
-Either unit is solved by the one `_period_propagators`, in blocks of
-_BLOCKS_PER_SOLVE // L consecutive steps (120 at L = 15: 80 blocks per
-paper period, 27 per q-th).  A block places its steps on the run's one grid,
-split at jumps, builds H through one `builder.batch` call at them and at one
-neighbouring step on each side (none beyond the ends of a span that is not
-whole periods), makes one generator pass and one batched eigensolve, and
-folds its step unitaries, image by image, into the products of the chunk
-segments they fall in (a chunk that a q-th edge cuts has two).  So a run
-holds its period's propagators (samples x L x q x q, 0.86 MB at paper
-parameters) and one block at a time.
+Cost model: a span of whole periods pays for one q-th of one period of
+eigensolves, however many periods it spans.  H(t + T) = H(t), so the chunk
+propagators of the first period serve every later one; and the cell-gauge
+blocks satisfy H(k)* = H(-k), so a sign-reversed period applies
+conj(U_chunk(-k)) of the forward one, since G[-H](k) = -conj(G[H](-k));
+`model._reversed_k` indexes -k, as it does for the paired band solve of
+`spectrum.solve_bands`.  This agrees to rounding with solving each period
+afresh from the state the one before ends in.
+Within a period H repeats up to a lattice translation: the drive enters the
+chain only as 2*pi*beta*j + phi(t), so H(t + T/q) is H(t) translated by
+p^-1 mod q sites, and so is H_T, which is built from the chain at each time;
+`model._translated` carries blocks, step unitaries and their products r
+q-ths ahead.  A span of whole periods has its stride rounded up so that each
+period is whole q-ths of m steps; step r*m + i of the period, stencil and
+jumps and all, is then the image of step i of the first q-th, the period's
+first and last step included, since the period's piece runs round its ends.
+So `_period_propagators` solves the first q-th alone, 3,200 of a paper
+period's 9,600 steps, for the chain and H_T alike, and a two-cycle run costs
+the same.  It agrees to rounding with solving every step of the period.  A
+span that is not whole periods solves every step.
+The steps solved are taken in blocks of _BLOCKS_PER_SOLVE // L consecutive
+steps (120 at L = 15: 27 per paper q-th).  A block places its steps on the
+run's one grid, split at jumps, builds H through one `builder.batch` call at
+them and at one neighbouring step on each side (none beyond the ends of a
+span that is not whole periods), makes one generator pass and one batched
+eigensolve, and folds its step unitaries, image by image, into the products
+of the chunk segments they fall in (a chunk that a q-th edge cuts has two).
+So a run holds its period's propagators (samples x L x q x q, 0.86 MB at
+paper parameters) and one block at a time.
 The eigensolve reduces each generator to a real symmetric tridiagonal
 matrix by one Householder reflection (q = 3) and a diagonal phase, and
 hands that real stack to one `np.linalg.eigh` call.
@@ -103,6 +98,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -237,19 +233,28 @@ def _check_seam(density, seam_threshold: float | None) -> None:
         )
 
 
-def _step_grid(t_start: float, t_end: float, dt: float, samples: int) -> tuple:
-    """(n_steps, dt, stride): `samples` chunks of `stride` >= 3 whole steps no
+def _step_grid(params: ModelParams, t_start: float, t_end: float, dt: float,
+               samples: int) -> tuple:
+    """(whole, dt, stride): `samples` chunks of `stride` >= 3 whole steps no
     longer than dt > 0 (ValueError otherwise, NaN too) over [t_start, t_end];
     sample i falls at t_start + i*span/samples.  At least three steps per
     chunk give every span and every period the three midpoints a Magnus
-    stencil needs."""
+    stencil needs.  whole is n if the span is n >= 1 whole periods, to
+    rounding, and `samples` a multiple of n, and 0 otherwise; on such a span
+    the stride is rounded up to a multiple of q/gcd(samples/n, q), so that
+    each period is whole q-ths."""
     span = t_end - t_start
     if span <= 0 or samples < 1:
         raise ValueError("need t_end > t_start and at least one sample")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    whole = int(np.rint(span / params.period))
+    if whole < 1 or abs(span - whole * params.period) > 1e-12 * span or samples % whole:
+        whole = 0
     stride = max(3, int(np.ceil(span / (dt * samples) - 1e-12)))
-    return stride * samples, span / (stride * samples), stride
+    if whole:
+        stride += -stride % (params.q // math.gcd(samples // whole, params.q))
+    return whole, span / (stride * samples), stride
 
 
 def _trajectory(params: ModelParams, t_start: float, stride: int, dt: float,
@@ -272,16 +277,6 @@ def _trajectory(params: ModelParams, t_start: float, stride: int, dt: float,
         norm_drift=norm_drift,
         seam_density_max=float(np.max(density[:, [0, -1]])),
     )
-
-
-def _whole_periods(params: ModelParams, t_start: float, t_end: float, samples: int) -> int:
-    """n if [t_start, t_end] is n >= 1 whole periods, to rounding, and
-    `samples` is a multiple of n; otherwise 0."""
-    span = t_end - t_start
-    n = int(np.rint(span / params.period))
-    if n >= 1 and abs(span - n * params.period) <= 1e-12 * span and samples % n == 0:
-        return n
-    return 0
 
 
 def _place_steps(t_start: float, dt: float, first: int, last: int,
@@ -419,33 +414,33 @@ def _block_generators(build, mids: np.ndarray, dts: np.ndarray, starts: np.ndarr
 
 def _period_propagators(params: ModelParams, builder, ks: np.ndarray, t_start: float,
                         dt: float, stride: int, chunks: int, jump_times: np.ndarray,
-                        images: int, periodic: bool) -> np.ndarray:
+                        periodic: bool) -> np.ndarray:
     """Propagators of `chunks` chunks of `stride` steps of width dt from
     t_start, shape (chunks, L, q, q): per momentum, the product of the Magnus
     step unitaries of each chunk, whose steps are one smooth piece but where
     H jumps (`_place_steps`).
 
-    A span that is not `periodic` ends its piece at its ends.  A periodic one
-    is one period of H, and its piece runs on past its ends, where H goes on
-    as it began: the first step's stencil reads the step before it, H one
-    half step before t_start, which is H at the period's last step, and the
-    last step's the step after it; a jump listed at or beyond an end, such as
-    the image of a jump a period away, ends the piece there.  The steps are
-    solved from a unit: all of them when images = 1; when images = q, for the
-    chain's own H over one period of q*m steps, the first q-th, whose step i,
-    r q-ths ahead, is the image under `model._translated` of step r*m + i,
-    its stencil included.  The unit is solved in blocks of about
-    _BLOCKS_PER_SOLVE Bloch blocks.  A block places its steps, and two more on
-    each side (as far as the span goes, unless it is periodic), which fixes
-    each one's stencil as in a pass over the whole run; then it makes one
-    `_block_generators` call, with one `builder.batch` call, and one
-    `_step_unitaries` call.  The steps are cut at chunk and q-th edges into
-    segments, each in one chunk and one q-th; each block is folded, image by
-    image, into the products of the segments its steps fall in, so only these
-    products outlive a block.  A chunk cut by a q-th edge multiplies its
-    segments at the end.
+    A span that is not `periodic` ends its piece at its ends, and all its
+    steps are solved.  A periodic one is one period of H, q*m steps, and its
+    piece runs on past its ends, where H goes on as it began: the first step's
+    stencil reads the step before it, H one half step before t_start, which
+    is H at the period's last step, and the last step's the step after it; a
+    jump listed at or beyond an end, such as the image of a jump a q-th away,
+    ends the piece there.  Only its first q-th is solved: H and its jumps
+    repeat every q-th up to a translation, so step i, r q-ths ahead, is the
+    image under `model._translated` of step r*m + i, its stencil included.
+    The steps solved are taken in blocks of about _BLOCKS_PER_SOLVE Bloch
+    blocks.  A block places its steps, and two more on each side (as far as
+    the span goes, unless it is periodic), which fixes each one's stencil as
+    in a pass over the whole run; then it makes one `_block_generators` call,
+    with one `builder.batch` call, and one `_step_unitaries` call.  The steps
+    are cut at chunk and q-th edges into segments, each in one chunk and one
+    q-th; each block is folded, image by image, into the products of the
+    segments its steps fall in, so only these products outlive a block.  A
+    chunk cut by a q-th edge multiplies its segments at the end.
     """
     q, L = params.q, params.L
+    images = q if periodic else 1
     m = chunks * stride // images  # steps per image
     cuts = np.arange(images * m)
     cuts = cuts[(cuts % stride == 0) | (cuts % m == 0)]  # the first step of each segment
@@ -494,28 +489,28 @@ def evolve(
 
     Records the state at t_start + i*(t_end - t_start)/samples, i = 0..samples.
     A given dt must be positive and at most `dt_max` (ValueError otherwise).
-    `jump_times` lists the times within one period at which the Hamiltonian
-    is discontinuous, each stated once and read modulo the period T (they
-    must be finite, ValueError otherwise): every Hamiltonian here repeats
-    with T, so `evolve` places a copy of each a whole number of periods
-    apart, from the period before the span to the one after it.  A step that
-    straddles a jump is split into two steps there, and no Magnus stencil
-    reaches across it, since a step across a jump has an error of first
-    order in dt.
+    The Hamiltonian must be translation covariant over q-ths, as the chain
+    and H_T are: H(t + T/q) is H(t) translated by p^-1 mod q sites
+    (`model._translated`).  `jump_times` lists the times at which it jumps,
+    read modulo T/q (they must be finite, ValueError otherwise), and `evolve`
+    places a copy of each every q-th, from two q-ths before the span to two
+    after it; so one q-th's jumps or one period's, such as
+    `effective.region_boundaries`, are the same list, whose copies coincide
+    and count once (`_place_steps`), and jumps that differ between q-ths
+    cannot be stated.  A step that straddles a jump is split into two steps
+    there, and no Magnus stencil reaches across it, since a step across a
+    jump has an error of first order in dt.
 
     A span of n >= 1 whole periods with `samples` a multiple of n is
     periodic: its first period is one Magnus piece that runs round its ends,
     its end steps reading H a step beyond them, so a jump on the period edge
-    ends it at both ends.  The span solves the chunk propagators of its first
-    period only, keeps them and applies them to every period.  Any other span
-    is one piece that ends at its ends.  The chain's own Hamiltonian (no
-    `bloch_builder`, no `jump_times`) over whole periods whose steps per
-    period are a multiple of q solves only the first q-th of its period,
-    3,200 of 9,600 steps at paper parameters; any other run solves every
-    step of its first period, or of its span (see the module's cost model).
-    Both are one `_period_propagators` solve, a block of steps at a time,
-    with one `builder.batch` call and one batched eigensolve per block, and
-    they agree to rounding.
+    ends it at both ends.  Its stride is rounded up to make each period
+    whole q-ths (`_step_grid`); it solves the first q-th of its first period,
+    fills the period with images and applies it to every period, 3,200 of
+    9,600 steps at paper parameters.  Any other span is one piece that ends
+    at its ends and solves every step.  Both are one `_period_propagators`
+    solve, a block of steps at a time, with one `builder.batch` call and one
+    batched eigensolve per block.
     Under `protocol` ECHO the sign of the Hamiltonian is reversed on every
     second period counted from t_start, which needs such a span with n even
     (ValueError otherwise); the other protocols do not change how `evolve`
@@ -534,8 +529,7 @@ def evolve(
         dt = cap
     elif dt > cap * (1 + 1e-12):
         raise ValueError(f"dt={dt} exceeds dt_max={cap:.6e}")
-    _, dt, stride = _step_grid(t_start, t_end, dt, samples)
-    whole = _whole_periods(params, t_start, t_end, samples)
+    whole, dt, stride = _step_grid(params, t_start, t_end, dt, samples)
     n_periods = max(whole, 1)
     echo = protocol is Protocol.ECHO
     if echo and n_periods % 2:
@@ -544,11 +538,11 @@ def evolve(
     jump_times = np.asarray(jump_times, dtype=float)
     if not np.all(np.isfinite(jump_times)):
         raise ValueError(f"jump_times must be finite, got {jump_times}")
-    # H repeats with its period: a copy of each jump in every period from the
-    # one before the span to the one after it
-    period = params.period
-    copies = np.arange(np.floor(t_start / period) - 1, np.ceil(t_end / period) + 1)
-    jump_times = (np.mod(jump_times, period) + period * copies[:, None]).ravel()
+    # H repeats every q-th: a copy of each jump in every q-th from two before
+    # the span to two after it, which a q-th of one step needs
+    qth = params.period / params.q
+    copies = np.arange(np.floor(t_start / qth) - 2, np.ceil(t_end / qth) + 2)
+    jump_times = (np.mod(jump_times, qth) + qth * copies[:, None]).ravel()
 
     ks = k_grid(params)
     reversed_k = _reversed_k(params.L)
@@ -558,10 +552,8 @@ def evolve(
     sampled[0] = _to_momenta(psi0.reshape(params.L, params.q)) / root_l
 
     per_period = samples // n_periods
-    qth = (bloch_builder is None and not len(jump_times) and whole
-           and per_period * stride % params.q == 0)
     propagators = _period_propagators(params, builder, ks, t_start, dt, stride, per_period,
-                                      jump_times, params.q if qth else 1, whole > 0)
+                                      jump_times, whole > 0)
     for chunk in range(samples):
         i = chunk % per_period
         if echo and chunk // per_period % 2:
@@ -604,8 +596,9 @@ def run_protocol(
     amplitudes of a WannierState.  ECHO reverses the Hamiltonian sign on
     every second cycle, so `evolve` rejects an odd n_cycles; SUPPRESSED forces
     sine-modulated tunneling.  The run is one `evolve` call over
-    [0, n_cycles*T] under MAX_NORM_DRIFT and `seam_threshold`; `jump_times`
-    are the jumps of H within one period, as `evolve` takes them, such as
+    [0, n_cycles*T], a span of whole periods, so it solves one q-th of one
+    period; it runs under MAX_NORM_DRIFT and `seam_threshold`.  `jump_times`
+    are the jumps of H, read modulo T/q as `evolve` takes them, such as
     `effective.region_boundaries` for H_T.
     """
     if n_cycles < 1:

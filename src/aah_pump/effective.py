@@ -19,6 +19,8 @@ sublattice the other; its cell-0 rows are read back as a
 `model.HoppingTable`, which `effective_bloch_blocks` assembles as Bloch
 blocks.  `effective_params` reads the couplings of one region off the same
 table.  The hand-derived q = 3 closed forms live in the tests as an oracle.
+Built from the chain, H_T is translation covariant over q-ths as the chain
+is, so `dynamics.evolve` solves one q-th of its period, as of the chain's.
 """
 
 from __future__ import annotations
@@ -146,8 +148,10 @@ def sw_generic(
 
 def region_boundaries(params: ModelParams) -> np.ndarray:
     """The six times in [0, T), sorted, at which phi(t) crosses a region edge:
-    the jumps of the cycle generator H_T within one period.  H_T repeats them
-    every period T, and `dynamics.evolve` takes them in this form."""
+    the jumps of the cycle generator H_T within one period.  The edges lie
+    pi/3 apart, so the jumps fall at two times modulo T/3, and H_T repeats
+    them every T/3; `dynamics.evolve`, which reads jumps modulo T/q, takes
+    them in this form."""
     t = np.mod((_REGION_EDGES - params.phi0) / params.omega, params.period)
     # with phi0 a hair past an edge, the crossing a hair before T rounds to T
     return np.sort(np.where(t < params.period, t, 0.0))
@@ -226,7 +230,8 @@ def compare_effective(
     """Pump under the full Hamiltonian and under H_T from the same state.
 
     Returns (full, effective, fidelity): two trajectories with aligned
-    sample grids and the final-state overlap modulus squared.
+    sample grids and the final-state overlap modulus squared.  Both runs
+    take one step grid and solve one q-th of their period.
     """
     if dt is None:
         dt = min(dt_max(params), dt_max(params, effective_bloch_blocks))

@@ -85,22 +85,24 @@ def evolve_dense(params, initial, t_start, t_end, dt, hamiltonian=None,
     """Reference propagator using dense N x N matrices.
 
     The same fourth-order Magnus steps as `dynamics.evolve`, with the same
-    pieces: the span is one, which runs round its ends when it is n >= 1 whole
-    periods with `samples` a multiple of n, its end steps reading H one step
-    beyond them; each chunk's steps are built and solved together, with a
-    neighbouring step on each side that lies in the same piece.  So the two
-    agree to rounding.  `hamiltonian(params, t)` defaults to
-    `model.real_space_hamiltonian`.  It skips two checks of `evolve` on
-    purpose: the dt cap, because `dt_max` probes the Bloch builder and a dense
-    `hamiltonian` may have no Bloch form to probe; and the seam check, because
-    it is a reference for arbitrary states, whose density may sit at the seam.
-    Every step is solved; nothing is reused across periods, and `hamiltonian`
-    is taken to be smooth (no jump times).
+    pieces on the same step grid (`dynamics._step_grid`): the span is one,
+    which runs round its ends when it is n >= 1 whole periods with `samples`
+    a multiple of n, its end steps reading H one step beyond them; each
+    chunk's steps are built and solved together, with a neighbouring step on
+    each side that lies in the same piece.  So the two agree to rounding.
+    `hamiltonian(params, t)` defaults to `model.real_space_hamiltonian`.  It
+    skips two checks of `evolve` on purpose: the dt cap, because `dt_max`
+    probes the Bloch builder and a dense `hamiltonian` may have no Bloch form
+    to probe; and the seam check, because it is a reference for arbitrary
+    states, whose density may sit at the seam.  Every step is solved; nothing
+    is reused across periods or q-ths, and `hamiltonian` is taken to be
+    smooth (no jump times).
     """
     builder = hamiltonian or model.real_space_hamiltonian
-    n_steps, dt, stride = dynamics._step_grid(t_start, t_end, dt, samples)
+    whole, dt, stride = dynamics._step_grid(params, t_start, t_end, dt, samples)
+    n_steps = stride * samples
     # a span of whole periods runs round its ends: one neighbour beyond each
-    edge = int(dynamics._whole_periods(params, t_start, t_end, samples) > 0)
+    edge = int(whole > 0)
     mids, dts, starts, _ = dynamics._place_steps(t_start, dt, -edge, n_steps + edge,
                                                  np.empty(0))
     psi = dynamics._resolve_initial(params, initial)

@@ -182,6 +182,25 @@ def test_effective_blocks_reversal_and_periodicity(L, phi0, ratio, mode, t):
     _assert_reuse_symmetries(p, effective.effective_bloch_blocks_batch, ts, 1e-12)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(L=st.integers(3, 8), phi0=st.floats(-np.pi, np.pi), ratio=st.floats(0.01, 0.1),
+       mode=st.sampled_from(TunnelingMode), omega=st.sampled_from([0.01, 0.05, 0.2]),
+       x=st.floats(0.0, 1.0, exclude_max=True))
+def test_effective_blocks_translation_covariance(L, phi0, ratio, mode, omega, x):
+    # the premise of solving one q-th of H_T's period: a q-th later, H_T is
+    # itself translated, as the chain it is built from is (5.3e-14 at most in
+    # 3,000 draws).  t lies in the first q-th, where the drive's phase is
+    # rounded by a few 1e-16, and at least 1e-9*T from a region edge, across
+    # which H_T jumps; its edges recur every T/6, so t + T/q is as far from one
+    p = ModelParams(J=ratio * 30.0, phi0=phi0, L=L, omega=omega, tunneling_mode=mode)
+    t = x * p.period / p.q
+    edge = np.pi / 6 + np.pi / 3 * np.rint((p.phase(t) - np.pi / 6) / (np.pi / 3))
+    assume(abs(p.phase(t) - edge) >= 1e-9 * 2 * np.pi)
+    ks = model.k_grid(p)
+    h = effective.effective_bloch_blocks_batch(p, ks, np.array([t, t + p.period / p.q]))
+    np.testing.assert_allclose(model._translated(p, h[:1], ks, 1), h[1:], rtol=0, atol=1e-13)
+
+
 def test_magnus_step_is_fourth_order_on_a_smooth_span(paper_params):
     # an eighth of a paper cycle holds no jump; a fourth-order step cuts the
     # error 16x per halving of dt (measured 20.7 here), a second-order one 4x
@@ -197,14 +216,26 @@ def test_magnus_step_is_fourth_order_on_a_smooth_span(paper_params):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(span=st.floats(1e-3, 1e3), ratio=st.floats(1e-3, 1e3), samples=st.integers(1, 50))
-def test_step_grid_gives_at_least_three_steps_per_chunk(span, ratio, samples):
+@given(span=st.floats(1e-3, 1e3), ratio=st.floats(1e-3, 1e3), samples=st.integers(1, 50),
+       q=st.integers(2, 6), periods=st.integers(0, 4))
+def test_step_grid_gives_at_least_three_steps_per_chunk(span, ratio, samples, q, periods):
+    # a span of whole periods (periods > 0) with `samples` a multiple of their
+    # number rounds its stride up to the next one that makes each period
+    # whole q-ths; the step then only shrinks
+    omega = 2 * np.pi * periods / span if periods else 1e-12
+    p = ModelParams(p=1, q=q, omega=omega)
     dt = ratio * span / samples
-    n_steps, step_dt, stride = dynamics._step_grid(0.0, span, dt, samples)
-    assert stride >= 3
-    assert n_steps == stride * samples
+    whole, step_dt, stride = dynamics._step_grid(p, 0.0, span, dt, samples)
+    fewest = max(3, math.ceil(span / (dt * samples) - 1e-12))
+    assert whole == (periods if periods and samples % periods == 0 else 0)
+    if whole:
+        assert samples // whole * stride % q == 0
+        # the smallest such stride: a multiple of q/gcd(samples per period, q)
+        assert fewest <= stride < fewest + q // math.gcd(samples // whole, q)
+    else:
+        assert stride == fewest
     assert step_dt <= dt * (1 + 1e-12)
-    assert step_dt * n_steps == pytest.approx(span, rel=1e-12)
+    assert step_dt * stride * samples == pytest.approx(span, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -340,30 +371,31 @@ def test_a_jump_listed_twice_to_rounding_splits_its_step_once(gap):
 @given(q=st.integers(2, 6), L=st.integers(3, 6), t0=st.floats(0.0, 700.0),
        dt=st.floats(0.01, 0.3), stride=st.integers(3, 7), chunks=st.integers(1, 12),
        per_block=st.integers(1, 40), spare=st.floats(0.0, 0.99), periodic=st.booleans(),
-       qth=st.booleans(),
        jumps=st.lists(st.tuples(st.floats(0.0, 1.0),
                                 st.sampled_from(["inside", "step edge", "chunk edge",
                                                  "block edge", "span edge", "beyond"])),
                       max_size=4))
 @example(q=3, L=4, t0=2.0, dt=0.1, stride=4, chunks=7, per_block=3, spare=0.5,
-         periodic=False, qth=False,
+         periodic=False,
          jumps=[(5 / 28, "step edge"), (6.5 / 28, "inside"), (13.7 / 28, "inside"),
                 (14.2 / 28, "inside"), (0.5, "chunk edge"), (0.4, "block edge")])
-@example(q=3, L=4, t0=2.0, dt=0.1, stride=4, chunks=7, per_block=3, spare=0.5,
-         periodic=True, qth=False,
-         jumps=[(0.0, "span edge"), (0.3, "beyond"), (0.8, "beyond"), (0.5 / 28, "inside")])
+@example(q=3, L=4, t0=2.0, dt=0.1, stride=4, chunks=6, per_block=3, spare=0.5,
+         periodic=True,
+         jumps=[(0.0, "span edge"), (0.3, "beyond"), (0.8, "beyond"), (0.5 / 24, "inside")])
 @example(q=3, L=4, t0=0.0, dt=0.1, stride=4, chunks=6, per_block=5, spare=0.0,
-         periodic=True, qth=True, jumps=[])
+         periodic=True, jumps=[])
 def test_propagators_do_not_depend_on_the_block_size(q, L, t0, dt, stride, chunks,
-                                                     per_block, spare, periodic, qth, jumps):
+                                                     per_block, spare, periodic, jumps):
     # blocks of per_block steps, which need not divide the step count nor
     # fall on chunk edges, give every chunk's propagator as one pass over the
     # whole span does, with jumps inside steps, on their edges, on chunk,
-    # block and span edges and in the two steps beyond either end; a
-    # periodic span reads one step beyond each end, and so does the q-th
-    # route over one period of the chain
+    # block and span edges and in the two steps beyond either end.  A
+    # periodic span is one period of whole q-ths, of which the first is
+    # solved; it reads one step beyond each end, and its jumps repeat every
+    # q-th, as `evolve` places them
+    if periodic:
+        chunks *= q // math.gcd(stride, q)
     n_steps = chunks * stride
-    images = q if periodic and qth and n_steps % q == 0 else 1
     omega = 2 * np.pi / (n_steps * dt) if periodic else 0.01
     if periodic:
         # start in the first period: at omega*t0 ~ 1e3 the drive's phase is
@@ -371,18 +403,22 @@ def test_propagators_do_not_depend_on_the_block_size(q, L, t0, dt, stride, chunk
         # builds by 1e-12
         t0 %= n_steps * dt
     p = ModelParams(V0=10.0, p=1, q=q, L=L, phi0=0.3, omega=omega)
-    jump_times = np.array([] if images > 1 else [
+    jump_times = np.array([
         t0 + {"inside": x * n_steps, "step edge": np.rint(x * n_steps),
               "chunk edge": stride * np.rint(x * chunks),
               "block edge": per_block * np.rint(x * n_steps / per_block),
               "span edge": n_steps * np.rint(x),
               "beyond": -4 * x if x < 0.5 else n_steps + 4 * (x - 0.5)}[where] * dt
         for x, where in jumps])
+    if periodic:
+        qth = n_steps * dt / q
+        jump_times = (t0 + np.mod(jump_times - t0, qth)
+                      + qth * np.arange(-2, q + 2)[:, None]).ravel()
     ks = model.k_grid(p)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_BLOCKS_PER_SOLVE", int((per_block + spare) * L))
         blocked = dynamics._period_propagators(p, model.bloch_blocks, ks, t0, dt, stride,
-                                               chunks, jump_times, images, periodic)
+                                               chunks, jump_times, periodic)
     whole = span_propagators(p, model.bloch_blocks, ks, t0, chunks, stride, dt, jump_times,
                              periodic)
     np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
@@ -390,20 +426,20 @@ def test_propagators_do_not_depend_on_the_block_size(q, L, t0, dt, stride, chunk
 
 @pytest.mark.parametrize("split", [False, True], ids=["equal_chunks", "split_chunks"])
 def test_block_solve_keeps_few_step_sized_arrays_alive(monkeypatch, split):
-    # one block of 270 five-step chunks (omega = 0.05 at paper size), in
-    # units of one stack of its step matrices: the solve peaks at 4.09 stacks
+    # one block of 270 six-step chunks (omega = 0.05 at paper size), in
+    # units of one stack of its step matrices: the solve peaks at 4.24 stacks
     # (the Hamiltonians and the three stencil arrays of the generator pass),
     # and _step_unitaries at 2.50 above what it is handed.  Each bound is
     # below what one more step-sized array alive at that point would give.
     p = dataclasses.replace(ModelParams(), omega=0.05)
-    _, dt, stride = dynamics._step_grid(0.0, p.period, dynamics.dt_max(p), 400)
+    _, dt, stride = dynamics._step_grid(p, 0.0, p.period, dynamics.dt_max(p), 400)
     chunks = 270
     jumps = dt * stride * (np.arange(0, chunks, 3) + 0.45) if split else np.empty(0)
     rows = chunks * stride + len(jumps)
     stack = rows * p.L * p.q ** 2 * 16
     monkeypatch.setattr(dynamics, "_BLOCKS_PER_SOLVE", rows * p.L)
     ks = model.k_grid(p)
-    solve = (p, model.bloch_blocks, ks, 0.0, dt, stride, chunks, jumps, 1, False)
+    solve = (p, model.bloch_blocks, ks, 0.0, dt, stride, chunks, jumps, False)
     dynamics._period_propagators(*solve)  # numpy's one-time allocations, untraced
     tracemalloc.start()
     try:
@@ -444,7 +480,7 @@ def _per_period_chain(params, protocol, n_cycles, initial, samples, builder=None
                       jump_times=()):
     """Reference for the reuse: one `evolve` per period, each from the state
     the one before ends in, with the builder of -H on the odd cycles of an
-    echo, which `evolve` solves step by step."""
+    echo, which `evolve` solves as it solves H, from its own first q-th."""
     segments, state = [], initial
     for c in range(n_cycles):
         b_c = _negated(builder) if protocol is Protocol.ECHO and c % 2 else builder
@@ -476,23 +512,26 @@ def test_period_reuse_matches_per_period_chain(case, protocol):
 
 
 @pytest.mark.parametrize("protocol", [Protocol.TRADITIONAL, Protocol.ECHO])
-def test_jumps_are_read_modulo_the_period(protocol):
-    # `evolve` reads each jump modulo T and repeats it every period, so one
-    # period's list shifted by a period, or listed for both periods, is the
-    # same list.  t + T rounds t to the spacing of doubles near 2T, which
-    # moves these cuts by up to 1.8e-15 and the states by up to 4.4e-15; a list
-    # reduced modulo T first gives the states bit for bit
-    jumps, period = effective.region_boundaries(FAST), FAST.period
+def test_jumps_are_read_modulo_a_qth(protocol):
+    # `evolve` reads each jump modulo T/q and repeats it every q-th, so H_T's
+    # jumps listed for one q-th, for one period or two, or shifted by T/q or
+    # by a period are the same list.  At phi0 = 0.3 they fall inside steps.
+    # A shift rounds t to the spacing of doubles near t + T/q, which moves
+    # the cuts by a few 1e-15 and the states by up to 1.1e-14 here; a list
+    # reduced modulo T/q first gives the states bit for bit
+    p = dataclasses.replace(FAST, phi0=0.3)
+    jumps, qth = effective.region_boundaries(p), p.period / p.q
 
     def run(listed):
-        return dynamics.run_protocol(FAST, protocol, 2, 27, samples_per_cycle=10,
+        return dynamics.run_protocol(p, protocol, 2, 27, samples_per_cycle=10,
                                      bloch_builder=effective.effective_bloch_blocks,
                                      seam_threshold=None, jump_times=listed).states
 
     once = run(jumps)
-    for listed in (jumps - period, jumps + period, np.append(jumps, jumps + period)):
+    for listed in (jumps[:2], np.append(jumps, jumps + p.period), jumps + qth,
+                   jumps - p.period):
         states = run(listed)
-        assert np.array_equal(states, run(np.mod(listed, period)))
+        assert np.array_equal(states, run(np.mod(listed, qth)))
         np.testing.assert_allclose(states, once, rtol=0, atol=1e-13)
 
 
@@ -520,17 +559,22 @@ def _count_eigensolves(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("protocol", [Protocol.TRADITIONAL, Protocol.ECHO])
-def test_two_cycle_run_solves_one_period(monkeypatch, protocol):
+@pytest.mark.parametrize("builder", [None, effective.effective_bloch_blocks],
+                         ids=["chain", "effective"])
+def test_two_cycle_run_solves_one_period(monkeypatch, protocol, builder):
+    # one q-th of the first period, for the chain and for H_T alike
+    jumps = () if builder is None else effective.region_boundaries(FAST)
     solved = _count_eigensolves(monkeypatch)
     traj = dynamics.run_protocol(FAST, protocol, 2, 27, samples_per_cycle=10,
-                                 seam_threshold=None)
+                                 bloch_builder=builder, seam_threshold=None, jump_times=jumps)
     steps = round((traj.times[-1] - traj.times[0]) / traj.dt)
-    assert (steps // 2) % FAST.q  # so the period is solved step by step
-    assert sum(solved) == steps // 2 * FAST.L
+    assert (steps // 2) % FAST.q == 0
+    # H_T's jumps, at T/12 + n*T/6, fall on step edges here and split no step
+    assert sum(solved) == steps // 2 // FAST.q * FAST.L
 
 
 @pytest.mark.parametrize("cycles", [1, 2, 1.5])
-def test_evolve_builds_a_block_of_steps_per_call(cycles):
+def test_evolve_builds_a_block_of_steps_per_call(monkeypatch, cycles):
     calls = []
 
     def builder(params, k, t):
@@ -541,11 +585,14 @@ def test_evolve_builds_a_block_of_steps_per_call(cycles):
         return model.bloch_blocks_batch(params, k, ts)
 
     builder.batch = batch
+    # blocks of 25 steps, fewer than the 60 of a q-th of FAST's period
+    monkeypatch.setattr(dynamics, "_BLOCKS_PER_SOLVE", 25 * FAST.L)
     span = cycles * FAST.period
     traj = dynamics.evolve(FAST, 27, 0.0, span, samples=round(10 * cycles),
                            bloch_builder=builder, seam_threshold=None)
     whole = cycles == round(cycles)
-    steps = round((FAST.period if whole else span) / traj.dt)  # of the solved unit
+    # the steps of the solved unit: a q-th of a period, or the whole span
+    steps = round((FAST.period / FAST.q if whole else span) / traj.dt)
     stride = round((traj.times[1] - traj.times[0]) / traj.dt)
     per_block = dynamics._BLOCKS_PER_SOLVE // FAST.L
     blocks = math.ceil(steps / per_block)
@@ -560,10 +607,10 @@ def test_evolve_builds_a_block_of_steps_per_call(cycles):
 
 @pytest.mark.parametrize("case", ["uniform", "sine", "effective"])
 def test_how_steps_are_sampled_does_not_change_them(case):
-    # the same 2,000 steps of a period at omega = 0.05, recorded as 400
-    # samples of 5 steps or 200 of 10, end in the same state: a sample edge
-    # is no Magnus piece edge, and H_T's region jumps cut the steps on one
-    # grid whatever the samples
+    # the same 2,400 steps of a period at omega = 0.05 (dt = T/2000, rounded
+    # down to make whole q-ths), recorded as 400 samples of 6 steps or 200 of
+    # 12, end in the same state: a sample edge is no Magnus piece edge, and
+    # H_T's region jumps cut the steps on one grid whatever the samples
     mode = TunnelingMode.SINE_MODULATED if case == "sine" else TunnelingMode.UNIFORM
     p = ModelParams(omega=0.05, tunneling_mode=mode)
     builder, jumps = None, ()
@@ -572,11 +619,12 @@ def test_how_steps_are_sampled_does_not_change_them(case):
         jumps = effective.region_boundaries(p)
     dt = p.period / 2000
     assert dt <= dynamics.dt_max(p, builder)
-    finals = [dynamics.run_protocol(p, Protocol.TRADITIONAL, 1, 27, dt=dt,
-                                    samples_per_cycle=samples, bloch_builder=builder,
-                                    jump_times=jumps).final_state
-              for samples in (400, 200)]
-    np.testing.assert_allclose(finals[0], finals[1], rtol=0, atol=1e-12)
+    runs = [dynamics.run_protocol(p, Protocol.TRADITIONAL, 1, 27, dt=dt,
+                                  samples_per_cycle=samples, bloch_builder=builder,
+                                  jump_times=jumps)
+            for samples in (400, 200)]
+    assert runs[0].dt == runs[1].dt == pytest.approx(p.period / 2400, rel=1e-12)
+    np.testing.assert_allclose(runs[0].final_state, runs[1].final_state, rtol=0, atol=1e-12)
 
 
 def test_dense_reference_takes_whole_periods_as_one_periodic_piece():
@@ -610,7 +658,9 @@ def test_echo_matches_dense_forward_then_negated_period(q, p, mode):
                             samples=10)
     times = np.concatenate([forward.times, backward.times[1:]])
     states = np.concatenate([forward.states, backward.states[1:]])
-    assert np.array_equal(echo.times, times)
+    # the one grid: the dense second period's times, T + i*stride*dt, and the
+    # echo's, (n + i)*stride*dt, may round to neighbouring doubles
+    np.testing.assert_array_max_ulp(echo.times, times, maxulp=1)
     np.testing.assert_allclose(echo.states, states, rtol=0, atol=1e-12)  # 3.5e-13 here
 
 
@@ -642,17 +692,18 @@ def test_a_whole_period_run_has_no_preferred_start(mode):
 
 def test_listed_edge_jumps_end_the_wrapped_piece():
     # at phi0 = pi/6, H_T jumps on both period edges; `region_boundaries`
-    # lists the jump at t = 0, and `evolve` repeats it at T: the whole-period
-    # run then reads nothing across its ends and equals the oracle whose span
-    # ends its piece there, solved in one pass.  Leaving the edge jump out
-    # reads H_T across the jump, 1.5e-2 away
+    # lists the jump at t = 0, and `evolve` repeats it every q-th, at T too:
+    # the whole-period run then reads nothing across its ends and equals the
+    # oracle whose span ends its piece there, solved in one pass.  Leaving out
+    # the jumps at whole q-ths (at 0, T/3 and 2T/3) reads H_T across them,
+    # 1.5e-2 away
     p = dataclasses.replace(FAST, phi0=np.pi / 6)
     builder = effective.effective_bloch_blocks
     jumps = effective.region_boundaries(p)
     assert jumps[0] == 0.0
     traj, inner = (dynamics.evolve(p, 27, 0.0, p.period, samples=10, bloch_builder=builder,
                                    seam_threshold=None, jump_times=listed)
-                   for listed in (jumps, jumps[1:]))
+                   for listed in (jumps, jumps[1::2]))
     stride = round(p.period / (10 * traj.dt))
     chunks = span_propagators(p, builder, model.k_grid(p), 0.0, 10, stride, traj.dt, jumps,
                               periodic=False)
@@ -662,25 +713,26 @@ def test_listed_edge_jumps_end_the_wrapped_piece():
 
 
 def test_a_jump_near_one_end_is_read_at_the_other():
-    # jumps a fraction of a step inside either end of a whole-period span
-    # stand, a period on, just beyond the other end: `evolve` carries them
-    # there, so its run equals the periodic oracle given both copies
+    # jumps a fraction of a step inside either end of a q-th stand, a q-th
+    # on, just beyond the other end: `evolve` carries them there, so its
+    # whole-period run equals the periodic oracle given every q-th's copies
     p = FAST
     dt = dynamics.evolve(p, 27, 0.0, p.period, samples=10, seam_threshold=None).dt
-    jumps = np.array([0.3 * dt, p.period - 0.6 * dt])
+    qth = p.period / p.q
+    jumps = np.array([0.3 * dt, qth - 0.6 * dt])
     traj = dynamics.evolve(p, 27, 0.0, p.period, dt=dt, samples=10, seam_threshold=None,
                            jump_times=jumps)
     stride = round(p.period / (10 * traj.dt))
-    both = np.concatenate([jumps - p.period, jumps, jumps + p.period])
+    copies = (jumps + qth * np.arange(-1, p.q + 1)[:, None]).ravel()
     chunks = span_propagators(p, model.bloch_blocks, model.k_grid(p), 0.0, 10, stride,
-                              traj.dt, both, periodic=True)
+                              traj.dt, copies, periodic=True)
     np.testing.assert_allclose(traj.states, _oracle_states(p, traj.states[0], chunks),
                                rtol=0, atol=1e-12)
 
 
 def _chain_as_builder():
-    """The chain's own builder behind a wrapper, which `evolve` solves step by
-    step, as it does any builder it is given."""
+    """The chain's own builder behind a wrapper, with its batch form, as a
+    tracer installs it."""
     def builder(params, k, t):
         return model.bloch_blocks(params, k, t)
 
@@ -727,14 +779,53 @@ def test_qth_solve_matches_the_step_by_step_solve_and_dense(monkeypatch, case, p
     distinct = _distinct_steps(samples * stride, params.q)
     assert distinct < samples * stride
     assert sum(solved) == distinct * params.L  # one q-th was solved
-    chain = dynamics.run_protocol(params, protocol, cycles, psi, dt=dt,
-                                  samples_per_cycle=samples, seam_threshold=None,
-                                  bloch_builder=_chain_as_builder())
-    assert np.array_equal(fast.times, chain.times)
-    np.testing.assert_allclose(fast.states, chain.states, rtol=0, atol=1e-12)
+    # every step of each period in one pass, under -H on the echo's second
+    ks = model.k_grid(params)
+    chunks = np.concatenate([
+        span_propagators(params, _negated() if c % 2 else model.bloch_blocks, ks,
+                         c * params.period, samples, stride, dt, np.empty(0), periodic=True)
+        for c in range(cycles)])
+    np.testing.assert_allclose(fast.states, _oracle_states(params, psi, chunks),
+                               rtol=0, atol=1e-12)
     if protocol is Protocol.TRADITIONAL:
         dense = evolve_dense(params, psi, 0.0, params.period, dt, samples=samples)
         np.testing.assert_allclose(fast.states, dense.states, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("protocol", [Protocol.TRADITIONAL, Protocol.ECHO])
+@pytest.mark.parametrize("omega, phi0, mode, atol", [
+    (0.2, 0.0, TunnelingMode.UNIFORM, 1e-12),
+    (0.2, np.pi / 6, TunnelingMode.UNIFORM, 1e-12),  # jumps on the period edges
+    (0.2, -0.4, TunnelingMode.SINE_MODULATED, 1e-12),
+    (0.05, 0.3, TunnelingMode.UNIFORM, 1e-11),
+])
+def test_effective_qth_solve_matches_the_step_by_step_solve(monkeypatch, omega, phi0, mode,
+                                                            atol, protocol):
+    # H_T over two cycles solves the first q-th of its first period, its
+    # region jumps read modulo T/q; the oracle solves every step of each
+    # period in one pass, given every jump of the periods and their
+    # neighbours, under -H_T on the echo's second
+    p = ModelParams(V0=10.0, omega=omega, phi0=phi0, tunneling_mode=mode)
+    builder, jumps = effective.effective_bloch_blocks, effective.region_boundaries(p)
+    rng = np.random.default_rng(6)
+    psi = rng.normal(size=p.n_sites) + 1j * rng.normal(size=p.n_sites)
+    psi /= np.linalg.norm(psi)
+    solved = _count_eigensolves(monkeypatch)
+    traj = dynamics.run_protocol(p, protocol, 2, psi, samples_per_cycle=10,
+                                 bloch_builder=builder, seam_threshold=None, jump_times=jumps)
+    n_steps = round(p.period / traj.dt)
+    assert n_steps % p.q == 0
+    # a q-th's steps, two of them split at its two jumps when these fall
+    # inside steps
+    assert n_steps // p.q * p.L <= sum(solved) <= (n_steps // p.q + 2) * p.L
+    copies = (jumps + p.period * np.arange(-1, 3)[:, None]).ravel()
+    ks = model.k_grid(p)
+    chunks = np.concatenate([
+        span_propagators(p, _negated(builder) if protocol is Protocol.ECHO and c % 2
+                         else builder, ks, c * p.period, 10, n_steps // 10, traj.dt, copies,
+                         periodic=True)
+        for c in range(2)])
+    np.testing.assert_allclose(traj.states, _oracle_states(p, psi, chunks), rtol=0, atol=atol)
 
 
 def test_qth_solve_reads_the_builder_a_tracer_swaps_in(monkeypatch):
@@ -768,12 +859,33 @@ def test_paper_runs_solve_one_qth_of_a_period(monkeypatch, paper_params):
     solved.clear()
     dynamics.run_protocol(paper_params, Protocol.ECHO, 2, 27)
     assert sum(solved) == 3200 * paper_params.L
-    # FAST's 170 steps per period are not a multiple of q: every step is solved
-    solved.clear()
-    traj = dynamics.evolve(FAST, 27, 0.0, FAST.period, samples=10, seam_threshold=None)
-    steps = round(FAST.period / traj.dt)
-    assert steps % FAST.q
-    assert sum(solved) == steps * FAST.L
+
+
+@pytest.mark.parametrize("params, samples", [
+    (FAST, 10),
+    (ModelParams(V0=10.0, p=2, q=5, L=3, omega=0.2, phi0=-1.0), 7),
+    # samples not coprime to q: the stride need only be even
+    (ModelParams(V0=10.0, p=1, q=4, L=4, omega=0.2, tunneling_mode=TunnelingMode.SINE_MODULATED),
+     6),
+])
+def test_whole_periods_round_the_stride_to_whole_qths(monkeypatch, params, samples):
+    # at the cap the steps per period are not a multiple of q (FAST: 170),
+    # so the stride rises to the next multiple of q/gcd(samples, q) (17 to
+    # 18): the step shrinks, the period is whole q-ths, and one q-th of it is
+    # solved.  The states match the dense reference on the new grid
+    q, cap = params.q, dynamics.dt_max(params)
+    fewest = math.ceil(params.period / (cap * samples))
+    unit = q // math.gcd(samples, q)
+    assert fewest % unit
+    solved = _count_eigensolves(monkeypatch)
+    traj = dynamics.evolve(params, 5, 0.0, params.period, samples=samples, seam_threshold=None)
+    stride = round(params.period / (samples * traj.dt))
+    assert stride == fewest + unit - fewest % unit
+    assert traj.dt <= cap
+    assert sum(solved) == samples * stride // q * params.L
+    dense = evolve_dense(params, 5, 0.0, params.period, cap, samples=samples)
+    assert np.array_equal(dense.times, traj.times)
+    np.testing.assert_allclose(traj.states, dense.states, rtol=0, atol=1e-12)
 
 
 def test_qth_solve_holds_the_period_and_one_block(monkeypatch, paper_params):
@@ -787,9 +899,8 @@ def test_qth_solve_holds_the_period_and_one_block(monkeypatch, paper_params):
     # folding of q images) holds less.  A first solve runs untraced, so that
     # numpy's one-time allocations are not counted.
     p = paper_params
-    _, dt, stride = dynamics._step_grid(0.0, p.period, dynamics.dt_max(p), 400)
-    solve = (p, model.bloch_blocks, model.k_grid(p), 0.0, dt, stride, 400, np.empty(0), p.q,
-             True)
+    _, dt, stride = dynamics._step_grid(p, 0.0, p.period, dynamics.dt_max(p), 400)
+    solve = (p, model.bloch_blocks, model.k_grid(p), 0.0, dt, stride, 400, np.empty(0), True)
     dynamics._period_propagators(*solve)
     stacks = []
     generators = dynamics._magnus_generators

@@ -425,14 +425,14 @@ def test_step_split_at_region_boundary_keeps_second_order(paper_params):
 
 @pytest.mark.parametrize("omega", [0.01, 0.05])
 def test_full_run_is_the_plain_chain_run(omega):
-    # the full run is the chain's own run, with no builder named: at
-    # omega = 0.01 its 9,600 steps per period are solved one q-th at a time,
-    # at 0.05 its 2,000 step by step
+    # the full run is the chain's own run, with no builder named, and solves
+    # one q-th of its period: 9,600 steps per period at omega = 0.01, and at
+    # 0.05 2,400, its stride rounded up from 5 to 6 to make whole q-ths
     p = ModelParams(omega=omega)
     dt = min(dynamics.dt_max(p), dynamics.dt_max(p, effective.effective_bloch_blocks))
     full, _, _ = effective.compare_effective(p, 27)
     plain = dynamics.run_protocol(p, dynamics.Protocol.TRADITIONAL, 1, 27, dt=dt)
-    assert bool(round(p.period / plain.dt) % p.q) == (omega == 0.05)
+    assert round(p.period / plain.dt) == {0.01: 9600, 0.05: 2400}[omega]
     assert np.array_equal(full.states, plain.states)
     assert np.array_equal(full.times, plain.times)
 
