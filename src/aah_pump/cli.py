@@ -277,7 +277,7 @@ def _run_flatness(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
 def _run_phases(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
     band = cfg.band if cfg.band is not None else params.q - 1
     bands = spectrum.solve_bands(params, _topology_strip(params, cfg.n_t_phases))
-    rec = dynamics.accumulate_phases(params, bands, band)
+    rec = dynamics.accumulate_phases(bands, band)
     _write_table(outdir / "phases.tsv",
                  f"cycle phases and momentum-resolved shifts for band {band}",
                  {"k": rec.k_grid, "gamma_b": rec.gamma_b, "gamma_d": rec.gamma_d,

@@ -91,7 +91,9 @@ Hamiltonians and three stencil arrays of the generator pass, and
 Protocols: TRADITIONAL evolves under H(t) for every cycle; ECHO flips the
 sign of the Hamiltonian on every second cycle, cancelling dynamical phases;
 SUPPRESSED is the traditional drive with sine-modulated tunneling, which
-switches off second- and third-order resonant tunneling.
+switches off second- and third-order resonant tunneling.  The echo is a way
+to propagate, so `evolve` takes it as a flag, `echo`; the suppression is
+another chain, which `run_protocol` picks before it calls `evolve`.
 """
 
 from __future__ import annotations
@@ -482,7 +484,7 @@ def evolve(
     samples: int = SAMPLES_PER_CYCLE,
     bloch_builder=None,
     seam_threshold: float = MAX_SEAM_DENSITY,
-    protocol: Protocol | None = None,
+    echo: bool = False,
     jump_times=(),
 ) -> PumpTrajectory:
     """Propagate with fourth-order Magnus steps over [t_start, t_end].
@@ -511,10 +513,10 @@ def evolve(
     at its ends and solves every step.  Both are one `_period_propagators`
     solve, a block of steps at a time, with one `builder.batch` call and one
     batched eigensolve per block.
-    Under `protocol` ECHO the sign of the Hamiltonian is reversed on every
-    second period counted from t_start, which needs such a span with n even
-    (ValueError otherwise); the other protocols do not change how `evolve`
-    propagates.
+    With `echo` the sign of the Hamiltonian is reversed on every second
+    period counted from t_start, which needs such a span with n even
+    (ValueError otherwise).  `evolve` runs the H that `params` and the
+    builder give; which chain a protocol runs is `run_protocol`'s choice.
     Raises IntegratorError on norm drift beyond MAX_NORM_DRIFT and
     SeamDensityError if any sampled density at the ring seam (sites 1 or N)
     exceeds `seam_threshold`, MAX_SEAM_DENSITY by default (pass None to
@@ -531,7 +533,6 @@ def evolve(
         raise ValueError(f"dt={dt} exceeds dt_max={cap:.6e}")
     whole, dt, stride = _step_grid(params, t_start, t_end, dt, samples)
     n_periods = max(whole, 1)
-    echo = protocol is Protocol.ECHO
     if echo and n_periods % 2:
         raise ValueError("the echo protocol needs an even number of whole periods, "
                          "each with the same number of samples")
@@ -585,33 +586,33 @@ def run_protocol(
     n_cycles: int,
     initial,
     dt: float | None = None,
-    samples_per_cycle: int = SAMPLES_PER_CYCLE,
     bloch_builder=None,
-    seam_threshold: float = MAX_SEAM_DENSITY,
     jump_times=(),
 ) -> PumpTrajectory:
     """Run a named pumping protocol for n_cycles periods.
 
     `initial` is a 1-based site index or a normalized N-vector, such as the
-    amplitudes of a WannierState.  ECHO reverses the Hamiltonian sign on
-    every second cycle, so `evolve` rejects an odd n_cycles; SUPPRESSED forces
-    sine-modulated tunneling.  The run is one `evolve` call over
-    [0, n_cycles*T], a span of whole periods, so it solves one q-th of one
-    period; it runs under MAX_NORM_DRIFT and `seam_threshold`.  `jump_times`
-    are the jumps of H, read modulo T/q as `evolve` takes them, such as
-    `effective.region_boundaries` for H_T.
+    amplitudes of a WannierState.  The protocol is read here, not in
+    `evolve`: SUPPRESSED runs the sine-modulated chain (`_protocol_params`),
+    and ECHO runs `evolve` with `echo`, which reverses the Hamiltonian sign
+    on every second cycle and rejects an odd n_cycles.  The run is one
+    `evolve` call over [0, n_cycles*T], a span of whole periods, so it
+    solves one q-th of one period; it records SAMPLES_PER_CYCLE samples per
+    cycle and runs under MAX_NORM_DRIFT and MAX_SEAM_DENSITY, which are
+    fixed here.  `jump_times` are the jumps of H, read modulo T/q as
+    `evolve` takes them, such as `effective.region_boundaries` for H_T.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be positive")
     params = _protocol_params(params, protocol)
     return evolve(
         params, initial, 0.0, n_cycles * params.period, dt=dt,
-        samples=n_cycles * samples_per_cycle, bloch_builder=bloch_builder,
-        seam_threshold=seam_threshold, protocol=protocol, jump_times=jump_times,
+        samples=n_cycles * SAMPLES_PER_CYCLE, bloch_builder=bloch_builder,
+        echo=protocol is Protocol.ECHO, jump_times=jump_times,
     )
 
 
-def accumulate_phases(params: ModelParams, bands: BandSolution, m: int) -> PhaseRecord:
+def accumulate_phases(bands: BandSolution, m: int) -> PhaseRecord:
     """Berry and dynamical phases of band m over one cycle, per momentum.
 
     gamma_d integrates -E_m(k,t) dt by the trapezoid rule; gamma_b is the discrete
@@ -624,7 +625,8 @@ def accumulate_phases(params: ModelParams, bands: BandSolution, m: int) -> Phase
     depend on how its last time was solved.  X_b = -d(gamma_b)/dk and
     X_d = -d(gamma_d)/dk are the spectral derivatives `model._k_derivative` of
     the phases unwrapped along k, the derivative `wannier.predict_dispersion`
-    takes, so var(X_b + X_d) is its predicted Omega_D; xi = X_b - q*C_m.
+    takes, so var(X_b + X_d) is its predicted Omega_D; xi = X_b - q*C_m, q
+    read, with the strip's translation, from `bands.params`.
     Raises ValueError unless m lies in 0..q-1 and the t-grid strictly increases
     over one period or one q-th of it.
     """
@@ -661,5 +663,5 @@ def accumulate_phases(params: ModelParams, bands: BandSolution, m: int) -> Phase
         gamma=gamma_b + gamma_d,
         x_b=x_b,
         x_d=x_d,
-        xi=x_b - params.q * c_m,
+        xi=x_b - bands.params.q * c_m,
     )

@@ -12,7 +12,8 @@ One Schrieffer-Wolff routine (Bravyi, DiVincenzo & Loss, Ann. Phys. 326,
 2793 (2011)) builds every effective Hamiltonian here: `_sw_blocks` evaluates
 the second- and third-order sums for diagonal H0 plus perturbation V on a
 batch of matrices whose indices are labelled by cluster, and returns the
-block-diagonal H_eff.  `sw_generic` is its two-cluster form on one matrix.
+block-diagonal H_eff.  Its two-cluster form on one matrix, the generic-sums
+reference, lives in `tests/oracles.py`.
 H_T is that routine run on the chain's own Hamiltonian on a three-cell ring,
 the resonant pair of the time's region being one cluster and the third
 sublattice the other; its cell-0 rows are read back as a
@@ -30,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import SAMPLES_PER_CYCLE, Protocol, dt_max, run_protocol
+from .dynamics import Protocol, dt_max, run_protocol
 from .model import (HoppingTable, ModelParams, bloch_from_table, hopping_table,
                     ring_from_table)
 
@@ -80,15 +81,16 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def _sw_blocks(h0: np.ndarray, v: np.ndarray, labels: np.ndarray, order: int,
+def _sw_blocks(h0: np.ndarray, v: np.ndarray, labels: np.ndarray,
                gap_floor: float) -> np.ndarray:
-    """Block-diagonal effective Hamiltonian of diag(h0) + v, batched.
+    """Block-diagonal third-order effective Hamiltonian of diag(h0) + v,
+    batched.
 
     h0 (..., n) holds the unperturbed energies, v (..., n, n) the Hermitian
     perturbation (its diagonal included) and labels (..., n) the cluster of
     each index.  With g[i,m] = 1/(E_i - E_m) for m outside the cluster of i
     and 0 inside it, each cluster block of the result is
-    H0 + V + H_eff2 (+ H_eff3 for order 3):
+    H0 + V + H_eff2 + H_eff3:
 
         H_eff2[i,j] = 1/2 sum_m V[i,m] V[m,j] (g[i,m] + g[j,m])
 
@@ -96,8 +98,6 @@ def _sw_blocks(h0: np.ndarray, v: np.ndarray, labels: np.ndarray, order: int,
     one outside and one inside state.  The blocks between clusters are zero.
     Raises DivergentDenominatorError when two clusters lie within gap_floor.
     """
-    if order not in (2, 3):
-        raise ValueError("order must be 2 or 3")
     inside = labels[..., :, None] == labels[..., None, :]
     de = h0[..., :, None] - h0[..., None, :]  # de[i, m] = E_i - E_m
     gap = np.min(np.abs(de), where=~inside, initial=np.inf)
@@ -110,40 +110,14 @@ def _sw_blocks(h0: np.ndarray, v: np.ndarray, labels: np.ndarray, order: int,
 
     t1 = (v * g) @ v
     h = v + 0.5 * (t1 + _dagger(t1))
-    if order == 3:
-        # chain through two outside states: V[i,m] V[m,n] V[n,j] with the
-        # column-index energy in both denominators
-        s_a = 0.5 * v @ (g_t * (v @ (v * g_t)))
-        # chain through one inside state: -V[i,k] V[k,m] V[m,j] /
-        # ((E_k - E_m)(E_i - E_m))
-        s_c = -0.5 * (((v * inside) @ (v * g)) * g) @ v
-        h += s_a + _dagger(s_a) + s_c + _dagger(s_c)
+    # chain through two outside states: V[i,m] V[m,n] V[n,j] with the
+    # column-index energy in both denominators
+    s_a = 0.5 * v @ (g_t * (v @ (v * g_t)))
+    # chain through one inside state: -V[i,k] V[k,m] V[m,j] /
+    # ((E_k - E_m)(E_i - E_m))
+    s_c = -0.5 * (((v * inside) @ (v * g)) * g) @ v
+    h += s_a + _dagger(s_a) + s_c + _dagger(s_c)
     return h * inside + h0[..., None] * np.eye(h0.shape[-1])
-
-
-def sw_generic(
-    h0_diag: np.ndarray,
-    v: np.ndarray,
-    subspace,
-    order: int = 3,
-    gap_floor: float = 0.0,
-) -> np.ndarray:
-    """Effective Hamiltonian on `subspace` from the Schrieffer-Wolff sums.
-
-    h0_diag holds the unperturbed (diagonal) energies, v the perturbation in
-    the same basis.  Returns the subspace block, indexed in subspace order,
-    of the block-diagonal `_sw_blocks` result for the two clusters
-    `subspace` and its complement.  Raises DivergentDenominatorError when
-    the subspace-to-complement gap is below gap_floor.
-    """
-    h0_diag = np.asarray(h0_diag, dtype=float)
-    p_idx = np.asarray(sorted(subspace), dtype=int)
-    labels = np.zeros(len(h0_diag), dtype=bool)
-    labels[p_idx] = True
-    if labels.all():
-        raise ValueError("subspace must have a nonempty complement")
-    h_eff = _sw_blocks(h0_diag, np.asarray(v, dtype=complex), labels, order, gap_floor)
-    return h_eff[np.ix_(p_idx, p_idx)]
 
 
 def region_boundaries(params: ModelParams) -> np.ndarray:
@@ -173,7 +147,7 @@ def _effective_table(params: ModelParams, ts: np.ndarray) -> HoppingTable:
     h0 = np.diagonal(h, axis1=-2, axis2=-1)
     region = _region_index(params.phase(ts))
     third = (np.arange(9) - region[:, None]) % 3 == 2
-    h = _sw_blocks(h0, h - h0[..., None] * np.eye(9), third, 3, 0.1 * abs(params.V0))
+    h = _sw_blocks(h0, h - h0[..., None] * np.eye(9), third, 0.1 * abs(params.V0))
     s = np.arange(3)
     intra = tuple((a, b, 0, h[:, a, b]) for a, b in ((0, 1), (1, 2), (0, 2)))
     inter = tuple((a, b, -1, h[:, 6 + a, b]) for a in range(3) for b in range(3))
@@ -225,20 +199,19 @@ def compare_effective(
     initial,
     n_cycles: int = 1,
     dt: float | None = None,
-    samples_per_cycle: int = SAMPLES_PER_CYCLE,
 ):
     """Pump under the full Hamiltonian and under H_T from the same state.
 
     Returns (full, effective, fidelity): two trajectories with aligned
-    sample grids and the final-state overlap modulus squared.  Both runs
-    take one step grid and solve one q-th of their period.
+    sample grids and the final-state overlap modulus squared.  Both runs are
+    `run_protocol` runs of the traditional protocol, so they record
+    `dynamics.SAMPLES_PER_CYCLE` samples per cycle; they take one step grid
+    and solve one q-th of their period.
     """
     if dt is None:
         dt = min(dt_max(params), dt_max(params, effective_bloch_blocks))
-    full = run_protocol(params, Protocol.TRADITIONAL, n_cycles, initial,
-                        dt=dt, samples_per_cycle=samples_per_cycle)
-    eff = run_protocol(params, Protocol.TRADITIONAL, n_cycles, initial,
-                       dt=dt, samples_per_cycle=samples_per_cycle,
+    full = run_protocol(params, Protocol.TRADITIONAL, n_cycles, initial, dt=dt)
+    eff = run_protocol(params, Protocol.TRADITIONAL, n_cycles, initial, dt=dt,
                        bloch_builder=effective_bloch_blocks,
                        jump_times=region_boundaries(params))
     fid = float(np.abs(np.vdot(full.final_state, eff.final_state)) ** 2)

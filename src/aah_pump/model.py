@@ -341,7 +341,7 @@ def _k_derivative(values: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 # Bloch blocks per batched eigensolve, the one budget that governs both block
 # solvers: `dynamics` solves _BLOCKS_PER_SOLVE // L consecutive Magnus steps
-# together, 120 at L = 15 (five paper chunks, or 24 at omega = 0.05), and
+# together, 120 at L = 15 (five paper chunks, or 20 at omega = 0.05), and
 # `spectrum.solve_bands` this many (k, t) blocks per slice of its t-grid.
 # Larger blocks cut per-call overhead but hold more step-sized temporaries;
 # at this size a one-cycle paper run peaks under tracemalloc at 2.4 MB, 0.86 MB

@@ -28,18 +28,16 @@ period's sums are q times the strip's (`chern_number`,
 `dynamics.accumulate_phases`).  Bands and flatness write every time and keep
 the whole grid.  The topology benchmark (bands, Chern numbers, flatness and
 phases of both tunneling modes, the Chern refinement at L = 30 and 60)
-solves 102,378 blocks for 205,020 grid points (585,660 when its Chern
-numbers and phases read a whole period).  The t-grid is solved in
+solves 102,378 blocks for 205,020 grid points.  The t-grid is solved in
 slices of about `model._BLOCKS_PER_SOLVE` blocks, the budget the Magnus
 blocks of `dynamics` use too: per slice, one builder call, one batched
 eigensolve by `model._hermitian_eigh`, which hands one real symmetric
 tridiagonal stack to `np.linalg.eigh`, and one gauge fix, written into
 outputs allocated once in their final layout.  So the temporaries are
-bounded by the slice, not by the grid.  At L = 60 on the 961-time grid of
-the Chern refinement a solve took 2.6 to 3.9 us per solved block against
-5.2 us with one complex Hermitian eigh over the whole grid, and under
-tracemalloc it peaked at 11.1 MB against 16.8 MB, 9.2 MB of which is the
-result (2-core VM).
+bounded by the slice, not by the grid, and the real tridiagonal solve is
+faster than one complex Hermitian eigh: at L = 60 on the 321-time strip of
+the Chern refinement a whole solve took 1.8 us per solved block, and
+building the same blocks and one complex eigh over them 2.1 us (2-core VM).
 """
 
 from __future__ import annotations

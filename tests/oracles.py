@@ -140,6 +140,26 @@ def effective_cycle_hamiltonian(params, t):
     return model.ring_from_table(effective._effective_table(params, [t]), params.L)[0]
 
 
+def sw_generic(h0_diag, v, subspace, gap_floor=0.0):
+    """Third-order effective Hamiltonian on `subspace` from the generic
+    Schrieffer-Wolff sums.
+
+    h0_diag holds the unperturbed (diagonal) energies, v the perturbation in
+    the same basis.  Returns the subspace block, indexed in subspace order,
+    of the block-diagonal `effective._sw_blocks` result for the two clusters
+    `subspace` and its complement.  Raises DivergentDenominatorError when
+    the subspace-to-complement gap is below gap_floor.
+    """
+    h0_diag = np.asarray(h0_diag, dtype=float)
+    p_idx = np.asarray(sorted(subspace), dtype=int)
+    labels = np.zeros(len(h0_diag), dtype=bool)
+    labels[p_idx] = True
+    if labels.all():
+        raise ValueError("subspace must have a nonempty complement")
+    h_eff = effective._sw_blocks(h0_diag, np.asarray(v, dtype=complex), labels, gap_floor)
+    return h_eff[np.ix_(p_idx, p_idx)]
+
+
 def region_of_phase(phi):
     """Region of the cycle partition that owns the modulation phase phi."""
     return tuple(effective.Region)[effective._region_index(float(phi))]

@@ -89,7 +89,7 @@ def test_criterion_04_suppression_fidelity(traj_suppressed_1c, traj_traditional_
 
 
 def test_criterion_05_phase_structure(paper_params, bands_phases):
-    rec = dynamics.accumulate_phases(paper_params, bands_phases, 2)
+    rec = dynamics.accumulate_phases(bands_phases, 2)
     mean_xd = abs(float(np.mean(rec.x_d)))
     max_xd = float(np.max(np.abs(rec.x_d)))
     mean_xb = float(np.mean(rec.x_b))
@@ -105,7 +105,7 @@ def test_criterion_05_phase_structure(paper_params, bands_phases):
 def test_criterion_06_dispersion_prediction(
         paper_params, bands_phases, mlws9, traj_mlws_1c):
     _, rep, _ = mlws9
-    rec = dynamics.accumulate_phases(paper_params, bands_phases, 2)
+    rec = dynamics.accumulate_phases(bands_phases, 2)
     predicted = wannier.predict_dispersion(rec.gamma, rec.k_grid)
     direct = traj_mlws_1c.d_w[-1] ** 2 - rep.omega_I
     rel = abs(direct - predicted) / abs(direct)

@@ -111,8 +111,7 @@ def test_echo_needs_even_cycles(paper_params):
     period = paper_params.period
     for t_end, samples in ((3 * period, 30), (1.5 * period, 10), (2 * period, 11)):
         with pytest.raises(ValueError, match="echo"):
-            dynamics.evolve(paper_params, 27, 0.0, t_end, samples=samples,
-                            protocol=Protocol.ECHO)
+            dynamics.evolve(paper_params, 27, 0.0, t_end, samples=samples, echo=True)
 
 
 def _minus_k_index(params):
@@ -464,6 +463,16 @@ def test_block_solve_keeps_few_step_sized_arrays_alive(monkeypatch, split):
 FAST = ModelParams(V0=10.0, omega=0.2)
 
 
+def _cycles(params, protocol, n_cycles, initial, samples, **options):
+    """`evolve` over n_cycles periods from t = 0 with `samples` samples per
+    period and no seam check, sign-reversed on every second period under
+    Protocol.ECHO: the run of `run_protocol` on the chain `params` holds, at
+    another sampling."""
+    return dynamics.evolve(params, initial, 0.0, n_cycles * params.period,
+                           samples=n_cycles * samples, seam_threshold=None,
+                           echo=protocol is Protocol.ECHO, **options)
+
+
 def _negated(builder=None):
     """The builder of -H, for the given builder of H (the chain's by default),
     with its batch form."""
@@ -502,9 +511,8 @@ def test_period_reuse_matches_per_period_chain(case, protocol):
         jumps = effective.region_boundaries(params)  # one period's, listed once
     elif case == "q4_even_L":
         params, initial = ModelParams(V0=10.0, p=1, q=4, L=6, omega=0.2), 13
-    traj = dynamics.run_protocol(params, protocol, 2, initial, samples_per_cycle=10,
-                                 bloch_builder=builder, seam_threshold=None,
-                                 jump_times=jumps)
+    traj = _cycles(params, protocol, 2, initial, 10, bloch_builder=builder,
+                   jump_times=jumps)
     times, states = _per_period_chain(params, protocol, 2, initial, 10, builder, jumps)
     span = 2 * params.period
     np.testing.assert_allclose(traj.times, times, rtol=0, atol=1e-9 * span)
@@ -523,9 +531,8 @@ def test_jumps_are_read_modulo_a_qth(protocol):
     jumps, qth = effective.region_boundaries(p), p.period / p.q
 
     def run(listed):
-        return dynamics.run_protocol(p, protocol, 2, 27, samples_per_cycle=10,
-                                     bloch_builder=effective.effective_bloch_blocks,
-                                     seam_threshold=None, jump_times=listed).states
+        return _cycles(p, protocol, 2, 27, 10, bloch_builder=effective.effective_bloch_blocks,
+                       jump_times=listed).states
 
     once = run(jumps)
     for listed in (jumps[:2], np.append(jumps, jumps + p.period), jumps + qth,
@@ -565,8 +572,7 @@ def test_two_cycle_run_solves_one_period(monkeypatch, protocol, builder):
     # one q-th of the first period, for the chain and for H_T alike
     jumps = () if builder is None else effective.region_boundaries(FAST)
     solved = _count_eigensolves(monkeypatch)
-    traj = dynamics.run_protocol(FAST, protocol, 2, 27, samples_per_cycle=10,
-                                 bloch_builder=builder, seam_threshold=None, jump_times=jumps)
+    traj = _cycles(FAST, protocol, 2, 27, 10, bloch_builder=builder, jump_times=jumps)
     steps = round((traj.times[-1] - traj.times[0]) / traj.dt)
     assert (steps // 2) % FAST.q == 0
     # H_T's jumps, at T/12 + n*T/6, fall on step edges here and split no step
@@ -619,9 +625,8 @@ def test_how_steps_are_sampled_does_not_change_them(case):
         jumps = effective.region_boundaries(p)
     dt = p.period / 2000
     assert dt <= dynamics.dt_max(p, builder)
-    runs = [dynamics.run_protocol(p, Protocol.TRADITIONAL, 1, 27, dt=dt,
-                                  samples_per_cycle=samples, bloch_builder=builder,
-                                  jump_times=jumps)
+    runs = [dynamics.evolve(p, 27, 0.0, p.period, dt=dt, samples=samples,
+                            bloch_builder=builder, jump_times=jumps)
             for samples in (400, 200)]
     assert runs[0].dt == runs[1].dt == pytest.approx(p.period / 2400, rel=1e-12)
     np.testing.assert_allclose(runs[0].final_state, runs[1].final_state, rtol=0, atol=1e-12)
@@ -632,8 +637,7 @@ def test_dense_reference_takes_whole_periods_as_one_periodic_piece():
     # reuses it; the dense reference solves both periods as one piece that
     # wraps round its ends, so both read the same neighbours across the
     # period edges
-    fast = dynamics.run_protocol(FAST, Protocol.TRADITIONAL, 2, 27, samples_per_cycle=10,
-                                 seam_threshold=None)
+    fast = dynamics.evolve(FAST, 27, 0.0, 2 * FAST.period, samples=20, seam_threshold=None)
     dense = evolve_dense(FAST, 27, 0.0, 2 * FAST.period, fast.dt, samples=20)
     np.testing.assert_allclose(fast.states, dense.states, rtol=0, atol=1e-12)
 
@@ -649,8 +653,8 @@ def test_echo_matches_dense_forward_then_negated_period(q, p, mode):
     rng = np.random.default_rng(3)
     psi = rng.normal(size=params.n_sites) + 1j * rng.normal(size=params.n_sites)
     psi /= np.linalg.norm(psi)
-    echo = dynamics.run_protocol(params, Protocol.ECHO, 2, psi, samples_per_cycle=10,
-                                 seam_threshold=None)
+    echo = dynamics.evolve(params, psi, 0.0, 2 * params.period, samples=20,
+                           seam_threshold=None, echo=True)
     period = params.period
     forward = evolve_dense(params, psi, 0.0, period, echo.dt, samples=10)
     backward = evolve_dense(params, forward.final_state, period, 2 * period, echo.dt,
@@ -773,8 +777,7 @@ def test_qth_solve_matches_the_step_by_step_solve_and_dense(monkeypatch, case, p
     psi = rng.normal(size=params.n_sites) + 1j * rng.normal(size=params.n_sites)
     psi /= np.linalg.norm(psi)
     solved = _count_eigensolves(monkeypatch)
-    fast = dynamics.run_protocol(params, protocol, cycles, psi, dt=dt,
-                                 samples_per_cycle=samples, seam_threshold=None)
+    fast = _cycles(params, protocol, cycles, psi, samples, dt=dt)
     assert round(params.period / fast.dt) == samples * stride
     distinct = _distinct_steps(samples * stride, params.q)
     assert distinct < samples * stride
@@ -811,8 +814,7 @@ def test_effective_qth_solve_matches_the_step_by_step_solve(monkeypatch, omega, 
     psi = rng.normal(size=p.n_sites) + 1j * rng.normal(size=p.n_sites)
     psi /= np.linalg.norm(psi)
     solved = _count_eigensolves(monkeypatch)
-    traj = dynamics.run_protocol(p, protocol, 2, psi, samples_per_cycle=10,
-                                 bloch_builder=builder, seam_threshold=None, jump_times=jumps)
+    traj = _cycles(p, protocol, 2, psi, 10, bloch_builder=builder, jump_times=jumps)
     n_steps = round(p.period / traj.dt)
     assert n_steps % p.q == 0
     # a q-th's steps, two of them split at its two jumps when these fall
@@ -925,6 +927,16 @@ def test_suppressed_forces_sine(traj_suppressed_1c):
     assert traj_suppressed_1c.params.tunneling_mode is TunnelingMode.SINE_MODULATED
 
 
+def test_suppressed_is_the_traditional_run_of_the_sine_chain(traj_suppressed_1c,
+                                                             paper_params_sine):
+    # the suppression is a model, not a way to propagate: `run_protocol`
+    # swaps in the sine chain and runs it as it runs the traditional protocol
+    plain = dynamics.run_protocol(paper_params_sine, Protocol.TRADITIONAL, 1, 27)
+    assert plain.params == traj_suppressed_1c.params
+    assert np.array_equal(traj_suppressed_1c.states, plain.states)
+    assert np.array_equal(traj_suppressed_1c.times, plain.times)
+
+
 def test_seam_guard_triggers(paper_params):
     with pytest.raises(dynamics.SeamDensityError):
         dynamics.evolve(paper_params, 1, 0.0, 1.0, samples=2)
@@ -982,15 +994,13 @@ def test_echo_relocalizes_vs_traditional(traj_echo_2c, traj_traditional_2c):
 
 
 def test_slower_modulation_disperses_more():
-    fast = dynamics.run_protocol(ModelParams(omega=0.04), Protocol.TRADITIONAL,
-                                 1, 27, samples_per_cycle=100)
-    slow = dynamics.run_protocol(ModelParams(omega=0.02), Protocol.TRADITIONAL,
-                                 1, 27, samples_per_cycle=100)
+    fast, slow = (dynamics.evolve(p, 27, 0.0, p.period, samples=100)
+                  for p in (ModelParams(omega=0.04), ModelParams(omega=0.02)))
     assert slow.d_w.max() > fast.d_w.max()
 
 
 def test_accumulate_phases_means(paper_params, bands_phases):
-    rec = dynamics.accumulate_phases(paper_params, bands_phases, 2)
+    rec = dynamics.accumulate_phases(bands_phases, 2)
     assert rec.chern == -1
     assert abs(np.mean(rec.x_d)) < 1e-3 * np.max(np.abs(rec.x_d))
     assert np.mean(rec.x_b) == pytest.approx(paper_params.q * rec.chern, abs=1e-2)
@@ -1003,7 +1013,7 @@ def test_phase_profiles_share_the_predicted_dispersion(paper_params, paper_param
     # variance of their sum is its Omega_D, in both tunneling modes
     sine_bands = spectrum.solve_bands(paper_params_sine, bands_phases.t_grid)
     for params, bands in ((paper_params, bands_phases), (paper_params_sine, sine_bands)):
-        rec = dynamics.accumulate_phases(params, bands, 2)
+        rec = dynamics.accumulate_phases(bands, 2)
         predicted = wannier.predict_dispersion(rec.gamma, rec.k_grid)
         assert np.var(rec.x_b + rec.x_d) == pytest.approx(predicted, rel=1e-9, abs=0)
     # the derivative is exact on a winding phase with a first-harmonic ripple
@@ -1025,8 +1035,20 @@ def test_accumulate_phases_flat_band_artificial_input(paper_params):
         (3, p.L, 65)).copy()
     bands = spectrum.BandSolution(params=p, k_grid=model.k_grid(p),
                                   t_grid=t_grid, energies=energies, states=states)
-    rec = dynamics.accumulate_phases(p, bands, 1)
+    rec = dynamics.accumulate_phases(bands, 1)
     np.testing.assert_allclose(rec.x_d, 0.0, atol=1e-10)
+
+
+def test_accumulate_phases_reads_q_from_the_bands():
+    # xi = X_b - q*C with q = 5 from the bands' own params, on a strip one
+    # fifth of the period, whose loop closes through the p = 2 translation
+    p = ModelParams(J=1.0, V0=10.0, p=2, q=5, phi0=0.3, L=7)
+    strip = spectrum.solve_bands(p, np.linspace(0.0, p.period / p.q, 241))
+    assert strip.period_copies() == 5
+    rec = dynamics.accumulate_phases(strip, 2)
+    assert rec.chern == 2
+    assert np.array_equal(rec.xi, rec.x_b - 5 * rec.chern)
+    assert np.mean(rec.xi) == pytest.approx(0.0, abs=1e-2)
 
 
 def test_accumulate_phases_rejects_coarse_grid(paper_params):
@@ -1034,13 +1056,13 @@ def test_accumulate_phases_rejects_coarse_grid(paper_params):
     bands = spectrum.solve_bands(
         paper_params, np.linspace(0.0, paper_params.period, 61))
     with pytest.raises(dynamics.GaugeContinuityError):
-        dynamics.accumulate_phases(paper_params, bands, 2)
+        dynamics.accumulate_phases(bands, 2)
 
 
 @pytest.mark.parametrize("band", [-1, 3])
 def test_accumulate_phases_rejects_band_off_range(paper_params, bands_t0, band):
     with pytest.raises(ValueError, match="band must lie in 0..2"):
-        dynamics.accumulate_phases(paper_params, bands_t0, band)
+        dynamics.accumulate_phases(bands_t0, band)
 
 
 def test_dt_halving_self_convergence(dt_halving_pair):

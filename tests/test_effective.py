@@ -4,7 +4,8 @@ import pytest
 from aah_pump import dynamics, effective, model
 from aah_pump.effective import Region
 from aah_pump.model import ModelParams, TunnelingMode
-from oracles import check_hermitian, effective_cycle_hamiltonian, evolve_dense, region_of_phase
+from oracles import (check_hermitian, effective_cycle_hamiltonian, evolve_dense,
+                     region_of_phase, sw_generic)
 
 
 def _h0_and_v(params, t):
@@ -36,8 +37,8 @@ def engine_couplings(params, t, region):
     h0, v = _h0_and_v(params, t)
     sub = _sublattice_sites(params, REGION_SUBSPACE[region])
     comp = _sublattice_sites(params, tuple({1, 2, 3} - set(REGION_SUBSPACE[region])))
-    h_sub = effective.sw_generic(h0, v, sub, order=3)
-    h_comp = effective.sw_generic(h0, v, comp, order=3)
+    h_sub = sw_generic(h0, v, sub)
+    h_comp = sw_generic(h0, v, comp)
     # subspace ordering is by site index; cell 5 entries sit at offsets 8, 9
     if region is Region.I:  # pairs (A_l, B_l)
         return {
@@ -178,15 +179,16 @@ def _compare(ep, got, rel=1e-10):
 
 def test_sw_zero_perturbation_returns_h0():
     h0 = np.array([0.0, 1.0, 5.0, 9.0])
-    out = effective.sw_generic(h0, np.zeros((4, 4)), [0, 1], order=3)
+    out = sw_generic(h0, np.zeros((4, 4)), [0, 1])
     np.testing.assert_allclose(out, np.diag([0.0, 1.0]), atol=1e-15)
 
 
 def test_sw_two_level_textbook():
-    # second-order correction v^2/(E1 - E2)
+    # second-order correction v^2/(E1 - E2); the third-order sums are exactly
+    # zero for a two-level V with zero diagonal
     h0 = np.array([0.0, 4.0])
     v = np.array([[0.0, 0.7], [0.7, 0.0]])
-    out = effective.sw_generic(h0, v, [0], order=2)
+    out = sw_generic(h0, v, [0])
     assert out[0, 0].real == pytest.approx(0.7**2 / (0.0 - 4.0), abs=1e-15)
 
 
@@ -200,7 +202,7 @@ def test_sw_three_site_chain_matches_region_formulas():
     j2 = float(model.tunneling(p, 2, t))
     h0 = np.array([va, vb, vc])
     v = np.array([[0, j1, 0], [j1, 0, j2], [0, j2, 0]], dtype=float)
-    out = effective.sw_generic(h0, v, [0, 1], order=3)
+    out = sw_generic(h0, v, [0, 1])
     # on an open 3-site chain the A site sees no C neighbor and B sees one
     assert out[0, 0].real == pytest.approx(va, abs=1e-12)
     assert out[1, 1].real == pytest.approx(vb + j2**2 / (vb - vc), abs=1e-12)
@@ -212,7 +214,7 @@ def test_sw_gap_floor():
     h0 = np.array([0.0, 0.05, 5.0])
     v = np.eye(3)[::-1] * 0.1
     with pytest.raises(effective.DivergentDenominatorError):
-        effective.sw_generic(h0, v, [0], order=2, gap_floor=0.1)
+        sw_generic(h0, v, [0], gap_floor=0.1)
 
 
 def test_sw_hermitian_output():
@@ -221,7 +223,7 @@ def test_sw_hermitian_output():
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     v = (a + a.conj().T) / 2
     np.fill_diagonal(v, 0.0)
-    out = effective.sw_generic(h0, v, [0, 3, 5], order=3)
+    out = sw_generic(h0, v, [0, 3, 5])
     check_hermitian(out)
 
 
@@ -301,8 +303,7 @@ def test_cycle_hamiltonian_is_dense_sw_of_the_ring(paper_params):
         other = np.setdiff1d(np.arange(p.n_sites), pair)
         dense = np.zeros((p.n_sites, p.n_sites), dtype=complex)
         for sites in (pair, other):
-            dense[np.ix_(sites, sites)] = effective.sw_generic(
-                h0, v, sites, order=3, gap_floor=0.1 * p.V0)
+            dense[np.ix_(sites, sites)] = sw_generic(h0, v, sites, gap_floor=0.1 * p.V0)
         np.testing.assert_allclose(effective_cycle_hamiltonian(p, t), dense,
                                    rtol=0, atol=1e-12 * p.V0)
 
@@ -439,8 +440,7 @@ def test_full_run_is_the_plain_chain_run(omega):
 
 def test_no_dynamics_without_tunneling():
     p = ModelParams(J=0.0, V0=5.0, omega=1.0, phi0=0.3)
-    full, eff, fid = effective.compare_effective(p, 14, n_cycles=1,
-                                                 samples_per_cycle=20)
+    full, eff, fid = effective.compare_effective(p, 14, n_cycles=1)
     assert fid == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(full.delta_p, eff.delta_p, atol=1e-10)
     np.testing.assert_allclose(full.delta_p, 0.0, atol=1e-10)

@@ -120,7 +120,7 @@ def test_chern_refuses_a_grid_that_runs_backwards(paper_params):
     with pytest.raises(ValueError, match="strictly increasing"):
         spectrum.chern_number(bands, 0)
     with pytest.raises(ValueError, match="strictly increasing"):
-        dynamics.accumulate_phases(paper_params, bands, 2)
+        dynamics.accumulate_phases(bands, 2)
 
 
 @pytest.mark.parametrize("grid", [[0.0, np.nan], [np.inf, 1.0], np.zeros((2, 3)), []],
@@ -295,10 +295,10 @@ def test_qth_solve_matches_a_solve_of_every_point(params, start):
         return
     assert [spectrum.chern_number(bands, m) for m in range(q)] == cherns
     try:
-        ref_phases = dynamics.accumulate_phases(params, ref, q - 1)
+        ref_phases = dynamics.accumulate_phases(ref, q - 1)
     except dynamics.GaugeContinuityError:
         return
-    phases = dynamics.accumulate_phases(params, bands, q - 1)
+    phases = dynamics.accumulate_phases(bands, q - 1)
     _assert_same_phases(phases, ref_phases, params)
 
 
@@ -338,10 +338,10 @@ def test_strip_matches_a_whole_period_solve(params, start):
         return
     assert [spectrum.chern_number(strip, m) for m in range(q)] == cherns
     try:
-        ref_phases = dynamics.accumulate_phases(params, whole, q - 1)
+        ref_phases = dynamics.accumulate_phases(whole, q - 1)
     except dynamics.GaugeContinuityError:
         return
-    phases = dynamics.accumulate_phases(params, strip, q - 1)
+    phases = dynamics.accumulate_phases(strip, q - 1)
     _assert_same_phases(phases, ref_phases, params)
     # the loop closes at the image of the first time, so a strip whose last
     # time was solved on its own, in another gauge, has the same gamma_b
@@ -351,7 +351,7 @@ def test_strip_matches_a_whole_period_solve(params, start):
     gauge = np.exp(2j * np.pi * rng.random(end.states.shape[:2]))
     states[:, :, -1] = end.states[:, :, 0] * gauge[..., None]
     resolved = dataclasses.replace(strip, states=states)
-    np.testing.assert_array_equal(dynamics.accumulate_phases(params, resolved, q - 1).gamma_b,
+    np.testing.assert_array_equal(dynamics.accumulate_phases(resolved, q - 1).gamma_b,
                                   phases.gamma_b)
 
 
