@@ -10,15 +10,17 @@ and message.  Runs are deterministic: identical configurations produce
 bit-identical files.  The CLI restates no library bound: a check of a bound
 the library enforces reads its constant and passes exactly when it did not raise.
 
-A pump run takes its model from its protocol (`dynamics._protocol_params`):
-a suppressed run uses sine-modulated tunneling whatever `tunneling_mode`
-says, so its initial MLWS, its MLWS references, its Chern numbers and its
-manifest's model all come from the sine chain.  One t = 0 band solve serves
-the initial MLWS and the references, one Wannier basis audited once, and one
-band solve serves all Chern numbers of a run.  Chern numbers and cycle
-phases read the first q-th of the topology grid when q divides its
-intervals, and the whole grid otherwise; bands and flatness write every
-time of it.  A Chern list that does not sum to zero fails the run.
+`RunConfig.model_params` is the one place an experiment name picks a model:
+`pump-suppressed`, the paper's suppression of high-order tunneling, runs the
+sine-modulated chain whatever `tunneling_mode` says, so its initial MLWS,
+its MLWS references, its Chern numbers and its manifest's model, of a failed
+run too, all come from the sine chain.  A pump run is that chain and an echo
+flag, set by `pump-echo` alone.  One t = 0 band solve serves the initial
+MLWS and the references, one Wannier basis audited once, and one band solve
+serves all Chern numbers of a run.  Chern numbers and cycle phases read the
+first q-th of the topology grid when q divides its intervals, and the whole
+grid otherwise; bands and flatness write every time of it.  A Chern list
+that does not sum to zero fails the run.
 
 Config files use `key = value` lines (# comments allowed); any CLI flag
 overrides the file.  The value `none` is taken only by the fields that default
@@ -39,7 +41,6 @@ import numpy as np
 
 from . import dynamics, effective, observables, spectrum, wannier
 from .model import ModelParams, TunnelingMode, site_index
-from .dynamics import Protocol
 
 _FLOAT_FMT = "%.17g"
 
@@ -68,9 +69,14 @@ class RunConfig:
     outdir: str = "runs"
 
     def model_params(self) -> ModelParams:
+        """The chain of the run: `pump-suppressed` runs the sine-modulated
+        one, and a `tunneling_mode` that names no mode is a ValueError."""
+        mode = TunnelingMode(self.tunneling_mode)
+        if self.experiment == "pump-suppressed":
+            mode = TunnelingMode.SINE_MODULATED
         return ModelParams(J=self.J, V0=self.V0, p=self.p, q=self.q,
                            phi0=self.phi0, omega=self.omega, L=self.L,
-                           tunneling_mode=TunnelingMode(self.tunneling_mode))
+                           tunneling_mode=mode)
 
 
 def parse_config_file(path: str) -> dict:
@@ -299,16 +305,14 @@ def _run_phases(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
 
 
 def _run_pump(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
-    protocol = Protocol(cfg.experiment.removeprefix("pump-"))
-    n_cycles = cfg.n_cycles if cfg.n_cycles is not None else (
-        2 if protocol is Protocol.ECHO else 1)
-    params = dynamics._protocol_params(params, protocol)
+    echo = cfg.experiment == "pump-echo"
+    n_cycles = cfg.n_cycles if cfg.n_cycles is not None else (2 if echo else 1)
     # the topology grid is checked before anything is propagated, and no table
     # is written before every library step has returned
     cherns = _chern_numbers(cfg, params)
     basis = _mlws_basis(spectrum.solve_bands(params, np.array([0.0])))
     initial, initial_label = _resolve_initial(cfg, params, basis)
-    traj = dynamics.run_protocol(params, protocol, n_cycles, initial, dt=cfg.dt)
+    traj = dynamics.run_protocol(params, n_cycles, initial, echo=echo, dt=cfg.dt)
     top = params.q - 1
     t_over = traj.times / params.period
     pops = observables.band_population(traj.states, spectrum.solve_bands(params, traj.times))
@@ -345,11 +349,10 @@ def _run_pump(cfg: RunConfig, params: ModelParams, outdir: Path) -> None:
                                "three midpoints of its smooth piece, which runs round "
                                "the period's ends); the chunk propagators of one "
                                "period serve every period, conjugated at -k on "
-                               "echo-reversed periods; when the steps per period are "
-                               "a multiple of q, the steps of the first q-th of the "
-                               "period, translated by p^-1 mod q sites per q-th, "
-                               "give the rest"},
-        "protocol": protocol.value,
+                               "echo-reversed periods; the steps of the first q-th "
+                               "of the period, translated by p^-1 mod q sites per "
+                               "q-th, give the rest"},
+        "protocol": cfg.experiment.removeprefix("pump-"),
         "n_cycles": n_cycles,
         "initial_state": initial_label,
         "chern": cherns,

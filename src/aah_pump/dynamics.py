@@ -1,4 +1,4 @@
-"""Adiabatic time evolution and the three pumping protocols.
+"""Adiabatic time evolution of the pump, with and without the echo.
 
 The integrator is the fourth-order Magnus step (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 151 (2009)): a step of width h applies the exact unitary
@@ -88,27 +88,25 @@ them.  So a block holds at most four step-sized stacks at once, the
 Hamiltonians and three stencil arrays of the generator pass, and
 `_step_unitaries` fewer than three above the generators it is handed.
 
-Protocols: TRADITIONAL evolves under H(t) for every cycle; ECHO flips the
-sign of the Hamiltonian on every second cycle, cancelling dynamical phases;
-SUPPRESSED is the traditional drive with sine-modulated tunneling, which
-switches off second- and third-order resonant tunneling.  The echo is a way
-to propagate, so `evolve` takes it as a flag, `echo`; the suppression is
-another chain, which `run_protocol` picks before it calls `evolve`.
+A run is a chain and an echo flag.  The echo flips the sign of the
+Hamiltonian on every second cycle, cancelling dynamical phases; it is a way
+to propagate, so `evolve` and `run_protocol` take it as a flag, `echo`.  The
+paper's suppression of high-order tunneling is another chain, the
+sine-modulated one of `model.TunnelingMode.SINE_MODULATED`, which `params`
+holds like any other.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .model import (_BLOCKS_PER_SOLVE, ModelParams, TunnelingMode, _from_momenta,
-                    _hermitian_eigh, _k_derivative, _reversed_k, _to_momenta,
-                    _translated, _translation, bloch_blocks, k_grid)
+from .model import (_BLOCKS_PER_SOLVE, ModelParams, _from_momenta, _hermitian_eigh,
+                    _k_derivative, _reversed_k, _to_momenta, _translated,
+                    _translation, bloch_blocks, k_grid)
 from .observables import position_moments
 from .spectrum import BandSolution, _check_band, chern_number
 
@@ -127,12 +125,6 @@ class SeamDensityError(RuntimeError):
 
 class GaugeContinuityError(RuntimeError):
     """Adjacent-time Bloch overlaps too small for a smooth gauge."""
-
-
-class Protocol(Enum):
-    TRADITIONAL = "traditional"
-    ECHO = "echo"
-    SUPPRESSED = "suppressed"
 
 
 @dataclass
@@ -238,13 +230,16 @@ def _check_seam(density, seam_threshold: float | None) -> None:
 def _step_grid(params: ModelParams, t_start: float, t_end: float, dt: float,
                samples: int) -> tuple:
     """(whole, dt, stride): `samples` chunks of `stride` >= 3 whole steps no
-    longer than dt > 0 (ValueError otherwise, NaN too) over [t_start, t_end];
-    sample i falls at t_start + i*span/samples.  At least three steps per
-    chunk give every span and every period the three midpoints a Magnus
-    stencil needs.  whole is n if the span is n >= 1 whole periods, to
+    longer than dt > 0 (ValueError otherwise, NaN too) over [t_start, t_end],
+    whose ends must be finite (ValueError naming the end otherwise); sample i
+    falls at t_start + i*span/samples.  At least three steps per chunk give
+    every span and every period the three midpoints a Magnus stencil needs.  whole is n if the span is n >= 1 whole periods, to
     rounding, and `samples` a multiple of n, and 0 otherwise; on such a span
     the stride is rounded up to a multiple of q/gcd(samples/n, q), so that
     each period is whole q-ths."""
+    for name, t in (("t_start", t_start), ("t_end", t_end)):
+        if not math.isfinite(t):
+            raise ValueError(f"{name} must be finite, got {t}")
     span = t_end - t_start
     if span <= 0 or samples < 1:
         raise ValueError("need t_end > t_start and at least one sample")
@@ -490,7 +485,8 @@ def evolve(
     """Propagate with fourth-order Magnus steps over [t_start, t_end].
 
     Records the state at t_start + i*(t_end - t_start)/samples, i = 0..samples.
-    A given dt must be positive and at most `dt_max` (ValueError otherwise).
+    t_start and t_end must be finite, and a given dt positive and at most
+    `dt_max` (ValueError otherwise).
     The Hamiltonian must be translation covariant over q-ths, as the chain
     and H_T are: H(t + T/q) is H(t) translated by p^-1 mod q sites
     (`model._translated`).  `jump_times` lists the times at which it jumps,
@@ -516,7 +512,7 @@ def evolve(
     With `echo` the sign of the Hamiltonian is reversed on every second
     period counted from t_start, which needs such a span with n even
     (ValueError otherwise).  `evolve` runs the H that `params` and the
-    builder give; which chain a protocol runs is `run_protocol`'s choice.
+    builder give, the sine-modulated chain of the suppression included.
     Raises IntegratorError on norm drift beyond MAX_NORM_DRIFT and
     SeamDensityError if any sampled density at the ring seam (sites 1 or N)
     exceeds `seam_threshold`, MAX_SEAM_DENSITY by default (pass None to
@@ -572,43 +568,33 @@ def evolve(
     return traj
 
 
-def _protocol_params(params: ModelParams, protocol: Protocol) -> ModelParams:
-    """The parameters `protocol` runs with: SUPPRESSED forces sine-modulated
-    tunneling, the others keep `params`."""
-    if protocol is Protocol.SUPPRESSED:
-        return dataclasses.replace(params, tunneling_mode=TunnelingMode.SINE_MODULATED)
-    return params
-
-
 def run_protocol(
     params: ModelParams,
-    protocol: Protocol,
     n_cycles: int,
     initial,
+    echo: bool = False,
     dt: float | None = None,
     bloch_builder=None,
     jump_times=(),
 ) -> PumpTrajectory:
-    """Run a named pumping protocol for n_cycles periods.
+    """Pump the chain `params` holds for n_cycles periods.
 
     `initial` is a 1-based site index or a normalized N-vector, such as the
-    amplitudes of a WannierState.  The protocol is read here, not in
-    `evolve`: SUPPRESSED runs the sine-modulated chain (`_protocol_params`),
-    and ECHO runs `evolve` with `echo`, which reverses the Hamiltonian sign
-    on every second cycle and rejects an odd n_cycles.  The run is one
-    `evolve` call over [0, n_cycles*T], a span of whole periods, so it
-    solves one q-th of one period; it records SAMPLES_PER_CYCLE samples per
-    cycle and runs under MAX_NORM_DRIFT and MAX_SEAM_DENSITY, which are
+    amplitudes of a WannierState.  `echo` reverses the Hamiltonian sign on
+    every second cycle and rejects an odd n_cycles.  The suppressed protocol
+    is no option here: it is the run of the sine-modulated chain.  The run
+    is one `evolve` call over [0, n_cycles*T], a span of whole periods, so
+    it solves one q-th of one period; it records SAMPLES_PER_CYCLE samples
+    per cycle and runs under MAX_NORM_DRIFT and MAX_SEAM_DENSITY, which are
     fixed here.  `jump_times` are the jumps of H, read modulo T/q as
     `evolve` takes them, such as `effective.region_boundaries` for H_T.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be positive")
-    params = _protocol_params(params, protocol)
     return evolve(
         params, initial, 0.0, n_cycles * params.period, dt=dt,
         samples=n_cycles * SAMPLES_PER_CYCLE, bloch_builder=bloch_builder,
-        echo=protocol is Protocol.ECHO, jump_times=jump_times,
+        echo=echo, jump_times=jump_times,
     )
 
 

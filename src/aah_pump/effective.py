@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import Protocol, dt_max, run_protocol
+from .dynamics import dt_max, run_protocol
 from .model import (HoppingTable, ModelParams, bloch_from_table, hopping_table,
                     ring_from_table)
 
@@ -204,14 +204,14 @@ def compare_effective(
 
     Returns (full, effective, fidelity): two trajectories with aligned
     sample grids and the final-state overlap modulus squared.  Both runs are
-    `run_protocol` runs of the traditional protocol, so they record
-    `dynamics.SAMPLES_PER_CYCLE` samples per cycle; they take one step grid
-    and solve one q-th of their period.
+    `run_protocol` runs without the echo, of the chain `params` holds and of
+    its H_T, so they record `dynamics.SAMPLES_PER_CYCLE` samples per cycle;
+    they take one step grid and solve one q-th of their period.
     """
     if dt is None:
         dt = min(dt_max(params), dt_max(params, effective_bloch_blocks))
-    full = run_protocol(params, Protocol.TRADITIONAL, n_cycles, initial, dt=dt)
-    eff = run_protocol(params, Protocol.TRADITIONAL, n_cycles, initial, dt=dt,
+    full = run_protocol(params, n_cycles, initial, dt=dt)
+    eff = run_protocol(params, n_cycles, initial, dt=dt,
                        bloch_builder=effective_bloch_blocks,
                        jump_times=region_boundaries(params))
     fid = float(np.abs(np.vdot(full.final_state, eff.final_state)) ** 2)

@@ -58,6 +58,9 @@ import numpy as np
 
 
 class TunnelingMode(Enum):
+    """The bonds of the chain.  SINE_MODULATED is the paper's suppression
+    protocol: it switches off second- and third-order resonant tunneling."""
+
     UNIFORM = "uniform"
     SINE_MODULATED = "sine"
 

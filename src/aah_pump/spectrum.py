@@ -197,7 +197,7 @@ def solve_bands(params: ModelParams, t_grid: np.ndarray) -> BandSolution:
                 states[:, :, lo:hi, c] = states[:, :, :hi - lo, (c + b) % q]
 
     gaps = energies[1:] - energies[:-1]
-    if gaps.size and np.min(gaps) <= gap_tolerance:
+    if np.min(gaps) <= gap_tolerance:
         m, n, i = np.unravel_index(np.argmin(gaps), gaps.shape)
         raise BandTouchingError(
             f"band touching: gap {gaps[m, n, i]:.3e} <= tolerance "

@@ -53,17 +53,17 @@ def mlws9(bands_t0):
 
 @pytest.fixture(scope="session")
 def traj_traditional_2c(paper_params):
-    return dynamics.run_protocol(paper_params, dynamics.Protocol.TRADITIONAL, 2, 27)
+    return dynamics.run_protocol(paper_params, 2, 27)
 
 
 @pytest.fixture(scope="session")
 def traj_echo_2c(paper_params):
-    return dynamics.run_protocol(paper_params, dynamics.Protocol.ECHO, 2, 27)
+    return dynamics.run_protocol(paper_params, 2, 27, echo=True)
 
 
 @pytest.fixture(scope="session")
-def traj_suppressed_1c(paper_params):
-    return dynamics.run_protocol(paper_params, dynamics.Protocol.SUPPRESSED, 1, 27)
+def traj_suppressed_1c(paper_params_sine):
+    return dynamics.run_protocol(paper_params_sine, 1, 27)
 
 
 @pytest.fixture(scope="session")

@@ -40,8 +40,11 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, override):
     assert "invalid configuration" in capsys.readouterr().err
 
 
-def test_unknown_tunneling_mode_exits_2(tmp_path, capsys):
-    assert cli.main(["bands", "--outdir", str(tmp_path), "--set", "tunneling_mode=bogus"]) == 2
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_unknown_tunneling_mode_exits_2(tmp_path, capsys, experiment):
+    # pump-suppressed, which runs the sine chain whatever the mode says, too
+    argv = [experiment, "--outdir", str(tmp_path), "--set", "tunneling_mode=bogus"]
+    assert cli.main(argv) == 2
     assert "invalid configuration" in capsys.readouterr().err
 
 
@@ -321,7 +324,7 @@ def test_pump_echo_smoke(tmp_path):
     cfg = cli.RunConfig(experiment="pump-echo", omega=0.1)
     params = cfg.model_params()
     initial, _ = cli._resolve_initial(cfg, params)
-    final = dynamics.run_protocol(params, dynamics.Protocol.ECHO, 2, initial).final_state
+    final = dynamics.run_protocol(params, 2, initial, echo=True).final_state
     bands0 = spectrum.solve_bands(params, np.array([0.0]))
     for cell in range(1, params.L + 1):
         mlws = wannier.maximally_localize(bands0, 2, cell)[0].amplitudes
@@ -334,6 +337,24 @@ def test_pump_suppressed_smoke(tmp_path):
     manifest = read_manifest(tmp_path, "pump-suppressed")
     assert manifest["model"]["tunneling_mode"] == "sine"
     assert manifest["delta_p_final_cells"] == pytest.approx(-1.0, abs=0.1)
+
+
+def test_suppressed_run_is_the_traditional_run_of_the_sine_chain(tmp_path, capsys):
+    # the suppression is a chain, not a way to propagate: the two runs write
+    # the same tables, and a suppressed run that fails before propagating
+    # records the sine chain it ran, as a run that succeeds does
+    runs = {"pump-suppressed": [], "pump-traditional": ["--set", "tunneling_mode=sine"]}
+    for experiment, extra in runs.items():
+        assert cli.main([experiment, "--outdir", str(tmp_path)] + FAST + extra) == 0
+    for name in ("observables.tsv", "density.tsv", "density_rows.tsv", "density_cols.tsv"):
+        suppressed = (tmp_path / "pump-suppressed" / name).read_bytes()
+        assert suppressed == (tmp_path / "pump-traditional" / name).read_bytes()
+    failed = tmp_path / "failed"
+    assert cli.main(["pump-suppressed", "--outdir", str(failed), "--set", "n_t=3"]) == 1
+    assert "run failed" in capsys.readouterr().err
+    manifest = read_manifest(failed, "pump-suppressed")
+    assert manifest["status"] == "failed"
+    assert manifest["model"]["tunneling_mode"] == "sine"
 
 
 def test_suppressed_mlws_start_is_the_sine_chains(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from aah_pump import dynamics, effective, model, observables, spectrum, wannier
-from aah_pump.dynamics import Protocol
 from aah_pump.model import ModelParams, TunnelingMode
 from oracles import (bloch_frame, bloch_states_real_space, evolve_dense, span_propagators,
                      span_steps)
@@ -105,7 +104,7 @@ def test_initial_state_validation(paper_params):
 
 def test_echo_needs_even_cycles(paper_params):
     with pytest.raises(ValueError, match="echo"):
-        dynamics.run_protocol(paper_params, Protocol.ECHO, 3, 27)
+        dynamics.run_protocol(paper_params, 3, 27, echo=True)
     # evolve reverses the sign per whole period, so it needs an even number of
     # them, each with the same samples: odd, fractional, samples not divisible
     period = paper_params.period
@@ -463,14 +462,13 @@ def test_block_solve_keeps_few_step_sized_arrays_alive(monkeypatch, split):
 FAST = ModelParams(V0=10.0, omega=0.2)
 
 
-def _cycles(params, protocol, n_cycles, initial, samples, **options):
+def _cycles(params, echo, n_cycles, initial, samples, **options):
     """`evolve` over n_cycles periods from t = 0 with `samples` samples per
-    period and no seam check, sign-reversed on every second period under
-    Protocol.ECHO: the run of `run_protocol` on the chain `params` holds, at
-    another sampling."""
+    period and no seam check, sign-reversed on every second period under the
+    echo: the run of `run_protocol`, at another sampling."""
     return dynamics.evolve(params, initial, 0.0, n_cycles * params.period,
                            samples=n_cycles * samples, seam_threshold=None,
-                           echo=protocol is Protocol.ECHO, **options)
+                           echo=echo, **options)
 
 
 def _negated(builder=None):
@@ -485,14 +483,14 @@ def _negated(builder=None):
     return negated
 
 
-def _per_period_chain(params, protocol, n_cycles, initial, samples, builder=None,
+def _per_period_chain(params, echo, n_cycles, initial, samples, builder=None,
                       jump_times=()):
     """Reference for the reuse: one `evolve` per period, each from the state
     the one before ends in, with the builder of -H on the odd cycles of an
     echo, which `evolve` solves as it solves H, from its own first q-th."""
     segments, state = [], initial
     for c in range(n_cycles):
-        b_c = _negated(builder) if protocol is Protocol.ECHO and c % 2 else builder
+        b_c = _negated(builder) if echo and c % 2 else builder
         segments.append(dynamics.evolve(
             params, state, c * params.period, (c + 1) * params.period, samples=samples,
             bloch_builder=b_c, seam_threshold=None, jump_times=jump_times))
@@ -502,25 +500,25 @@ def _per_period_chain(params, protocol, n_cycles, initial, samples, builder=None
     return times, states
 
 
-@pytest.mark.parametrize("protocol", [Protocol.TRADITIONAL, Protocol.ECHO])
+@pytest.mark.parametrize("echo", [False, True])
 @pytest.mark.parametrize("case", ["chain", "effective", "q4_even_L"])
-def test_period_reuse_matches_per_period_chain(case, protocol):
+def test_period_reuse_matches_per_period_chain(case, echo):
     params, builder, jumps, initial = FAST, None, (), 27
     if case == "effective":
         builder = effective.effective_bloch_blocks
         jumps = effective.region_boundaries(params)  # one period's, listed once
     elif case == "q4_even_L":
         params, initial = ModelParams(V0=10.0, p=1, q=4, L=6, omega=0.2), 13
-    traj = _cycles(params, protocol, 2, initial, 10, bloch_builder=builder,
+    traj = _cycles(params, echo, 2, initial, 10, bloch_builder=builder,
                    jump_times=jumps)
-    times, states = _per_period_chain(params, protocol, 2, initial, 10, builder, jumps)
+    times, states = _per_period_chain(params, echo, 2, initial, 10, builder, jumps)
     span = 2 * params.period
     np.testing.assert_allclose(traj.times, times, rtol=0, atol=1e-9 * span)
     np.testing.assert_allclose(traj.states, states, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("protocol", [Protocol.TRADITIONAL, Protocol.ECHO])
-def test_jumps_are_read_modulo_a_qth(protocol):
+@pytest.mark.parametrize("echo", [False, True])
+def test_jumps_are_read_modulo_a_qth(echo):
     # `evolve` reads each jump modulo T/q and repeats it every q-th, so H_T's
     # jumps listed for one q-th, for one period or two, or shifted by T/q or
     # by a period are the same list.  At phi0 = 0.3 they fall inside steps.
@@ -531,7 +529,7 @@ def test_jumps_are_read_modulo_a_qth(protocol):
     jumps, qth = effective.region_boundaries(p), p.period / p.q
 
     def run(listed):
-        return _cycles(p, protocol, 2, 27, 10, bloch_builder=effective.effective_bloch_blocks,
+        return _cycles(p, echo, 2, 27, 10, bloch_builder=effective.effective_bloch_blocks,
                        jump_times=listed).states
 
     once = run(jumps)
@@ -552,6 +550,17 @@ def test_jump_times_must_be_finite(bad):
                         seam_threshold=None, jump_times=jumps)
 
 
+@pytest.mark.parametrize("t_start, t_end, name", [
+    (0.0, math.inf, "t_end"), (0.0, math.nan, "t_end"), (-math.inf, 1.0, "t_start"),
+    (math.nan, 1.0, "t_start"),
+])
+def test_span_ends_must_be_finite(t_start, t_end, name):
+    # a span with a non-finite end has no count of whole periods; the error
+    # names the bad end
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        dynamics.evolve(FAST, 27, t_start, t_end)
+
+
 def _count_eigensolves(monkeypatch) -> list:
     """The number of matrices of every `np.linalg.eigh` call from now on."""
     solved = []
@@ -565,14 +574,14 @@ def _count_eigensolves(monkeypatch) -> list:
     return solved
 
 
-@pytest.mark.parametrize("protocol", [Protocol.TRADITIONAL, Protocol.ECHO])
+@pytest.mark.parametrize("echo", [False, True])
 @pytest.mark.parametrize("builder", [None, effective.effective_bloch_blocks],
                          ids=["chain", "effective"])
-def test_two_cycle_run_solves_one_period(monkeypatch, protocol, builder):
+def test_two_cycle_run_solves_one_period(monkeypatch, echo, builder):
     # one q-th of the first period, for the chain and for H_T alike
     jumps = () if builder is None else effective.region_boundaries(FAST)
     solved = _count_eigensolves(monkeypatch)
-    traj = _cycles(FAST, protocol, 2, 27, 10, bloch_builder=builder, jump_times=jumps)
+    traj = _cycles(FAST, echo, 2, 27, 10, bloch_builder=builder, jump_times=jumps)
     steps = round((traj.times[-1] - traj.times[0]) / traj.dt)
     assert (steps // 2) % FAST.q == 0
     # H_T's jumps, at T/12 + n*T/6, fall on step edges here and split no step
@@ -767,17 +776,16 @@ def _distinct_steps(n_steps, q):
     return n_steps // q
 
 
-@pytest.mark.parametrize("protocol, cycles", [(Protocol.TRADITIONAL, 1), (Protocol.ECHO, 2)])
+@pytest.mark.parametrize("echo, cycles", [(False, 1), (True, 2)])
 @pytest.mark.parametrize("case", QTH_CASES)
-def test_qth_solve_matches_the_step_by_step_solve_and_dense(monkeypatch, case, protocol,
-                                                            cycles):
+def test_qth_solve_matches_the_step_by_step_solve_and_dense(monkeypatch, case, echo, cycles):
     params, samples, stride = QTH_CASES[case]
     dt = params.period / (samples * stride)  # below dt_max = 2/||H|| >= 2/(V0 + 2J)
     rng = np.random.default_rng(5)
     psi = rng.normal(size=params.n_sites) + 1j * rng.normal(size=params.n_sites)
     psi /= np.linalg.norm(psi)
     solved = _count_eigensolves(monkeypatch)
-    fast = _cycles(params, protocol, cycles, psi, samples, dt=dt)
+    fast = _cycles(params, echo, cycles, psi, samples, dt=dt)
     assert round(params.period / fast.dt) == samples * stride
     distinct = _distinct_steps(samples * stride, params.q)
     assert distinct < samples * stride
@@ -790,12 +798,12 @@ def test_qth_solve_matches_the_step_by_step_solve_and_dense(monkeypatch, case, p
         for c in range(cycles)])
     np.testing.assert_allclose(fast.states, _oracle_states(params, psi, chunks),
                                rtol=0, atol=1e-12)
-    if protocol is Protocol.TRADITIONAL:
+    if not echo:
         dense = evolve_dense(params, psi, 0.0, params.period, dt, samples=samples)
         np.testing.assert_allclose(fast.states, dense.states, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("protocol", [Protocol.TRADITIONAL, Protocol.ECHO])
+@pytest.mark.parametrize("echo", [False, True])
 @pytest.mark.parametrize("omega, phi0, mode, atol", [
     (0.2, 0.0, TunnelingMode.UNIFORM, 1e-12),
     (0.2, np.pi / 6, TunnelingMode.UNIFORM, 1e-12),  # jumps on the period edges
@@ -803,7 +811,7 @@ def test_qth_solve_matches_the_step_by_step_solve_and_dense(monkeypatch, case, p
     (0.05, 0.3, TunnelingMode.UNIFORM, 1e-11),
 ])
 def test_effective_qth_solve_matches_the_step_by_step_solve(monkeypatch, omega, phi0, mode,
-                                                            atol, protocol):
+                                                            atol, echo):
     # H_T over two cycles solves the first q-th of its first period, its
     # region jumps read modulo T/q; the oracle solves every step of each
     # period in one pass, given every jump of the periods and their
@@ -814,7 +822,7 @@ def test_effective_qth_solve_matches_the_step_by_step_solve(monkeypatch, omega, 
     psi = rng.normal(size=p.n_sites) + 1j * rng.normal(size=p.n_sites)
     psi /= np.linalg.norm(psi)
     solved = _count_eigensolves(monkeypatch)
-    traj = _cycles(p, protocol, 2, psi, 10, bloch_builder=builder, jump_times=jumps)
+    traj = _cycles(p, echo, 2, psi, 10, bloch_builder=builder, jump_times=jumps)
     n_steps = round(p.period / traj.dt)
     assert n_steps % p.q == 0
     # a q-th's steps, two of them split at its two jumps when these fall
@@ -823,7 +831,7 @@ def test_effective_qth_solve_matches_the_step_by_step_solve(monkeypatch, omega, 
     copies = (jumps + p.period * np.arange(-1, 3)[:, None]).ravel()
     ks = model.k_grid(p)
     chunks = np.concatenate([
-        span_propagators(p, _negated(builder) if protocol is Protocol.ECHO and c % 2
+        span_propagators(p, _negated(builder) if echo and c % 2
                          else builder, ks, c * p.period, 10, n_steps // 10, traj.dt, copies,
                          periodic=True)
         for c in range(2)])
@@ -855,11 +863,11 @@ def test_paper_runs_solve_one_qth_of_a_period(monkeypatch, paper_params):
     # 3,200 steps per q-th, each with its central stencil: 3,200 distinct
     # steps of 15 momenta
     solved = _count_eigensolves(monkeypatch)
-    traj = dynamics.run_protocol(paper_params, Protocol.TRADITIONAL, 1, 27)
+    traj = dynamics.run_protocol(paper_params, 1, 27)
     assert round(paper_params.period / traj.dt) == 9600
     assert sum(solved) == 3200 * paper_params.L
     solved.clear()
-    dynamics.run_protocol(paper_params, Protocol.ECHO, 2, 27)
+    dynamics.run_protocol(paper_params, 2, 27, echo=True)
     assert sum(solved) == 3200 * paper_params.L
 
 
@@ -921,20 +929,6 @@ def test_qth_solve_holds_the_period_and_one_block(monkeypatch, paper_params):
     segments = (400 + p.q - 1) * p.L * p.q ** 2 * 16
     assert u.shape == (400, p.L, p.q, p.q)
     assert peak < segments + 5 * max(stacks)
-
-
-def test_suppressed_forces_sine(traj_suppressed_1c):
-    assert traj_suppressed_1c.params.tunneling_mode is TunnelingMode.SINE_MODULATED
-
-
-def test_suppressed_is_the_traditional_run_of_the_sine_chain(traj_suppressed_1c,
-                                                             paper_params_sine):
-    # the suppression is a model, not a way to propagate: `run_protocol`
-    # swaps in the sine chain and runs it as it runs the traditional protocol
-    plain = dynamics.run_protocol(paper_params_sine, Protocol.TRADITIONAL, 1, 27)
-    assert plain.params == traj_suppressed_1c.params
-    assert np.array_equal(traj_suppressed_1c.states, plain.states)
-    assert np.array_equal(traj_suppressed_1c.times, plain.times)
 
 
 def test_seam_guard_triggers(paper_params):

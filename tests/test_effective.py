@@ -432,7 +432,7 @@ def test_full_run_is_the_plain_chain_run(omega):
     p = ModelParams(omega=omega)
     dt = min(dynamics.dt_max(p), dynamics.dt_max(p, effective.effective_bloch_blocks))
     full, _, _ = effective.compare_effective(p, 27)
-    plain = dynamics.run_protocol(p, dynamics.Protocol.TRADITIONAL, 1, 27, dt=dt)
+    plain = dynamics.run_protocol(p, 1, 27, dt=dt)
     assert round(p.period / plain.dt) == {0.01: 9600, 0.05: 2400}[omega]
     assert np.array_equal(full.states, plain.states)
     assert np.array_equal(full.times, plain.times)
